@@ -16,14 +16,13 @@ The package is organized around a small pipeline:
   grouped reports.
 - :mod:`ltseg.cli`: command line entry points (gen/train/eval/report).
 
-Numeric hot loops live in :mod:`ltseg._kernels` with a compiled and a
-pure-numpy backend.
+Numeric hot loops live in :mod:`ltseg._kernels`, one numpy
+implementation each.
 """
 
 __version__ = "0.1.0"
 
 from . import _kernels
-from ._kernels import available_backends, backend_name, set_backend
 from .errors import (
     ConfigError,
     EmptySequenceError,
@@ -42,7 +41,4 @@ __all__ = [
     "TrainingDivergedError",
     "_kernels",
     "__version__",
-    "available_backends",
-    "backend_name",
-    "set_backend",
 ]

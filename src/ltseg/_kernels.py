@@ -1,9 +1,5 @@
-"""Pure-numpy kernel implementations.
-
-Reference backend for the hot per-frame loops. The compiled module built
-from ``_core.pyx`` mirrors these signatures exactly; either one can serve
-the rest of the package.
-"""
+"""Numeric hot loops: window stacking, weighted softmax cross-entropy,
+confusion tallying and edit distance, all in numpy."""
 
 import numpy as np
 

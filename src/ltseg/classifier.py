@@ -237,12 +237,20 @@ def load_checkpoint(path):
         header = json.loads(header_line.decode("ascii"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}:1: bad checkpoint header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise ParseError(f"{path}:1: checkpoint header is not a JSON object")
     if not all(k in header for k in _CHECKPOINT_KEYS):
         missing = [k for k in _CHECKPOINT_KEYS if k not in header]
         raise ParseError(f"{path}:1: header missing {missing}")
-    L = int(header["num_classes"])
-    D = int(header["feature_dim"])
-    w = int(header["context_radius"])
+    for key in _CHECKPOINT_KEYS:
+        value = header[key]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(
+                f"{path}:1: header field {key!r} must be an integer, got {value!r}"
+            )
+    L = header["num_classes"]
+    D = header["feature_dim"]
+    w = header["context_radius"]
     if L <= 0 or D <= 0 or w < 0:
         raise RangeError(f"{path}: non-positive dimensions in header")
     width = 2 * w + 1
@@ -257,4 +265,4 @@ def load_checkpoint(path):
         bias=values[L * D * width :].astype(np.float64),
         context_radius=w,
     )
-    return params, int(header["epoch"])
+    return params, header["epoch"]

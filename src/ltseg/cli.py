@@ -10,7 +10,6 @@ trainer; per-section seeds are not separately configurable.
 """
 
 import argparse
-import concurrent.futures
 import dataclasses
 import hashlib
 import json
@@ -229,20 +228,6 @@ def _write_json(path, data):
         handle.write("\n")
 
 
-def worker_count() -> int:
-    """Worker cap for per-sequence parallelism, LTSEG_THREADS wins."""
-    cap = os.environ.get("LTSEG_THREADS")
-    if cap is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        value = int(cap)
-    except ValueError:
-        raise ConfigError(f"LTSEG_THREADS must be an integer, got {cap!r}") from None
-    if value < 1:
-        raise ConfigError(f"LTSEG_THREADS must be >= 1, got {value}")
-    return value
-
-
 def _resolve_dataset(config: ExperimentConfig) -> sd.Dataset:
     if config.synthetic is not None:
         return sd.generate_synthetic(config.synthetic)
@@ -293,14 +278,10 @@ def cmd_train(config: ExperimentConfig, stream=None):
 
 
 def _predict_all(params, dataset, mode, means):
-    def one(sequence):
-        return dec.decode_sequence(params, sequence, mode, means=means)
-
-    workers = worker_count()
-    if workers == 1 or len(dataset.sequences) <= 1:
-        return [one(sequence) for sequence in dataset.sequences]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one, dataset.sequences))
+    return [
+        dec.decode_sequence(params, sequence, mode, means=means)
+        for sequence in dataset.sequences
+    ]
 
 
 def _write_report(run_dir, name, report):
@@ -344,26 +325,28 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     if config.head_threshold is not None:
         head, _ = sd.head_tail_split(dataset.class_frame_counts, config.head_threshold)
 
-    predictions = _predict_all(params, dataset, config.decode_mode, means)
-    report = mx.evaluate(
-        predictions,
-        truths,
-        dataset.num_classes,
-        thresholds=config.iou_thresholds,
-        head=head,
-    )
-    _write_report(run_dir, "report", report)
     if config.decode_mode == "sncm":
-        # frame-NCM alongside, so the segment-level gain is visible
+        # one NCM pass feeds the segment vote and the frame-NCM report
+        # alongside it, which makes the segment-level gain visible
         ncm_predictions = _predict_all(params, dataset, "ncm", means)
-        ncm_report = mx.evaluate(
-            ncm_predictions,
+        reports = {
+            "report": [
+                dec.sncm_decode(params.predict_sequence(sequence), votes)
+                for sequence, votes in zip(dataset.sequences, ncm_predictions)
+            ],
+            "report_ncm": ncm_predictions,
+        }
+    else:
+        reports = {"report": _predict_all(params, dataset, config.decode_mode, means)}
+    for name, decoded in reports.items():
+        report = mx.evaluate(
+            decoded,
             truths,
             dataset.num_classes,
             thresholds=config.iou_thresholds,
             head=head,
         )
-        _write_report(run_dir, "report_ncm", ncm_report)
+        _write_report(run_dir, name, report)
     return run_dir
 
 

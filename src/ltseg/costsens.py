@@ -14,15 +14,13 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import _kernels
 from .confusion import learning_state
 from .errors import ConfigError, RangeError
-
-PROB_FLOOR = 1e-12
 
 DEFAULT_EPSILON = 0.9
 DEFAULT_STEP_SIZE = 0.01
 DEFAULT_TAU = 0.3
-TAU_GRID = (0.1, 0.3, 0.5, 0.7)
 
 
 @dataclass(frozen=True, eq=False)
@@ -112,7 +110,7 @@ def weighted_ce_loss(probs, y, u, weights: GainWeights):
     _check_frame(probs.shape[0], y, u)
     if abs(probs.sum() - 1.0) > 1e-6:
         raise RangeError(f"probabilities sum to {probs.sum()!r}, not 1")
-    return weights.tempered[y, u] * -math.log(max(probs[y], PROB_FLOOR))
+    return weights.tempered[y, u] * -math.log(max(probs[y], _kernels.PROB_FLOOR))
 
 
 def weighted_ce_grad_logits(logits, y, u, weights: GainWeights):

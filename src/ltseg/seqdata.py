@@ -504,6 +504,9 @@ def _read_labels(path, id_of):
     return np.array(ids, dtype=np.int64)
 
 
+_MANIFEST_ENTRY_KEYS = ("id", "labels", "features")
+
+
 def load_dataset(path) -> Dataset:
     """Read a dataset directory (or its manifest.json) back into memory."""
     manifest_path = path
@@ -515,12 +518,29 @@ def load_dataset(path) -> Dataset:
             manifest = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}:{exc.lineno}: {exc.msg}") from exc
-    try:
-        num_classes = int(manifest["num_classes"])
-        feature_dim = int(manifest["feature_dim"])
-        entries = manifest["sequences"]
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"{manifest_path}: missing field {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise ParseError(f"{manifest_path}: manifest is not a JSON object")
+    for key in ("num_classes", "feature_dim"):
+        value = manifest.get(key)
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError(
+                f"{manifest_path}: field {key!r} must be an integer, got {value!r}"
+            )
+    num_classes = manifest["num_classes"]
+    feature_dim = manifest["feature_dim"]
+    entries = manifest.get("sequences")
+    if not isinstance(entries, list):
+        raise ParseError(
+            f"{manifest_path}: field 'sequences' must be a list, got {entries!r}"
+        )
+    for index, entry in enumerate(entries):
+        if not isinstance(entry, dict) or not all(
+            isinstance(entry.get(key), str) for key in _MANIFEST_ENTRY_KEYS
+        ):
+            raise ParseError(
+                f"{manifest_path}: sequence entry {index} must be an object "
+                f"with string fields {list(_MANIFEST_ENTRY_KEYS)}, got {entry!r}"
+            )
     if num_classes <= 0 or feature_dim <= 0:
         raise RangeError(
             f"{manifest_path}: non-positive dimensions "
@@ -549,7 +569,7 @@ def load_dataset(path) -> Dataset:
             )
         sequences.append(
             LabeledSequence.from_frames(
-                feats, labels, num_classes=num_classes, seq_id=str(entry["id"])
+                feats, labels, num_classes=num_classes, seq_id=entry["id"]
             )
         )
     return Dataset.build(sequences, num_classes=num_classes, class_names=names)

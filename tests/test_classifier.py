@@ -1,5 +1,6 @@
 """Linear frame classifier, training loop, decision rule, checkpoints."""
 
+import json
 import math
 import warnings
 from dataclasses import replace
@@ -318,3 +319,28 @@ def test_checkpoint_rejects_corruption(tmp_path):
     (tmp_path / "garbled.ckpt").write_bytes(b"not json\n" + raw)
     with pytest.raises(ParseError):
         clf.load_checkpoint(tmp_path / "garbled.ckpt")
+
+
+@pytest.mark.parametrize(
+    "field", ["num_classes", "feature_dim", "context_radius", "epoch"]
+)
+@pytest.mark.parametrize("value", ["x", None, 3.7, True])
+def test_checkpoint_header_fields_must_be_integers(tmp_path, field, value):
+    params = clf.ClassifierParams.zeros(2, 2, context_radius=1)
+    path = tmp_path / "model.ckpt"
+    clf.save_checkpoint(params, path, epoch=2)
+    header, payload = path.read_bytes().split(b"\n", 1)
+    fields = json.loads(header)
+    fields[field] = value
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(fields).encode("ascii") + b"\n" + payload)
+    with pytest.raises(ParseError) as err:
+        clf.load_checkpoint(bad)
+    assert str(bad) in str(err.value) and field in str(err.value)
+
+
+def test_checkpoint_header_must_be_object(tmp_path):
+    path = tmp_path / "number.ckpt"
+    path.write_bytes(b"7\n" + b"\0" * 24)
+    with pytest.raises(ParseError, match="number.ckpt"):
+        clf.load_checkpoint(path)

@@ -10,6 +10,7 @@ import pytest
 
 from ltseg import classifier as clf
 from ltseg import cli
+from ltseg import decode as dec
 from ltseg import metrics as mx
 from ltseg.errors import ConfigError
 
@@ -106,19 +107,6 @@ def test_config_missing_manifest_rejected(tmp_path):
     )
     with pytest.raises(ConfigError, match="does not exist"):
         cli.load_config(path)
-
-
-def test_worker_count_env(monkeypatch):
-    monkeypatch.delenv("LTSEG_THREADS", raising=False)
-    assert cli.worker_count() >= 1
-    monkeypatch.setenv("LTSEG_THREADS", "3")
-    assert cli.worker_count() == 3
-    monkeypatch.setenv("LTSEG_THREADS", "0")
-    with pytest.raises(ConfigError):
-        cli.worker_count()
-    monkeypatch.setenv("LTSEG_THREADS", "many")
-    with pytest.raises(ConfigError):
-        cli.worker_count()
 
 
 # -- gen ---------------------------------------------------------------------
@@ -438,16 +426,63 @@ def test_eval_never_mutates_inputs(tmp_path):
         assert fh.read() == checkpoint_before
 
 
-def test_eval_threaded_matches_serial(tmp_path, monkeypatch):
-    config, checkpoint = _train_small(tmp_path, noise_scale=0.6)
-    monkeypatch.setenv("LTSEG_THREADS", "1")
-    serial = cli.cmd_eval(config, checkpoint)
-    monkeypatch.setenv("LTSEG_THREADS", "4")
-    threaded = cli.cmd_eval(config, checkpoint)
-    with open(os.path.join(serial, "report.json")) as fh:
-        a = fh.read()
-    with open(os.path.join(threaded, "report.json")) as fh:
-        assert fh.read() == a
+def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch):
+    config, checkpoint = _train_small(tmp_path, noise_scale=1.2, mean_scale=0.8)
+    params, _ = clf.load_checkpoint(checkpoint)
+    dataset = cli._resolve_dataset(config)
+    means = dec.compute_class_means(
+        dataset, dec.windowed_extractor(params.context_radius)
+    )
+    truths = [sequence.frame_labels for sequence in dataset.sequences]
+    want = {}
+    for name, mode in (("report", "sncm"), ("report_ncm", "ncm")):
+        predictions = [
+            dec.decode_sequence(params, sequence, mode, means=means)
+            for sequence in dataset.sequences
+        ]
+        report = mx.evaluate(predictions, truths, dataset.num_classes)
+        want[name] = json.loads(json.dumps(mx.report_to_dict(report)))
+    calls = []
+    ncm_predict = dec.ncm_predict
+
+    def counted(*args):
+        calls.append(1)
+        return ncm_predict(*args)
+
+    monkeypatch.setattr(dec, "ncm_predict", counted)
+    run_dir = cli.cmd_eval(config, checkpoint)
+    assert len(calls) == len(dataset.sequences)
+    for name, report in want.items():
+        with open(os.path.join(run_dir, f"{name}.json")) as fh:
+            assert json.load(fh) == report
+
+
+def test_main_eval_malformed_manifest_exits_2(tmp_path, capsys):
+    gen_config = cli.load_config(
+        write_config(
+            tmp_path / "gen.json",
+            dataset={"synthetic": small_synth()},
+            out=str(tmp_path / "runs"),
+        )
+    )
+    gen_dir = cli.cmd_gen(gen_config, stream=io.StringIO())
+    manifest = os.path.join(gen_dir, "dataset", "manifest.json")
+    path = write_config(
+        tmp_path / "eval.json",
+        dataset={"manifest": manifest},
+        train={"epochs": 1},
+        out=str(tmp_path / "runs"),
+    )
+    train_dir, _ = cli.cmd_train(cli.load_config(path))
+    with open(manifest) as fh:
+        data = json.load(fh)
+    del data["sequences"][0]["labels"]
+    with open(manifest, "w") as fh:
+        json.dump(data, fh)
+    capsys.readouterr()
+    checkpoint = os.path.join(train_dir, "checkpoint.bin")
+    assert cli.main(["eval", "--config", path, checkpoint]) == 2
+    assert f"error: {manifest}" in capsys.readouterr().err
 
 
 # -- report ------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Sequence/segmentation types, synthetic generator, dataset I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -251,3 +253,81 @@ def test_missing_classes_flagged(tmp_path):
     assert ds.missing_classes == (1, 3)
     sd.save_dataset(ds, tmp_path / "ds")
     assert sd.load_dataset(str(tmp_path / "ds")).missing_classes == (1, 3)
+
+
+DROP = object()
+
+
+def _rewrite_manifest(tmp_path, mutate):
+    """Save a two-sequence dataset, edit its manifest, return the path."""
+    ds = sd.Dataset.build(
+        [_make_seq([0, 1], num_classes=2), _make_seq([1, 0], num_classes=2, seed=1)], 2
+    )
+    sd.save_dataset(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(mutate(manifest)))
+    return str(path)
+
+
+def _edit(mapping, key, value):
+    if value is DROP:
+        del mapping[key]
+    else:
+        mapping[key] = value
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("num_classes", "x"),
+        ("num_classes", None),
+        ("num_classes", 3.7),
+        ("num_classes", True),
+        ("feature_dim", "3"),
+        ("num_classes", DROP),
+        ("sequences", DROP),
+        ("sequences", {"id": "a"}),
+    ],
+)
+def test_load_rejects_malformed_manifest_fields(tmp_path, key, value):
+    def mutate(manifest):
+        _edit(manifest, key, value)
+        return manifest
+
+    path = _rewrite_manifest(tmp_path, mutate)
+    with pytest.raises(ParseError) as err:
+        sd.load_dataset(path)
+    assert path in str(err.value) and key in str(err.value)
+
+
+def test_load_rejects_non_object_manifest(tmp_path):
+    path = _rewrite_manifest(tmp_path, lambda manifest: [manifest])
+    with pytest.raises(ParseError) as err:
+        sd.load_dataset(path)
+    assert path in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("labels", DROP),
+        ("features", DROP),
+        ("id", DROP),
+        ("labels", 7),
+        ("id", None),
+        (None, "not an object"),
+    ],
+)
+def test_load_rejects_malformed_manifest_entry(tmp_path, key, value):
+    def mutate(manifest):
+        if key is None:
+            manifest["sequences"][1] = value
+        else:
+            _edit(manifest["sequences"][1], key, value)
+        return manifest
+
+    path = _rewrite_manifest(tmp_path, mutate)
+    with pytest.raises(ParseError) as err:
+        sd.load_dataset(path)
+    assert path in str(err.value) and "entry 1" in str(err.value)
