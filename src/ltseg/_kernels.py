@@ -6,43 +6,69 @@ import numpy as np
 PROB_FLOOR = 1e-12
 
 
+def window_store(feature_list, radius):
+    """Windowed view over every sequence of ``feature_list`` at once.
+
+    Each ``[D, T]`` feature matrix is copied once, frame-major and
+    float64, into one ``[N + 2*radius*S, D]`` store, padded with
+    ``radius`` replicated edge frames on both sides of every sequence.
+    The result is a read-only ``as_strided`` view of shape
+    ``[N + 2*radius*S - 2*radius, D*(2*radius+1)]``: row ``r`` is the
+    window around store row ``r + radius``, laid out like
+    ``window_stack``'s rows. Frame ``t`` of sequence ``s`` is row
+    ``t + sum(T_k + 2*radius for k < s)``; the ``2*radius`` rows between
+    two sequences straddle both and belong to neither.
+    """
+    dim = feature_list[0].shape[0]
+    total = sum(f.shape[1] + 2 * radius for f in feature_list)
+    store = np.empty((total, dim), dtype=np.float64)
+    row = 0
+    for feats in feature_list:
+        frames = feats.shape[1]
+        store[row : row + radius] = feats[:, 0]
+        store[row + radius : row + radius + frames] = feats.T
+        store[row + radius + frames : row + 2 * radius + frames] = feats[:, -1]
+        row += frames + 2 * radius
+    return np.lib.stride_tricks.as_strided(
+        store,
+        shape=(total - 2 * radius, dim * (2 * radius + 1)),
+        strides=(dim * store.itemsize, store.itemsize),
+        writeable=False,
+    )
+
+
 def window_stack(features, radius):
     """Stack a temporal context window around every frame.
 
     ``features`` is [D, T]; the result is [T, D*(2*radius+1)] float64 with
-    window offsets ordered -radius..+radius and edge frames replicated.
+    window offsets ordered -radius..+radius and edge frames replicated:
+    a contiguous copy of the one-sequence ``window_store``.
     """
-    feats = np.ascontiguousarray(features, dtype=np.float64)
-    dim, num_frames = feats.shape
-    if radius == 0:
-        return feats.T.copy()
-    offsets = np.arange(-radius, radius + 1)
-    cols = np.clip(np.arange(num_frames)[:, None] + offsets[None, :], 0, num_frames - 1)
-    gathered = feats[:, cols]  # [D, T, W]
-    return np.ascontiguousarray(
-        gathered.transpose(1, 2, 0).reshape(num_frames, dim * (2 * radius + 1))
-    )
+    return window_store([np.asarray(features)], radius).copy()
 
 
 def softmax_xent_grad(logits, labels, weights):
-    """Weighted softmax cross-entropy over a batch of frames.
+    """Weighted softmax cross-entropy over a batch of frames, class-major.
 
-    Returns ``(loss_sum, dlogits)`` where per frame t
-    ``loss_t = weights[t] * -log(max(p[labels[t]], PROB_FLOOR))`` and
-    ``dlogits[t] = weights[t] * (softmax(logits[t]) - onehot(labels[t]))``.
-    Softmax is computed with row-max subtraction.
+    ``logits`` is [L, n], one column per frame. Returns
+    ``(loss_sum, dlogits)`` where per frame t
+    ``loss_t = weights[t] * -log(max(p[labels[t], t], PROB_FLOOR))`` and
+    ``dlogits[:, t] = weights[t] * (softmax(logits[:, t]) - onehot(labels[t]))``.
+    Softmax is computed with column-max subtraction; the reductions run
+    across the L rows.
     """
-    logits = np.ascontiguousarray(logits, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    weights = np.ascontiguousarray(weights, dtype=np.float64)
-    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
-    probs /= probs.sum(axis=1, keepdims=True)
-    rows = np.arange(logits.shape[0])
-    p_true = probs[rows, labels]
+    weights = np.asarray(weights, dtype=np.float64)
+    probs = logits - logits.max(axis=0)
+    np.exp(probs, out=probs)
+    probs /= probs.sum(axis=0)
+    cols = np.arange(logits.shape[1])
+    p_true = probs[labels, cols]
     loss_sum = float(np.dot(weights, -np.log(np.maximum(p_true, PROB_FLOOR))))
-    grad = probs * weights[:, None]
-    grad[rows, labels] -= weights
-    return loss_sum, grad
+    probs *= weights
+    probs[labels, cols] -= weights
+    return loss_sum, probs
 
 
 def count_confusion_into(counts, truth, pred, prev):

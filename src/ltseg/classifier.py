@@ -5,6 +5,15 @@ frame's feature window. The interesting part is the loop around it,
 which alternates one epoch of gain-weighted gradient descent with a full
 confusion pass and a projected multiplier step, so the loss weights for
 epoch e always reflect the violations measured after epoch e-1.
+
+Training reads every window from one ``FrameStore`` built once per
+``train`` call: the training set's features, frame-major in float64 and
+padded per sequence, behind a strided view whose rows are the stacked
+windows. It holds 1/(2w+1) of the bytes that per-sequence stacked
+windows would. Each SGD step gathers its batch's rows into one matrix
+and runs class-major (logits ``[L, n]``); the confusion pass predicts in
+chunks of ``CONFUSION_CHUNK_ROWS`` frames, so neither pass ever holds a
+full ``[N, L]`` logits matrix or a contiguous ``[N, D*(2w+1)]`` copy.
 """
 
 import json
@@ -14,12 +23,16 @@ import numpy as np
 
 from . import _kernels
 from . import costsens
-from .confusion import compute_confusion
+from .confusion import ConfusionTensor
 from .costsens import GainWeights, MultiplierState
 from .errors import ConfigError, ParseError, RangeError, TrainingDivergedError
 from .seqdata import compute_transition_stats
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
+
+# frames per chunk of the confusion pass: bounds its window copy and
+# logits to a few MB whatever the dataset size
+CONFUSION_CHUNK_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -57,16 +70,16 @@ class ClassifierParams:
         phi = _kernels.window_stack(sequence.features, self.context_radius)
         return phi @ self.weights.T + self.bias
 
-    def forward_sequence(self, sequence):
-        """Per-frame probabilities, [T x L]."""
-        logits = self.logits_sequence(sequence)
-        p = np.exp(logits - logits.max(axis=1, keepdims=True))
-        p /= p.sum(axis=1, keepdims=True)
-        return p
+    def predict_windows(self, phi):
+        """Per-frame argmax labels of stacked windows ``[T, D*(2w+1)]``;
+        ties go to the smallest class id."""
+        return np.argmax(phi @ self.weights.T + self.bias, axis=1).astype(np.int64)
 
     def predict_sequence(self, sequence):
         """Per-frame argmax labels; ties go to the smallest class id."""
-        return np.argmax(self.logits_sequence(sequence), axis=1).astype(np.int64)
+        return self.predict_windows(
+            _kernels.window_stack(sequence.features, self.context_radius)
+        )
 
 
 def forward(params: ClassifierParams, sequence, t):
@@ -80,10 +93,6 @@ def forward(params: ClassifierParams, sequence, t):
     logits = params.weights @ phi + params.bias
     p = np.exp(logits - logits.max())
     return p / p.sum()
-
-
-def predict_sequence(params: ClassifierParams, sequence):
-    return params.predict_sequence(sequence)
 
 
 def bayes_optimal_decision(posteriors, gain, u):
@@ -134,6 +143,78 @@ class TrainConfig:
         return self
 
 
+@dataclass(frozen=True, eq=False)
+class FrameStore:
+    """A training set's windows, labels and previous actions, frame-major.
+
+    ``windows`` is the read-only ``_kernels.window_store`` view over the
+    dataset's sequences in order; ``rows[f]`` is the view row holding
+    frame f's window, and sequence s owns frames
+    ``starts[s]:starts[s + 1]``.
+    """
+
+    windows: np.ndarray
+    labels: np.ndarray
+    prev_action: np.ndarray
+    rows: np.ndarray
+    starts: np.ndarray
+
+    @classmethod
+    def build(cls, dataset, context_radius):
+        seqs = dataset.sequences
+        lengths = np.array([seq.num_frames for seq in seqs], dtype=np.int64)
+        # every earlier sequence puts 2w padding rows ahead of a frame
+        padding = 2 * context_radius * np.repeat(np.arange(len(seqs)), lengths)
+        return cls(
+            windows=_kernels.window_store(
+                [seq.features for seq in seqs], context_radius
+            ),
+            labels=np.concatenate([seq.frame_labels for seq in seqs]),
+            prev_action=np.concatenate([seq.prev_action for seq in seqs]),
+            rows=np.arange(lengths.sum()) + padding,
+            starts=np.concatenate(([0], np.cumsum(lengths))),
+        )
+
+    @property
+    def num_frames(self):
+        return self.labels.shape[0]
+
+    def frames_of(self, sequence_ids):
+        """Frame indices of the given sequences, concatenated in order."""
+        return np.concatenate(
+            [np.arange(self.starts[i], self.starts[i + 1]) for i in sequence_ids]
+        )
+
+    def gather(self, frames):
+        """Contiguous ``[n, D*(2w+1)]`` copy of the given frames' windows."""
+        return self.windows[self.rows[frames]]
+
+
+def _class_major_logits(params, phi):
+    """Logits ``[L, n]`` of windows ``[n, D*(2w+1)]``, one column a frame."""
+    logits = params.weights @ phi.T
+    logits += params.bias[:, None]
+    return logits
+
+
+def store_confusion(params, store) -> ConfusionTensor:
+    """Confusion tensor of argmax predictions over every frame of
+    ``store``, predicted ``CONFUSION_CHUNK_ROWS`` frames at a time and
+    tallied in one ``count_confusion_into`` call. Counts equal
+    ``compute_confusion(params, dataset)`` on the dataset it was built
+    from."""
+    frames = store.num_frames
+    pred = np.empty(frames, dtype=np.int64)
+    for lo in range(0, frames, CONFUSION_CHUNK_ROWS):
+        chunk = slice(lo, lo + CONFUSION_CHUNK_ROWS)
+        logits = _class_major_logits(params, store.gather(chunk))
+        pred[chunk] = np.argmax(logits, axis=0)  # ties to the smallest id
+    L = params.num_classes
+    counts = np.zeros((L, L, L + 1), dtype=np.int64)
+    _kernels.count_confusion_into(counts, store.labels, pred, store.prev_action)
+    return ConfusionTensor(counts=counts, total_frames=frames)
+
+
 def train(dataset, config: TrainConfig):
     """Alternating optimization over a dataset.
 
@@ -142,6 +223,14 @@ def train(dataset, config: TrainConfig):
     confusion pass with the updated classifier, (4, 5) mean refresh and
     projected multiplier step. plain_ce uses unit weights and skips
     1, 4, 5; inverse_prior keeps the multipliers pinned at zero.
+
+    The training set is windowed once into a ``FrameStore`` (N + 2wS
+    padded frames of D float64 values). Each epoch computes all N frame
+    weights in one ``frame_weights`` call. A step gathers its batch of
+    ``batch_size`` sequences into one ``[n, D*(2w+1)]`` matrix, computes
+    class-major logits ``[L, n]``, and makes one ``softmax_xent_grad``
+    call and one gradient GEMM. The confusion pass (``store_confusion``)
+    holds at most ``CONFUSION_CHUNK_ROWS`` windows and logits at a time.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
@@ -156,50 +245,33 @@ def train(dataset, config: TrainConfig):
         dataset.num_classes, dataset.feature_dim, config.context_radius
     )
     rng = np.random.default_rng(config.rng_seed)
-    windows = [
-        _kernels.window_stack(seq.features, config.context_radius)
-        for seq in dataset.sequences
-    ]
+    store = FrameStore.build(dataset, config.context_radius)
     n_seq = len(dataset.sequences)
     telemetry = []
     for epoch in range(config.epochs):
         if config.loss_mode == "plain_ce":
-            gain = None
+            frame_w = np.ones(store.num_frames)
         else:
             gain = costsens.compute_gain(stats, mult, config.tau)
+            frame_w = costsens.frame_weights(gain, store.labels, store.prev_action)
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
-        epoch_frames = 0
         for lo in range(0, n_seq, config.batch_size):
-            batch = order[lo : lo + config.batch_size]
-            grad_w = np.zeros_like(params.weights)
-            grad_b = np.zeros_like(params.bias)
-            batch_frames = 0
-            for idx in batch:
-                seq = dataset.sequences[idx]
-                phi = windows[idx]
-                logits = phi @ params.weights.T + params.bias
-                if gain is None:
-                    frame_w = np.ones(seq.num_frames)
-                else:
-                    frame_w = costsens.frame_weights(
-                        gain, seq.frame_labels, seq.prev_action
-                    )
-                loss_sum, dlogits = _kernels.softmax_xent_grad(
-                    logits, seq.frame_labels, frame_w
-                )
-                grad_w += dlogits.T @ phi
-                grad_b += dlogits.sum(axis=0)
-                batch_frames += seq.num_frames
-                epoch_loss += loss_sum
-            scale = config.learning_rate / batch_frames
-            params.weights -= scale * grad_w
-            params.bias -= scale * grad_b
-            epoch_frames += batch_frames
-        mean_loss = epoch_loss / epoch_frames
+            frames = store.frames_of(order[lo : lo + config.batch_size])
+            phi = store.gather(frames)
+            loss_sum, dlogits = _kernels.softmax_xent_grad(
+                _class_major_logits(params, phi),
+                store.labels[frames],
+                frame_w[frames],
+            )
+            scale = config.learning_rate / frames.size
+            params.weights -= scale * (dlogits @ phi)
+            params.bias -= scale * dlogits.sum(axis=1)
+            epoch_loss += loss_sum
+        mean_loss = epoch_loss / store.num_frames
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
-        tensor = compute_confusion(params, dataset)
+        tensor = store_confusion(params, store)
         if config.loss_mode == "cost_sensitive":
             updated = costsens.update_multipliers(mult, tensor, stats)
             record = costsens.telemetry_record(epoch, tensor, stats, mult, updated)

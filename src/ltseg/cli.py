@@ -80,12 +80,21 @@ class ExperimentConfig:
         if not self.iou_thresholds:
             raise ConfigError("iou_thresholds must not be empty")
         for thr in self.iou_thresholds:
+            if not _is_number(thr):
+                raise ConfigError(f"iou_thresholds must hold numbers, got {thr!r}")
             if not 0.0 < thr < 1.0:
                 raise ConfigError(f"IoU threshold {thr} outside (0, 1)")
-        if self.head_threshold is not None and self.head_threshold <= 0:
-            raise ConfigError(
-                f"head_threshold must be positive, got {self.head_threshold}"
-            )
+        if self.head_threshold is not None:
+            if not isinstance(self.head_threshold, int) or isinstance(
+                self.head_threshold, bool
+            ):
+                raise ConfigError(
+                    f"head_threshold must be an integer, got {self.head_threshold!r}"
+                )
+            if self.head_threshold <= 0:
+                raise ConfigError(
+                    f"head_threshold must be positive, got {self.head_threshold}"
+                )
         try:
             if self.synthetic is not None:
                 self.synthetic.validate()
@@ -93,6 +102,10 @@ class ExperimentConfig:
         except TypeError as exc:
             raise ConfigError(f"config field has the wrong type: {exc}") from None
         return self
+
+
+def _is_number(value):
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_keys(mapping, allowed, where):
@@ -157,7 +170,7 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
         manifest=manifest,
         train=train,
         decode_mode=overrides.pop("decode", data.get("decode", "sncm")),
-        iou_thresholds=tuple(float(t) for t in thresholds),
+        iou_thresholds=tuple(thresholds),
         head_threshold=data.get("head_threshold"),
         feature_format=data.get("feature_format", "binary"),
         out_dir=overrides.pop("out", data.get("out", "runs")),
@@ -277,13 +290,6 @@ def cmd_train(config: ExperimentConfig, stream=None):
     return run_dir, 0
 
 
-def _predict_all(params, dataset, mode, means):
-    return [
-        dec.decode_sequence(params, sequence, mode, means=means)
-        for sequence in dataset.sequences
-    ]
-
-
 def _write_report(run_dir, name, report):
     _write_json(os.path.join(run_dir, f"{name}.json"), mx.report_to_dict(report))
     rows = mx.report_to_csv_rows(report)
@@ -316,10 +322,13 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     run_dir = make_run_dir(config)
     _write_json(os.path.join(run_dir, "config.json"), config_to_dict(config))
 
+    # each window is stacked once and feeds the class means, the NCM
+    # votes and the classifier's predictions alike
+    extract = dec.windowed_extractor(params.context_radius)
+    windows = [extract(sequence) for sequence in dataset.sequences]
     means = None
     if config.decode_mode in ("ncm", "sncm"):
-        extractor = dec.windowed_extractor(params.context_radius)
-        means = dec.compute_class_means(dataset, extractor)
+        means = dec.class_means(dataset, windows)
     truths = [sequence.frame_labels for sequence in dataset.sequences]
     head = None
     if config.head_threshold is not None:
@@ -328,16 +337,21 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     if config.decode_mode == "sncm":
         # one NCM pass feeds the segment vote and the frame-NCM report
         # alongside it, which makes the segment-level gain visible
-        ncm_predictions = _predict_all(params, dataset, "ncm", means)
+        ncm_predictions = [dec.ncm_predict(means, phi) for phi in windows]
         reports = {
             "report": [
-                dec.sncm_decode(params.predict_sequence(sequence), votes)
-                for sequence, votes in zip(dataset.sequences, ncm_predictions)
+                dec.sncm_decode(params.predict_windows(phi), votes)
+                for phi, votes in zip(windows, ncm_predictions)
             ],
             "report_ncm": ncm_predictions,
         }
     else:
-        reports = {"report": _predict_all(params, dataset, config.decode_mode, means)}
+        reports = {
+            "report": [
+                dec.decode_windows(params, phi, config.decode_mode, means=means)
+                for phi in windows
+            ]
+        }
     for name, decoded in reports.items():
         report = mx.evaluate(
             decoded,
@@ -351,6 +365,8 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
 
 
 def _report_row(path, data):
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} is not a report: top level must be a JSON object")
     try:
         row = {
             key: data["f1_at"][key]["per_class"] for key in REPORT_F1_KEYS
@@ -360,6 +376,11 @@ def _report_row(path, data):
         row["classes"] = len(data["counts"])
     except KeyError as exc:
         raise ConfigError(f"{path} is missing report field {exc}") from None
+    except TypeError as exc:
+        raise ConfigError(f"{path} has a malformed report field: {exc}") from None
+    for key, value in row.items():
+        if not _is_number(value):
+            raise ConfigError(f"{path}: report field {key!r} is not a number")
     return row
 
 

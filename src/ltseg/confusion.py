@@ -37,11 +37,6 @@ class ConfusionTensor:
         frame counts when the whole dataset was counted."""
         return self.counts.sum(axis=1)
 
-    def class_confusion(self):
-        """Ordinary confusion matrix [truth, prediction], previous
-        actions summed out."""
-        return self.counts.sum(axis=2)
-
 
 @dataclass(frozen=True, eq=False)
 class LearningState:
@@ -59,12 +54,10 @@ class LearningState:
     mean_trans_acc: float
 
 
-def compute_confusion(classifier, dataset, sequence_indices=None) -> ConfusionTensor:
-    """Count (truth, argmax prediction, previous action) triples.
-
-    ``sequence_indices`` restricts counting to a subset of sequences
-    (cheaper per-epoch refresh); default is the full dataset. Counting is
-    a pure fold, so the result is independent of sequence order.
+def compute_confusion(classifier, dataset) -> ConfusionTensor:
+    """Count (truth, argmax prediction, previous action) triples over
+    every sequence of ``dataset``. Counting is a pure fold, so the result
+    is independent of sequence order.
     """
     if classifier.num_classes != dataset.num_classes:
         raise ConfigError(
@@ -78,11 +71,7 @@ def compute_confusion(classifier, dataset, sequence_indices=None) -> ConfusionTe
         )
     L = dataset.num_classes
     counts = np.zeros((L, L, L + 1), dtype=np.int64)
-    if sequence_indices is None:
-        sequences = dataset.sequences
-    else:
-        sequences = [dataset.sequences[i] for i in sequence_indices]
-    for seq in sequences:
+    for seq in dataset.sequences:
         pred = np.asarray(classifier.predict_sequence(seq), dtype=np.int64)
         _kernels.count_confusion_into(counts, seq.frame_labels, pred, seq.prev_action)
     return ConfusionTensor(counts=counts, total_frames=int(counts.sum()))
@@ -119,14 +108,3 @@ def learning_state(confusion: ConfusionTensor, stats) -> LearningState:
         trans_acc_defined=trans_defined,
         mean_trans_acc=mean,
     )
-
-
-def dump_confusion_csv(confusion: ConfusionTensor, path):
-    """Write the tensor as one (truth, pred, prev, count) row per entry."""
-    L = confusion.num_classes
-    with open(path, "w") as fh:
-        fh.write("truth,pred,prev,count\n")
-        for i in range(L):
-            for j in range(L):
-                for k in range(L + 1):
-                    fh.write(f"{i},{j},{k},{confusion.counts[i, j, k]}\n")

@@ -50,15 +50,23 @@ def windowed_extractor(context_radius):
 def compute_class_means(dataset, extractor) -> ClassMeans:
     """Average the representation of every training frame per class.
 
+    ``extractor`` maps a sequence to its [T, R] representation; it is
+    called once per sequence, in order, and no result is kept.
     Training split only; evaluation data must never flow in here.
     """
+    return class_means(dataset, map(extractor, dataset.sequences))
+
+
+def class_means(dataset, representations) -> ClassMeans:
+    """``compute_class_means`` over representations already extracted:
+    one [T, R] array per sequence of ``dataset``, in order."""
     if not dataset.sequences:
         raise EmptySequenceError("cannot compute class means of an empty dataset")
     L = dataset.num_classes
     sums = None
     support = np.zeros(L, dtype=np.int64)
-    for seq in dataset.sequences:
-        reps = np.asarray(extractor(seq), dtype=np.float64)
+    for seq, reps in zip(dataset.sequences, representations):
+        reps = np.asarray(reps, dtype=np.float64)
         if sums is None:
             sums = np.zeros((L, reps.shape[1]))
         np.add.at(sums, seq.frame_labels, reps)
@@ -115,8 +123,10 @@ def sncm_decode(classifier_predictions, ncm_predictions):
     return out
 
 
-def decode_sequence(params, sequence, mode, means=None):
-    """Run one decoder on one sequence.
+def decode_windows(params, windows, mode, means=None):
+    """Run one decoder on one sequence's stacked windows
+    ``[T, D*(2w+1)]``, which serve as both the classifier input and the
+    NCM representation.
 
     ``argmax`` uses the classifier alone; ``ncm`` ignores the classifier
     scores and votes by distance; ``sncm`` combines both.
@@ -124,18 +134,16 @@ def decode_sequence(params, sequence, mode, means=None):
     if mode not in DECODE_MODES:
         raise ConfigError(f"decode mode {mode!r} not one of {DECODE_MODES}")
     if mode == "argmax":
-        return params.predict_sequence(sequence)
+        return params.predict_windows(windows)
     if means is None:
         raise ConfigError(f"decode mode {mode!r} needs class means")
-    reps = windowed_extractor(params.context_radius)(sequence)
-    ncm = ncm_predict(means, reps)
+    ncm = ncm_predict(means, windows)
     if mode == "ncm":
         return ncm
-    return sncm_decode(params.predict_sequence(sequence), ncm)
+    return sncm_decode(params.predict_windows(windows), ncm)
 
 
-def write_predictions(path, frame_labels, class_names):
-    """One label token per line, mirroring the ground-truth format."""
-    with open(path, "w") as fh:
-        for y in frame_labels:
-            fh.write(class_names[y] + "\n")
+def decode_sequence(params, sequence, mode, means=None):
+    """``decode_windows`` on the sequence's windows, stacked once."""
+    windows = windowed_extractor(params.context_radius)(sequence)
+    return decode_windows(params, windows, mode, means=means)

@@ -150,13 +150,11 @@ def evaluate(
     num_classes,
     thresholds=DEFAULT_IOU_THRESHOLDS,
     head=None,
-    per_video_f1=False,
 ):
     """Score a list of predicted label vectors against ground truth.
 
     Edit score is the mean over videos. F1 counts pool over the whole
-    set by default; ``per_video_f1`` switches the global F1 to the mean
-    of per-video scores instead (the per-class variant always pools).
+    set.
     """
     if len(predictions) != len(truths) or not truths:
         raise ConfigError(
@@ -181,16 +179,9 @@ def evaluate(
     counts_at = {}
     for thr in thresholds:
         pooled = {}
-        per_video = []
         for p, t in zip(pred_segs, truth_segs):
-            video_counts = _match_counts(p, t, thr)
-            _merge_counts(pooled, video_counts)
-            if per_video_f1:
-                labels = {label for _, _, label in t.segments}
-                per_video.append(_scores_from_counts(video_counts, labels)[0])
+            _merge_counts(pooled, _match_counts(p, t, thr))
         global_f1, per_class_f1 = _scores_from_counts(pooled, truth_labels)
-        if per_video_f1:
-            global_f1 = float(np.mean(per_video))
         f1_at[thr] = (global_f1, per_class_f1)
         counts_at[thr] = pooled
     group = None

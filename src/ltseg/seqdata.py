@@ -200,12 +200,6 @@ class Dataset:
     def total_frames(self):
         return int(self.class_frame_counts.sum())
 
-    @property
-    def missing_classes(self):
-        """Class ids that never occur; excluded from per-class averages
-        downstream."""
-        return tuple(int(i) for i in np.flatnonzero(self.class_frame_counts == 0))
-
 
 @dataclass(frozen=True, eq=False)
 class TransitionStats:

@@ -8,7 +8,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ltseg import _kernels
 from ltseg import classifier as clf
+from ltseg import confusion as cf
 from ltseg import costsens as cs
 from ltseg import seqdata as sd
 from ltseg.errors import ConfigError, ParseError, RangeError, TrainingDivergedError
@@ -68,17 +70,6 @@ def test_forward_range_error():
         clf.forward(params, seq, 4)
     with pytest.raises(RangeError):
         clf.forward(params, seq, -1)
-
-
-def test_forward_matches_forward_sequence():
-    rng = np.random.default_rng(7)
-    seq = _seq(rng.standard_normal((4, 9)), rng.integers(0, 3, 9), 3)
-    params = clf.ClassifierParams.zeros(3, 4, context_radius=2)
-    params.weights[:] = rng.standard_normal(params.weights.shape)
-    params.bias[:] = rng.standard_normal(3)
-    batch = params.forward_sequence(seq)
-    for t in range(9):
-        assert clf.forward(params, seq, t) == pytest.approx(batch[t], rel=1e-12)
 
 
 def test_predict_sequence_contracts():
@@ -147,11 +138,11 @@ def test_training_gradient_matches_finite_differences():
     from ltseg import _kernels as K
 
     phi = K.window_stack(seq.features, 1)
-    logits = phi @ params.weights.T + params.bias
+    logits = params.weights @ phi.T + params.bias[:, None]
     w = cs.frame_weights(gain, seq.frame_labels, seq.prev_action)
     _, dlog = K.softmax_xent_grad(logits, seq.frame_labels, w)
-    grad_w = dlog.T @ phi / 3
-    grad_b = dlog.sum(axis=0) / 3
+    grad_w = dlog @ phi / 3
+    grad_b = dlog.sum(axis=1) / 3
 
     h = 1e-5
     for arr, grad in ((params.weights, grad_w), (params.bias, grad_b)):
@@ -208,6 +199,143 @@ def test_seeded_runs_identical():
     p2, t2 = clf.train(ds, cfg)
     assert np.array_equal(p1.weights, p2.weights)
     assert t1 == t2
+
+
+# -- frame store and the batched epoch ---------------------------------------
+
+
+def _mixed_length_dataset(num_classes=4, feature_dim=3, seed=0):
+    # T = 1, sequences shorter than the largest radius, and longer ones
+    rng = np.random.default_rng(seed)
+    seqs = [
+        _seq(
+            rng.standard_normal((feature_dim, t)),
+            rng.integers(0, num_classes, t),
+            num_classes,
+        )
+        for t in (1, 3, 12, 1, 2, 40, 7)
+    ]
+    return sd.Dataset.build(seqs, num_classes)
+
+
+@pytest.mark.parametrize("radius", [0, 1, 2, 5])
+def test_frame_store_rows_equal_window_stack(radius):
+    ds = _mixed_length_dataset(seed=radius)
+    store = clf.FrameStore.build(ds, radius)
+    n_seq = len(ds.sequences)
+    assert store.windows.shape == (
+        ds.total_frames + 2 * radius * (n_seq - 1),
+        ds.feature_dim * (2 * radius + 1),
+    )
+    assert not store.windows.flags.writeable
+    for s, seq in enumerate(ds.sequences):
+        frames = store.frames_of([s])
+        np.testing.assert_array_equal(
+            store.gather(frames), _kernels.window_stack(seq.features, radius)
+        )
+        np.testing.assert_array_equal(store.labels[frames], seq.frame_labels)
+        np.testing.assert_array_equal(store.prev_action[frames], seq.prev_action)
+    batch = [5, 0, 3]
+    np.testing.assert_array_equal(
+        store.gather(store.frames_of(batch)),
+        np.concatenate(
+            [_kernels.window_stack(ds.sequences[s].features, radius) for s in batch]
+        ),
+    )
+
+
+def test_store_confusion_equals_compute_confusion(monkeypatch):
+    # a chunk size that divides no sequence boundary exercises the chunking
+    monkeypatch.setattr(clf, "CONFUSION_CHUNK_ROWS", 5)
+    rng = np.random.default_rng(17)
+    ds = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=5, feature_dim=3, num_sequences=12,
+                       noise_scale=1.5, rng_seed=4)
+    )
+    params = clf.ClassifierParams.zeros(5, 3, context_radius=2)
+    params.weights[:] = rng.standard_normal(params.weights.shape)
+    params.bias[:] = rng.standard_normal(5)
+    got = clf.store_confusion(params, clf.FrameStore.build(ds, 2))
+    want = cf.compute_confusion(params, ds)
+    np.testing.assert_array_equal(got.counts, want.counts)
+    assert got.total_frames == want.total_frames == ds.total_frames
+
+
+def _reference_train(dataset, config):
+    """The training loop one sequence at a time: row-major logits, a
+    per-frame-row softmax, per-sequence gradient sums and a confusion
+    pass through ``compute_confusion``."""
+    stats = sd.compute_transition_stats(dataset)
+    mult = cs.MultiplierState.zeros(stats, step_size=config.gamma,
+                                    epsilon=config.epsilon)
+    params = clf.ClassifierParams.zeros(
+        dataset.num_classes, dataset.feature_dim, config.context_radius
+    )
+    rng = np.random.default_rng(config.rng_seed)
+    n_seq = len(dataset.sequences)
+    telemetry = []
+    for epoch in range(config.epochs):
+        gain = None
+        if config.loss_mode != "plain_ce":
+            gain = cs.compute_gain(stats, mult, config.tau)
+        order = rng.permutation(n_seq)
+        epoch_loss = 0.0
+        for lo in range(0, n_seq, config.batch_size):
+            grad_w = np.zeros_like(params.weights)
+            grad_b = np.zeros_like(params.bias)
+            batch_frames = 0
+            for idx in order[lo : lo + config.batch_size]:
+                seq = dataset.sequences[idx]
+                phi = _kernels.window_stack(seq.features, config.context_radius)
+                logits = phi @ params.weights.T + params.bias
+                frame_w = np.ones(seq.num_frames)
+                if gain is not None:
+                    frame_w = cs.frame_weights(gain, seq.frame_labels,
+                                               seq.prev_action)
+                probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+                probs /= probs.sum(axis=1, keepdims=True)
+                rows = np.arange(seq.num_frames)
+                p_true = np.maximum(probs[rows, seq.frame_labels],
+                                    _kernels.PROB_FLOOR)
+                epoch_loss += float(np.dot(frame_w, -np.log(p_true)))
+                dlogits = probs * frame_w[:, None]
+                dlogits[rows, seq.frame_labels] -= frame_w
+                grad_w += dlogits.T @ phi
+                grad_b += dlogits.sum(axis=0)
+                batch_frames += seq.num_frames
+            params.weights -= config.learning_rate / batch_frames * grad_w
+            params.bias -= config.learning_rate / batch_frames * grad_b
+        tensor = cf.compute_confusion(params, dataset)
+        record = {"epoch": epoch, "loss": epoch_loss / dataset.total_frames}
+        if config.loss_mode == "cost_sensitive":
+            updated = cs.update_multipliers(mult, tensor, stats)
+            record = cs.telemetry_record(epoch, tensor, stats, mult, updated)
+            record["loss"] = epoch_loss / dataset.total_frames
+            mult = updated
+        telemetry.append(record)
+    return params, telemetry
+
+
+@pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)
+def test_train_matches_per_sequence_reference(loss_mode):
+    ds = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=4, feature_dim=3, num_sequences=23,
+                       mean_scale=1.0, noise_scale=1.2, class_skew=1.5,
+                       rng_seed=7)
+    )
+    cfg = clf.TrainConfig(epochs=2, learning_rate=0.4, batch_size=5,
+                          context_radius=2, tau=1.0, gamma=0.5,
+                          loss_mode=loss_mode, rng_seed=3)
+    params, telemetry = clf.train(ds, cfg)
+    want_params, want_telemetry = _reference_train(ds, cfg)
+    np.testing.assert_allclose(params.weights, want_params.weights, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(params.bias, want_params.bias, rtol=0, atol=1e-12)
+    assert len(telemetry) == len(want_telemetry) == 2
+    for got, want in zip(telemetry, want_telemetry):
+        # the loss sums the same terms in another order; the rest comes
+        # from identical confusion counts and must match exactly
+        assert got.pop("loss") == pytest.approx(want.pop("loss"), rel=1e-12)
+        assert got == want
 
 
 def test_first_epoch_gain_uses_initial_multipliers():

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ltseg import _kernels
 from ltseg import classifier as clf
 from ltseg import cli
 from ltseg import decode as dec
@@ -99,6 +100,28 @@ def test_config_requires_single_source(tmp_path):
     path = write_config(tmp_path / "cfg2.json", dataset={})
     with pytest.raises(ConfigError, match="exactly one dataset source"):
         cli.load_config(path)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("iou_thresholds", ["x"]),
+        ("iou_thresholds", [None]),
+        ("iou_thresholds", [True]),
+        ("head_threshold", "x"),
+        ("head_threshold", 2.5),
+    ],
+)
+def test_config_field_of_wrong_type_named(tmp_path, capsys, field, value):
+    path = write_config(
+        tmp_path / "cfg.json", out=str(tmp_path / "runs"), **{field: value}
+    )
+    with pytest.raises(ConfigError, match=field):
+        cli.load_config(path)
+    assert cli.main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_config_missing_manifest_rejected(tmp_path):
@@ -449,9 +472,19 @@ def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch):
         calls.append(1)
         return ncm_predict(*args)
 
+    stacked = []
+    window_stack = _kernels.window_stack
+
+    def counted_stack(*args):
+        stacked.append(1)
+        return window_stack(*args)
+
     monkeypatch.setattr(dec, "ncm_predict", counted)
+    monkeypatch.setattr(_kernels, "window_stack", counted_stack)
     run_dir = cli.cmd_eval(config, checkpoint)
     assert len(calls) == len(dataset.sequences)
+    # one window per sequence feeds the means, NCM and the classifier
+    assert len(stacked) == len(dataset.sequences)
     for name, report in want.items():
         with open(os.path.join(run_dir, f"{name}.json")) as fh:
             assert json.load(fh) == report
@@ -567,6 +600,33 @@ def test_report_missing_threshold_named(tmp_path):
         json.dump(mx.report_to_dict(report), fh)
     with pytest.raises(ConfigError, match="missing report field"):
         cli.cmd_report([str(path)], stream=io.StringIO())
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        [1, 2],
+        7,
+        {"f1_at": [], "per_class_acc": 1.0, "counts": [1]},
+        {
+            "f1_at": {
+                "0.10": {"per_class": 1.0},
+                "0.25": {"per_class": 1.0, "global": 1.0},
+                "0.50": {"per_class": 1.0},
+            },
+            "per_class_acc": "high",
+            "counts": [1],
+        },
+    ],
+)
+def test_report_malformed_file_named(tmp_path, capsys, content):
+    path = str(tmp_path / "bad.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(content, fh)
+    with pytest.raises(ConfigError, match="bad.json"):
+        cli.cmd_report([path], stream=io.StringIO())
+    assert cli.main(["report", path]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}")
 
 
 # -- main entry point --------------------------------------------------------

@@ -199,9 +199,3 @@ def test_decode_sequence_modes():
         dc.decode_sequence(params, seq, "viterbi")
     with pytest.raises(ConfigError):
         dc.decode_sequence(params, seq, "sncm")  # means required
-
-
-def test_write_predictions(tmp_path):
-    path = tmp_path / "pred.txt"
-    dc.write_predictions(path, np.array([0, 0, 1]), ("walk", "run"))
-    assert path.read_text() == "walk\nwalk\nrun\n"

@@ -39,7 +39,7 @@ def test_window_stack_oracle(radius):
 
 
 def xent_oracle(logits, labels, weights):
-    # one frame at a time, max-subtracted softmax
+    # one frame (row of ``logits``) at a time, max-subtracted softmax
     loss_sum = 0.0
     grad = np.empty_like(logits)
     for t, (row, label, weight) in enumerate(zip(logits, labels, weights)):
@@ -60,14 +60,16 @@ def test_softmax_xent_oracle():
         logits = rng.normal(scale=4.0, size=(frames, classes))
         labels = rng.integers(0, classes, frames)
         weights = rng.uniform(0.1, 3.0, frames)
-        loss, grad = _kernels.softmax_xent_grad(logits, labels, weights)
+        # the kernel is class-major: one column per frame
+        loss, grad = _kernels.softmax_xent_grad(logits.T, labels, weights)
+        assert grad.shape == (classes, frames)
         want_loss, want_grad = xent_oracle(logits, labels, weights)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
-        np.testing.assert_allclose(grad, want_grad, rtol=1e-12, atol=1e-14)
+        np.testing.assert_allclose(grad.T, want_grad, rtol=1e-12, atol=1e-14)
 
 
 def test_softmax_xent_nan_propagates():
-    logits = np.array([[0.5, np.nan], [1.0, 0.0]])
+    logits = np.array([[0.5, np.nan], [1.0, 0.0]]).T
     labels = np.array([0, 1])
     weights = np.ones(2)
     loss, grad = _kernels.softmax_xent_grad(logits, labels, weights)
@@ -76,7 +78,7 @@ def test_softmax_xent_nan_propagates():
 
 
 def test_softmax_xent_extreme_logits_no_overflow():
-    logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]])
+    logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]).T
     labels = np.array([1, 1])
     weights = np.ones(2)
     loss, grad = _kernels.softmax_xent_grad(logits, labels, weights)

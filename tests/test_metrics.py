@@ -232,20 +232,13 @@ def test_evaluate_all_head_flags_tail_empty():
     assert not report.group["head"].empty
 
 
-def test_evaluate_pooled_vs_per_video():
+def test_evaluate_pools_f1_over_videos():
     # video 1 perfect, video 2 fully wrong label
     truth = [np.array([0, 0, 0]), np.array([1, 1, 1])]
     pred = [np.array([0, 0, 0]), np.array([0, 0, 0])]
     pooled = mx.evaluate(pred, truth, num_classes=2)
-    averaged = mx.evaluate(pred, truth, num_classes=2, per_video_f1=True)
-    # pooled at 0.25: TP=1 (video 1), FP=1, FN=1 -> 50; per-video: (100+0)/2
+    # pooled at 0.25: TP=1 (video 1), FP=1, FN=1 -> 50
     assert pooled.f1_at[0.25][0] == pytest.approx(50.0)
-    assert averaged.f1_at[0.25][0] == pytest.approx(50.0)
-    truth2 = [np.array([0, 0, 0]), np.array([1, 1, 0])]
-    pred2 = [np.array([0, 0, 0]), np.array([0, 1, 0])]
-    pooled2 = mx.evaluate(pred2, truth2, num_classes=2)
-    averaged2 = mx.evaluate(pred2, truth2, num_classes=2, per_video_f1=True)
-    assert pooled2.f1_at[0.5][0] != averaged2.f1_at[0.5][0]
 
 
 def test_evaluate_scores_in_range():

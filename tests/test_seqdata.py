@@ -250,9 +250,10 @@ def test_load_rejects_truncated_feature_file(tmp_path):
 
 def test_missing_classes_flagged(tmp_path):
     ds = sd.Dataset.build([_make_seq([0, 0, 2], num_classes=4)], 4)
-    assert ds.missing_classes == (1, 3)
+    assert np.flatnonzero(ds.class_frame_counts == 0).tolist() == [1, 3]
     sd.save_dataset(ds, tmp_path / "ds")
-    assert sd.load_dataset(str(tmp_path / "ds")).missing_classes == (1, 3)
+    loaded = sd.load_dataset(str(tmp_path / "ds"))
+    assert np.flatnonzero(loaded.class_frame_counts == 0).tolist() == [1, 3]
 
 
 DROP = object()
