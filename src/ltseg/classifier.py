@@ -14,6 +14,9 @@ windows would. Each SGD step gathers its batch's rows into one matrix
 and runs class-major (logits ``[L, n]``); the confusion pass predicts in
 chunks of ``CONFUSION_CHUNK_ROWS`` frames, so neither pass ever holds a
 full ``[N, L]`` logits matrix or a contiguous ``[N, D*(2w+1)]`` copy.
+
+``_class_major_logits`` is the one logits expression: the SGD step, the
+confusion pass and eval (``ClassifierParams.predict_windows``) all use it.
 """
 
 import json
@@ -24,7 +27,7 @@ import numpy as np
 from . import _kernels
 from . import costsens
 from .confusion import ConfusionTensor
-from .costsens import GainWeights, MultiplierState
+from .costsens import MultiplierState
 from .errors import ConfigError, ParseError, RangeError, TrainingDivergedError
 from .seqdata import compute_transition_stats
 
@@ -66,48 +69,10 @@ class ClassifierParams:
     def feature_dim(self):
         return self.weights.shape[1] // (2 * self.context_radius + 1)
 
-    def logits_sequence(self, sequence):
-        phi = _kernels.window_stack(sequence.features, self.context_radius)
-        return phi @ self.weights.T + self.bias
-
     def predict_windows(self, phi):
         """Per-frame argmax labels of stacked windows ``[T, D*(2w+1)]``;
         ties go to the smallest class id."""
-        return np.argmax(phi @ self.weights.T + self.bias, axis=1).astype(np.int64)
-
-    def predict_sequence(self, sequence):
-        """Per-frame argmax labels; ties go to the smallest class id."""
-        return self.predict_windows(
-            _kernels.window_stack(sequence.features, self.context_radius)
-        )
-
-
-def forward(params: ClassifierParams, sequence, t):
-    """Probability simplex for one frame."""
-    num_frames = sequence.num_frames
-    if not 0 <= t < num_frames:
-        raise RangeError(f"frame {t} outside [0, {num_frames})")
-    w = params.context_radius
-    idx = np.clip(np.arange(t - w, t + w + 1), 0, num_frames - 1)
-    phi = sequence.features[:, idx].T.astype(np.float64).ravel()
-    logits = params.weights @ phi + params.bias
-    p = np.exp(logits - logits.max())
-    return p / p.sum()
-
-
-def bayes_optimal_decision(posteriors, gain, u):
-    """Decision with the highest expected gain.
-
-    ``gain`` is either GainWeights (diagonal gain: only correct answers
-    pay off, weighted per class) or a full [L x L] matrix slice for the
-    given previous action. Ties go to the smallest class id.
-    """
-    p = np.asarray(posteriors, dtype=np.float64)
-    if isinstance(gain, GainWeights):
-        scores = p * gain.gain[:, u]
-    else:
-        scores = p @ np.asarray(gain, dtype=np.float64)
-    return int(np.argmax(scores))
+        return np.argmax(_class_major_logits(self, phi), axis=0)
 
 
 @dataclass(frozen=True)
@@ -197,18 +162,24 @@ def _class_major_logits(params, phi):
     return logits
 
 
+def batch_gradient(params, phi, labels, weights):
+    """``(loss_sum, grad_weights, grad_bias)`` of the weighted
+    cross-entropy of windows ``phi``, summed over the batch's frames."""
+    loss_sum, dlogits = _kernels.softmax_xent_grad(
+        _class_major_logits(params, phi), labels, weights
+    )
+    return loss_sum, dlogits @ phi, dlogits.sum(axis=1)
+
+
 def store_confusion(params, store) -> ConfusionTensor:
     """Confusion tensor of argmax predictions over every frame of
     ``store``, predicted ``CONFUSION_CHUNK_ROWS`` frames at a time and
-    tallied in one ``count_confusion_into`` call. Counts equal
-    ``compute_confusion(params, dataset)`` on the dataset it was built
-    from."""
+    tallied in one ``count_confusion_into`` call."""
     frames = store.num_frames
     pred = np.empty(frames, dtype=np.int64)
     for lo in range(0, frames, CONFUSION_CHUNK_ROWS):
         chunk = slice(lo, lo + CONFUSION_CHUNK_ROWS)
-        logits = _class_major_logits(params, store.gather(chunk))
-        pred[chunk] = np.argmax(logits, axis=0)  # ties to the smallest id
+        pred[chunk] = params.predict_windows(store.gather(chunk))
     L = params.num_classes
     counts = np.zeros((L, L, L + 1), dtype=np.int64)
     _kernels.count_confusion_into(counts, store.labels, pred, store.prev_action)
@@ -222,14 +193,16 @@ def train(dataset, config: TrainConfig):
     pass of mini-batch SGD on the weighted cross-entropy, (3) a full
     confusion pass with the updated classifier, (4, 5) mean refresh and
     projected multiplier step. plain_ce uses unit weights and skips
-    1, 4, 5; inverse_prior keeps the multipliers pinned at zero.
+    1 and 3-5; inverse_prior keeps the multipliers pinned at zero and
+    skips 3-5, so only cost_sensitive pays for the confusion pass.
 
     The training set is windowed once into a ``FrameStore`` (N + 2wS
     padded frames of D float64 values). Each epoch computes all N frame
     weights in one ``frame_weights`` call. A step gathers its batch of
     ``batch_size`` sequences into one ``[n, D*(2w+1)]`` matrix, computes
     class-major logits ``[L, n]``, and makes one ``softmax_xent_grad``
-    call and one gradient GEMM. The confusion pass (``store_confusion``)
+    call and one gradient GEMM (``batch_gradient``). The confusion pass
+    (``store_confusion``)
     holds at most ``CONFUSION_CHUNK_ROWS`` windows and logits at a time.
 
     Returns (params, telemetry), one telemetry record per epoch.
@@ -258,21 +231,18 @@ def train(dataset, config: TrainConfig):
         epoch_loss = 0.0
         for lo in range(0, n_seq, config.batch_size):
             frames = store.frames_of(order[lo : lo + config.batch_size])
-            phi = store.gather(frames)
-            loss_sum, dlogits = _kernels.softmax_xent_grad(
-                _class_major_logits(params, phi),
-                store.labels[frames],
-                frame_w[frames],
+            loss_sum, grad_w, grad_b = batch_gradient(
+                params, store.gather(frames), store.labels[frames], frame_w[frames]
             )
             scale = config.learning_rate / frames.size
-            params.weights -= scale * (dlogits @ phi)
-            params.bias -= scale * dlogits.sum(axis=1)
+            params.weights -= scale * grad_w
+            params.bias -= scale * grad_b
             epoch_loss += loss_sum
         mean_loss = epoch_loss / store.num_frames
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
-        tensor = store_confusion(params, store)
         if config.loss_mode == "cost_sensitive":
+            tensor = store_confusion(params, store)
             updated = costsens.update_multipliers(mult, tensor, stats)
             record = costsens.telemetry_record(epoch, tensor, stats, mult, updated)
             record["loss"] = mean_loss

@@ -499,10 +499,7 @@ def main(argv=None) -> int:
             return code
         cmd_eval(config, args.checkpoint)
         return 0
-    except LtsegError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (LtsegError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

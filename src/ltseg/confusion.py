@@ -5,16 +5,13 @@ previous action): how often the classifier answered j on frames of class
 i that followed class k. Everything downstream (class accuracy,
 per-transition accuracy, their mean) is a ratio of these counts.
 
-Any object with ``num_classes``, ``feature_dim`` and
-``predict_sequence(seq) -> int array [T]`` can serve as the classifier.
+Training builds the tensor in ``classifier.store_confusion``, one
+``_kernels.count_confusion_into`` call over every training frame.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import _kernels
-from .errors import ConfigError
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,29 +49,6 @@ class LearningState:
     trans_acc: np.ndarray
     trans_acc_defined: np.ndarray
     mean_trans_acc: float
-
-
-def compute_confusion(classifier, dataset) -> ConfusionTensor:
-    """Count (truth, argmax prediction, previous action) triples over
-    every sequence of ``dataset``. Counting is a pure fold, so the result
-    is independent of sequence order.
-    """
-    if classifier.num_classes != dataset.num_classes:
-        raise ConfigError(
-            f"classifier has {classifier.num_classes} classes, dataset "
-            f"{dataset.num_classes}"
-        )
-    if classifier.feature_dim != dataset.feature_dim:
-        raise ConfigError(
-            f"classifier expects feature dim {classifier.feature_dim}, dataset "
-            f"has {dataset.feature_dim}"
-        )
-    L = dataset.num_classes
-    counts = np.zeros((L, L, L + 1), dtype=np.int64)
-    for seq in dataset.sequences:
-        pred = np.asarray(classifier.predict_sequence(seq), dtype=np.int64)
-        _kernels.count_confusion_into(counts, seq.frame_labels, pred, seq.prev_action)
-    return ConfusionTensor(counts=counts, total_frames=int(counts.sum()))
 
 
 def learning_state(confusion: ConfusionTensor, stats) -> LearningState:

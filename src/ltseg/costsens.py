@@ -9,14 +9,12 @@ minimizes gain-weighted cross-entropy while the multipliers run
 projected gradient descent.
 """
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import _kernels
 from .confusion import learning_state
-from .errors import ConfigError, RangeError
+from .errors import ConfigError
 
 DEFAULT_EPSILON = 0.9
 DEFAULT_STEP_SIZE = 0.01
@@ -97,37 +95,8 @@ def compute_gain(stats, mult: MultiplierState, tau, active=None) -> GainWeights:
     return GainWeights(gain=gain, tempered=tempered, tau=float(tau), active=active)
 
 
-def _check_frame(num_classes, y, u):
-    if not 0 <= y < num_classes:
-        raise RangeError(f"class id {y} outside [0, {num_classes})")
-    if not 0 <= u <= num_classes:
-        raise RangeError(f"previous action {u} outside [0, {num_classes}]")
-
-
-def weighted_ce_loss(probs, y, u, weights: GainWeights):
-    """Tempered-gain cross-entropy of one frame: -w * log p_y."""
-    probs = np.asarray(probs, dtype=np.float64)
-    _check_frame(probs.shape[0], y, u)
-    if abs(probs.sum() - 1.0) > 1e-6:
-        raise RangeError(f"probabilities sum to {probs.sum()!r}, not 1")
-    return weights.tempered[y, u] * -math.log(max(probs[y], _kernels.PROB_FLOOR))
-
-
-def weighted_ce_grad_logits(logits, y, u, weights: GainWeights):
-    """Gradient of the frame loss through a softmax: w * (p - onehot)."""
-    logits = np.asarray(logits, dtype=np.float64)
-    _check_frame(logits.shape[0], y, u)
-    if not np.isfinite(logits).all():
-        raise RangeError("non-finite logits")
-    p = np.exp(logits - logits.max())
-    p /= p.sum()
-    p *= weights.tempered[y, u]
-    p[y] -= weights.tempered[y, u]
-    return p
-
-
 def frame_weights(weights: GainWeights, frame_labels, prev_action):
-    """Per-frame tempered weights for a whole sequence at once."""
+    """Per-frame ``tempered[label, prev]``: the softmax_xent_grad weights."""
     return weights.tempered[frame_labels, prev_action]
 
 

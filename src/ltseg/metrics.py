@@ -175,23 +175,19 @@ def evaluate(
     )
     support = np.bincount(flat_truth, minlength=num_classes)
     truth_labels = set(np.flatnonzero(support).tolist())
-    f1_at = {}
+    # the head/tail groups read F1@0.25 whatever the reported thresholds
     counts_at = {}
-    for thr in thresholds:
-        pooled = {}
+    for thr in dict.fromkeys((*thresholds, 0.25)):
+        pooled = counts_at[thr] = {}
         for p, t in zip(pred_segs, truth_segs):
             _merge_counts(pooled, _match_counts(p, t, thr))
-        global_f1, per_class_f1 = _scores_from_counts(pooled, truth_labels)
-        f1_at[thr] = (global_f1, per_class_f1)
-        counts_at[thr] = pooled
+    f1_at = {
+        thr: _scores_from_counts(counts_at[thr], truth_labels) for thr in thresholds
+    }
     group = None
     if head is not None:
         group = {}
-        pooled_25 = counts_at.get(0.25)
-        if pooled_25 is None:
-            pooled_25 = {}
-            for p, t in zip(pred_segs, truth_segs):
-                _merge_counts(pooled_25, _match_counts(p, t, 0.25))
+        pooled_25 = counts_at[0.25]
         hits = np.bincount(flat_truth[flat_pred == flat_truth], minlength=num_classes)
         for name, members in (
             ("head", set(head)),

@@ -7,6 +7,7 @@ Each frame also records the label of the preceding segment, with the
 synthetic 'start' class (index L) standing in before the first segment.
 """
 
+import io
 import json
 import os
 from dataclasses import dataclass
@@ -427,7 +428,7 @@ def save_dataset(dataset, path, feature_format="binary"):
     os.makedirs(os.path.join(path, "groundTruth"), exist_ok=True)
     os.makedirs(os.path.join(path, "features"), exist_ok=True)
     names = dataset.class_names
-    with open(os.path.join(path, "classes.txt"), "w") as fh:
+    with open(os.path.join(path, "classes.txt"), "w", encoding="utf-8") as fh:
         for i, name in enumerate(names):
             fh.write(f"{i} {name}\n")
     ext = "bin" if feature_format == "binary" else "csv"
@@ -436,7 +437,7 @@ def save_dataset(dataset, path, feature_format="binary"):
         seq_id = seq.seq_id or f"seq_{idx:04d}"
         label_rel = os.path.join("groundTruth", f"{seq_id}.txt")
         feat_rel = os.path.join("features", f"{seq_id}.{ext}")
-        with open(os.path.join(path, label_rel), "w") as fh:
+        with open(os.path.join(path, label_rel), "w", encoding="utf-8") as fh:
             for y in seq.frame_labels:
                 fh.write(names[y] + "\n")
         if feature_format == "binary":
@@ -449,33 +450,44 @@ def save_dataset(dataset, path, feature_format="binary"):
         "feature_dim": dataset.feature_dim,
         "sequences": entries,
     }
-    with open(os.path.join(path, "manifest.json"), "w") as fh:
+    with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
 
 
+def _open_utf8(path):
+    """A UTF-8 text file as a text stream with ``open``'s universal
+    newlines; a byte that is not UTF-8 is a ParseError naming its line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return io.StringIO(data.decode("utf-8"), newline=None)
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
 def _read_classes(path, num_classes):
     name_of = {}
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split(None, 1)
-            if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
-                raise ParseError(f"{path}:{lineno}: expected 'id name', got {raw!r}")
-            idx = int(parts[0])
-            if not 0 <= idx < num_classes:
-                raise RangeError(
-                    f"{path}:{lineno}: class id {idx} outside [0, {num_classes})"
-                )
-            if idx in name_of:
-                raise ParseError(f"{path}:{lineno}: duplicate class id {idx}")
-            if parts[1] == START:
-                raise ParseError(
-                    f"{path}:{lineno}: '{START}' is implicit and may not be listed"
-                )
-            name_of[idx] = parts[1]
+    for lineno, raw in enumerate(_open_utf8(path), start=1):
+        line = raw.strip()
+        if not line:
+            continue
+        parts = line.split(None, 1)
+        if len(parts) != 2 or not parts[0].lstrip("-").isdigit():
+            raise ParseError(f"{path}:{lineno}: expected 'id name', got {raw!r}")
+        idx = int(parts[0])
+        if not 0 <= idx < num_classes:
+            raise RangeError(
+                f"{path}:{lineno}: class id {idx} outside [0, {num_classes})"
+            )
+        if idx in name_of:
+            raise ParseError(f"{path}:{lineno}: duplicate class id {idx}")
+        if parts[1] == START:
+            raise ParseError(
+                f"{path}:{lineno}: '{START}' is implicit and may not be listed"
+            )
+        name_of[idx] = parts[1]
     if len(name_of) != num_classes:
         raise ParseError(
             f"{path}: lists {len(name_of)} classes, manifest says {num_classes}"
@@ -485,14 +497,13 @@ def _read_classes(path, num_classes):
 
 def _read_labels(path, id_of):
     ids = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            token = raw.strip()
-            if not token:
-                continue
-            if token not in id_of:
-                raise ParseError(f"{path}:{lineno}: unknown class name {token!r}")
-            ids.append(id_of[token])
+    for lineno, raw in enumerate(_open_utf8(path), start=1):
+        token = raw.strip()
+        if not token:
+            continue
+        if token not in id_of:
+            raise ParseError(f"{path}:{lineno}: unknown class name {token!r}")
+        ids.append(id_of[token])
     if not ids:
         raise ParseError(f"{path}: no frames")
     return np.array(ids, dtype=np.int64)
@@ -508,8 +519,7 @@ def load_dataset(path) -> Dataset:
         manifest_path = os.path.join(path, "manifest.json")
     root = os.path.dirname(manifest_path)
     try:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        manifest = json.load(_open_utf8(manifest_path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"{manifest_path}:{exc.lineno}: {exc.msg}") from exc
     if not isinstance(manifest, dict):
@@ -527,13 +537,22 @@ def load_dataset(path) -> Dataset:
         raise ParseError(
             f"{manifest_path}: field 'sequences' must be a list, got {entries!r}"
         )
+    index_of = {}
     for index, entry in enumerate(entries):
         if not isinstance(entry, dict) or not all(
-            isinstance(entry.get(key), str) for key in _MANIFEST_ENTRY_KEYS
+            isinstance(entry.get(key), str) and "\0" not in entry[key]
+            for key in _MANIFEST_ENTRY_KEYS
         ):
             raise ParseError(
                 f"{manifest_path}: sequence entry {index} must be an object "
-                f"with string fields {list(_MANIFEST_ENTRY_KEYS)}, got {entry!r}"
+                f"with string fields {list(_MANIFEST_ENTRY_KEYS)} free of NUL "
+                f"characters, got {entry!r}"
+            )
+        first = index_of.setdefault(entry["id"], index)
+        if first != index:
+            raise ParseError(
+                f"{manifest_path}: sequence entries {first} and {index} share "
+                f"the id {entry['id']!r}"
             )
     if num_classes <= 0 or feature_dim <= 0:
         raise RangeError(

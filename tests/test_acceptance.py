@@ -15,6 +15,7 @@ import warnings
 import numpy as np
 import pytest
 
+from ltseg import _kernels
 from ltseg import classifier as clf
 from ltseg import cli
 from ltseg import confusion as cf
@@ -24,11 +25,6 @@ from ltseg import metrics as mx
 from ltseg import seqdata as sd
 
 
-def softmax(logits):
-    z = np.exp(logits - logits.max())
-    return z / z.sum()
-
-
 def random_gain(rng, num_classes):
     gain = rng.uniform(0.2, 3.0, (num_classes, num_classes + 1))
     tempered = rng.uniform(0.2, 3.0, (num_classes, num_classes + 1))
@@ -36,65 +32,72 @@ def random_gain(rng, num_classes):
     return cs.GainWeights(gain=gain, tempered=tempered, tau=1.0, active=active)
 
 
+def window_oracle(features, radius, t):
+    """Frame t's window: replicated edges, offsets -radius..+radius."""
+    idx = np.clip(np.arange(t - radius, t + radius + 1), 0, features.shape[1] - 1)
+    return features[:, idx].T.astype(np.float64).ravel()
+
+
+def argmax_oracle(params, seq):
+    """Per-frame argmax of row-major logits over oracle windows."""
+    phi = np.array(
+        [
+            window_oracle(seq.features, params.context_radius, t)
+            for t in range(seq.num_frames)
+        ]
+    )
+    return np.argmax(phi @ params.weights.T + params.bias, axis=1)
+
+
 # -- 1. gradient correctness -------------------------------------------------
 
 
 def test_criterion_01_weighted_ce_gradient():
+    # the training path's own loss and gradient: softmax_xent_grad on
+    # class-major logits [L, n] with frame_weights as the weights
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
     for _ in range(1000):
         num_classes = int(rng.integers(2, 8))
-        logits = rng.normal(scale=3.0, size=num_classes)
-        y = int(rng.integers(num_classes))
-        u = int(rng.integers(num_classes + 1))
-        weights = random_gain(rng, num_classes)
-        grad = cs.weighted_ce_grad_logits(logits, y, u, weights)
+        frames = int(rng.integers(1, 5))
+        logits = rng.normal(scale=3.0, size=(num_classes, frames))
+        labels = rng.integers(num_classes, size=frames)
+        prev = rng.integers(num_classes + 1, size=frames)
+        weights = cs.frame_weights(random_gain(rng, num_classes), labels, prev)
+        _, grad = _kernels.softmax_xent_grad(logits, labels, weights)
         step = 1e-5
-        fd = np.empty(num_classes)
-        for k in range(num_classes):
-            bump = np.zeros(num_classes)
-            bump[k] = step
-            hi = cs.weighted_ce_loss(softmax(logits + bump), y, u, weights)
-            lo = cs.weighted_ce_loss(softmax(logits - bump), y, u, weights)
-            fd[k] = (hi - lo) / (2 * step)
+        fd = np.empty_like(logits)
+        for idx in np.ndindex(*logits.shape):
+            bump = np.zeros_like(logits)
+            bump[idx] = step
+            hi, _ = _kernels.softmax_xent_grad(logits + bump, labels, weights)
+            lo, _ = _kernels.softmax_xent_grad(logits - bump, labels, weights)
+            fd[idx] = (hi - lo) / (2 * step)
         # error relative to the gradient's own scale, unit floor below
         # it (central differences bottom out at cancellation noise)
         scale = max(np.abs(grad).max(), 1.0)
         worst = max(worst, np.abs(fd - grad).max() / scale)
     assert worst < 1e-6
 
-    # full pipeline on a 3-frame sequence: window -> logits -> weighted CE
+    # full pipeline on a 3-frame sequence, through the step train runs:
+    # frame store -> class-major logits -> weighted CE -> parameter grads
     rng = np.random.default_rng(202)
     features = rng.normal(size=(2, 3)).astype(np.float32)
-    labels = np.array([0, 2, 1])
-    seq = sd.LabeledSequence.from_frames(features, labels, 3, seq_id="fd")
+    seq = sd.LabeledSequence.from_frames(features, [0, 2, 1], 3, seq_id="fd")
+    store = clf.FrameStore.build(sd.Dataset.build([seq], 3), 1)
+    phi = store.gather(np.arange(3))
+    weights = cs.frame_weights(random_gain(rng, 3), store.labels, store.prev_action)
     params = clf.ClassifierParams(
         weights=rng.normal(scale=0.5, size=(3, 6)),
         bias=rng.normal(scale=0.1, size=3),
         context_radius=1,
     )
-    gain = random_gain(rng, 3)
 
     def pipeline_loss(p):
-        logits = p.logits_sequence(seq)
-        return sum(
-            cs.weighted_ce_loss(
-                softmax(logits[t]), int(labels[t]), int(seq.prev_action[t]), gain
-            )
-            for t in range(3)
-        )
+        return clf.batch_gradient(p, phi, store.labels, weights)[0]
 
-    grad_w = np.zeros_like(params.weights)
-    grad_b = np.zeros_like(params.bias)
-    logits = params.logits_sequence(seq)
-    phi = dec.windowed_extractor(1)(seq)
-    for t in range(3):
-        g = cs.weighted_ce_grad_logits(
-            logits[t], int(labels[t]), int(seq.prev_action[t]), gain
-        )
-        grad_w += np.outer(g, phi[t])
-        grad_b += g
+    _, grad_w, grad_b = clf.batch_gradient(params, phi, store.labels, weights)
     step = 1e-6
     worst = 0.0
     scale = max(np.abs(grad_w).max(), np.abs(grad_b).max(), 1.0)
@@ -117,7 +120,9 @@ def test_criterion_01_weighted_ce_gradient():
 # -- 2. confusion tensor oracle ----------------------------------------------
 
 
-def test_criterion_02_confusion_oracle():
+def test_criterion_02_confusion_oracle(monkeypatch):
+    # a chunk size that cuts through sequences exercises the chunking
+    monkeypatch.setattr(clf, "CONFUSION_CHUNK_ROWS", 7)
     start = time.perf_counter()
     rng = np.random.default_rng(7)
     for trial in range(50):
@@ -139,15 +144,16 @@ def test_criterion_02_confusion_oracle():
             bias=rng.normal(size=num_classes),
             context_radius=1,
         )
-        got = cf.compute_confusion(params, dataset)
+        got = clf.store_confusion(params, clf.FrameStore.build(dataset, 1))
         want = np.zeros(
             (num_classes, num_classes, num_classes + 1), np.int64
         )
         for seq in dataset.sequences:
-            pred = params.predict_sequence(seq)
+            pred = argmax_oracle(params, seq)
             for t in range(seq.num_frames):
                 want[seq.frame_labels[t], pred[t], seq.prev_action[t]] += 1
         assert np.array_equal(got.counts, want)
+        assert got.total_frames == dataset.total_frames
         stats = sd.compute_transition_stats(dataset)
         assert np.array_equal(got.transition_counts(), stats.counts)
     assert time.perf_counter() - start < 10.0
@@ -224,6 +230,14 @@ def test_criterion_04_multiplier_dynamics():
 # -- 5. Bayes-optimal calibration --------------------------------------------
 
 
+def bayes_optimal_decision(posteriors, gain, u):
+    """The answer with the highest expected gain under a diagonal gain
+    (only correct answers pay off, weighted per class and previous
+    action); ties go to the smallest class id."""
+    scores = [p * gain.gain[j, u] for j, p in enumerate(posteriors)]
+    return max(range(len(scores)), key=lambda j: (scores[j], -j))
+
+
 def test_criterion_05_bayes_calibration():
     start = time.perf_counter()
     rng = np.random.default_rng(55)
@@ -232,7 +246,7 @@ def test_criterion_05_bayes_calibration():
         posterior = rng.dirichlet(np.ones(num_classes))
         weights = random_gain(rng, num_classes)
         u = int(rng.integers(num_classes + 1))
-        got = clf.bayes_optimal_decision(posterior, weights, u)
+        got = bayes_optimal_decision(posterior, weights, u)
         scores = posterior * weights.gain[:, u]
         assert got == int(np.argmax(scores))
 
@@ -261,10 +275,15 @@ def test_criterion_05_bayes_calibration():
     grid_seq = sd.LabeledSequence.from_frames(
         grid.astype(np.float32)[None, :], np.zeros(401, np.int64), 2, seq_id="grid"
     )
-    predicted = params.predict_sequence(grid_seq)
-    # inverse-prior weights cancel the priors, so the analytic weighted
-    # boundary sits at the class-mean midpoint, x = 0
-    analytic = (grid > 0.0).astype(np.int64)
+    predicted = dec.decode_sequence(params, grid_seq, "argmax")
+    # the Bayes rule on the true posteriors with inverse-prior gains: the
+    # weights cancel the priors, so the boundary sits at x = 0
+    stats = sd.TransitionStats(counts=np.array([[8, 0, 0], [2, 0, 0]]), total=10)
+    gain = cs.compute_gain(stats, cs.MultiplierState.zeros(stats), tau=1.0)
+    joint = stats.prior * np.exp(-0.5 * (grid[:, None] - mu) ** 2)
+    posterior = joint / joint.sum(axis=1, keepdims=True)
+    analytic = np.array([bayes_optimal_decision(p, gain, 0) for p in posterior])
+    assert np.array_equal(analytic, (grid > 0.0).astype(np.int64))
     assert (predicted == analytic).mean() >= 0.95
     assert time.perf_counter() - start < 60.0
 
@@ -431,7 +450,9 @@ def longtail_deltas():
                 loss_mode=mode,
             )
             params, _ = clf.train(train_ds, config)
-            preds = [params.predict_sequence(s) for s in test_ds.sequences]
+            preds = [
+                dec.decode_sequence(params, s, "argmax") for s in test_ds.sequences
+            ]
             truths = [s.frame_labels for s in test_ds.sequences]
             reports[mode] = mx.evaluate(preds, truths, 12, head=head)
         cs_rep, ce_rep = reports["cost_sensitive"], reports["plain_ce"]

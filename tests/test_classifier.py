@@ -1,4 +1,4 @@
-"""Linear frame classifier, training loop, decision rule, checkpoints."""
+"""Linear frame classifier, training loop, checkpoints."""
 
 import json
 import math
@@ -12,8 +12,9 @@ from ltseg import _kernels
 from ltseg import classifier as clf
 from ltseg import confusion as cf
 from ltseg import costsens as cs
+from ltseg import decode as dec
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError, ParseError, RangeError, TrainingDivergedError
+from ltseg.errors import ConfigError, ParseError, TrainingDivergedError
 
 
 def _seq(features, labels, num_classes):
@@ -32,11 +33,26 @@ def _separable_dataset(seed=12):
     )
 
 
+def _probs(params, seq):
+    """Posteriors [L, T] from the classifier's class-major logits."""
+    phi = _kernels.window_stack(seq.features, params.context_radius)
+    logits = clf._class_major_logits(params, phi)
+    z = np.exp(logits - logits.max(axis=0))
+    return z / z.sum(axis=0)
+
+
+def _frame_logits(params, seq, t):
+    """Oracle: frame t's logits from its clipped window, one frame alone."""
+    w = params.context_radius
+    idx = np.clip(np.arange(t - w, t + w + 1), 0, seq.num_frames - 1)
+    phi = seq.features[:, idx].T.astype(np.float64).ravel()
+    return params.weights @ phi + params.bias
+
+
 def test_forward_zero_params_uniform():
     seq = _seq(np.arange(6).reshape(2, 3), [0, 1, 2], 3)
     params = clf.ClassifierParams.zeros(3, 2, context_radius=1)
-    for t in range(3):
-        assert clf.forward(params, seq, t) == pytest.approx([1 / 3] * 3)
+    assert _probs(params, seq) == pytest.approx(np.full((3, 3), 1 / 3))
 
 
 def test_forward_hand_evaluated_softmax():
@@ -44,7 +60,7 @@ def test_forward_hand_evaluated_softmax():
     params = clf.ClassifierParams.zeros(2, 2, context_radius=0)
     params.weights[:] = [[1.0, 2.0], [3.0, 4.0]]
     params.bias[:] = [0.1, -0.2]
-    got = clf.forward(params, seq, 0)
+    got = _probs(params, seq)[:, 0]
     # oracle: four multiplies and a softmax by hand
     z0 = 1.0 * 0.5 + 2.0 * -1.0 + 0.1
     z1 = 3.0 * 0.5 + 4.0 * -1.0 - 0.2
@@ -58,18 +74,9 @@ def test_forward_shift_invariance():
     seq = _seq(rng.standard_normal((3, 5)), [0, 1, 2, 1, 0], 3)
     params = clf.ClassifierParams.zeros(3, 3, context_radius=1)
     params.weights[:] = rng.standard_normal(params.weights.shape)
-    base = clf.forward(params, seq, 2)
+    base = _probs(params, seq)
     params.bias += 7.3  # same constant on every logit
-    assert clf.forward(params, seq, 2) == pytest.approx(base, rel=1e-12)
-
-
-def test_forward_range_error():
-    seq = _seq(np.zeros((1, 4)), [0, 0, 1, 1], 2)
-    params = clf.ClassifierParams.zeros(2, 1)
-    with pytest.raises(RangeError):
-        clf.forward(params, seq, 4)
-    with pytest.raises(RangeError):
-        clf.forward(params, seq, -1)
+    assert _probs(params, seq) == pytest.approx(base, rel=1e-12)
 
 
 def test_predict_sequence_contracts():
@@ -77,22 +84,21 @@ def test_predict_sequence_contracts():
     seq = _seq(rng.standard_normal((2, 12)), rng.integers(0, 3, 12), 3)
 
     uniform = clf.ClassifierParams.zeros(3, 2, context_radius=0)
-    assert np.all(uniform.predict_sequence(seq) == 0)  # ties to smallest id
+    assert np.all(dec.decode_sequence(uniform, seq, "argmax") == 0)  # ties to 0
 
     params = clf.ClassifierParams.zeros(3, 2, context_radius=1)
     params.weights[:] = rng.standard_normal(params.weights.shape)
     params.bias[:] = rng.standard_normal(3)
-    pred = params.predict_sequence(seq)
+    pred = dec.decode_sequence(params, seq, "argmax")
     for t in range(12):
-        probs = clf.forward(params, seq, t)
-        assert pred[t] == int(np.argmax(probs))
+        assert pred[t] == int(np.argmax(_frame_logits(params, seq, t)))
 
 
 def test_predict_perfect_margin():
     seq = _seq([[1.0, 1.0, -1.0, -1.0, 1.0]], [0, 0, 1, 1, 0], 2)
     params = clf.ClassifierParams.zeros(2, 1, context_radius=0)
     params.weights[:] = [[5.0], [-5.0]]
-    assert np.array_equal(params.predict_sequence(seq), seq.frame_labels)
+    assert np.array_equal(dec.decode_sequence(params, seq, "argmax"), seq.frame_labels)
 
 
 def test_single_step_descends():
@@ -100,18 +106,13 @@ def test_single_step_descends():
     params = clf.ClassifierParams.zeros(2, 2, context_radius=0)
     rng = np.random.default_rng(3)
     params.weights[:] = rng.standard_normal(params.weights.shape)
-
-    def frame_loss():
-        return -math.log(clf.forward(params, seq, 0)[1])
-
-    before = frame_loss()
-    phi = seq.features[:, 0].astype(np.float64)
-    p = clf.forward(params, seq, 0)
-    dlog = p.copy()
-    dlog[1] -= 1.0
-    params.weights -= 1e-4 * np.outer(dlog, phi)
-    params.bias -= 1e-4 * dlog
-    assert frame_loss() < before
+    phi = _kernels.window_stack(seq.features, 0)
+    ones = np.ones(1)
+    before, grad_w, grad_b = clf.batch_gradient(params, phi, seq.frame_labels, ones)
+    params.weights -= 1e-4 * grad_w
+    params.bias -= 1e-4 * grad_b
+    after, _, _ = clf.batch_gradient(params, phi, seq.frame_labels, ones)
+    assert after < before
 
 
 def test_training_gradient_matches_finite_differences():
@@ -127,22 +128,21 @@ def test_training_gradient_matches_finite_differences():
     params.bias[:] = rng.standard_normal(3)
 
     def total_loss(p):
+        # oracle: one frame at a time, weight tempered[y, u] read directly
         out = 0.0
         for t in range(3):
-            probs = clf.forward(p, seq, t)
-            out += cs.weighted_ce_loss(
-                probs, int(seq.frame_labels[t]), int(seq.prev_action[t]), gain
-            )
+            z = _frame_logits(p, seq, t)
+            log_p = z - z.max() - math.log(np.exp(z - z.max()).sum())
+            y, u = int(seq.frame_labels[t]), int(seq.prev_action[t])
+            out += gain.tempered[y, u] * -log_p[y]
         return out / 3
 
-    from ltseg import _kernels as K
-
-    phi = K.window_stack(seq.features, 1)
-    logits = params.weights @ phi.T + params.bias[:, None]
-    w = cs.frame_weights(gain, seq.frame_labels, seq.prev_action)
-    _, dlog = K.softmax_xent_grad(logits, seq.frame_labels, w)
-    grad_w = dlog @ phi / 3
-    grad_b = dlog.sum(axis=1) / 3
+    store = clf.FrameStore.build(ds, 1)
+    w = cs.frame_weights(gain, store.labels, store.prev_action)
+    _, grad_w, grad_b = clf.batch_gradient(params, store.gather(np.arange(3)),
+                                           store.labels, w)
+    grad_w /= 3
+    grad_b /= 3
 
     h = 1e-5
     for arr, grad in ((params.weights, grad_w), (params.bias, grad_b)):
@@ -170,7 +170,8 @@ def test_plain_ce_learns_separable_data():
     )
     correct = total = 0
     for seq in ds.sequences:
-        correct += (params.predict_sequence(seq) == seq.frame_labels).sum()
+        pred = dec.decode_sequence(params, seq, "argmax")
+        correct += (pred == seq.frame_labels).sum()
         total += seq.num_frames
     assert correct / total >= 0.95
     assert len(telemetry) == 50
@@ -244,27 +245,10 @@ def test_frame_store_rows_equal_window_stack(radius):
     )
 
 
-def test_store_confusion_equals_compute_confusion(monkeypatch):
-    # a chunk size that divides no sequence boundary exercises the chunking
-    monkeypatch.setattr(clf, "CONFUSION_CHUNK_ROWS", 5)
-    rng = np.random.default_rng(17)
-    ds = sd.generate_synthetic(
-        sd.SynthConfig(num_classes=5, feature_dim=3, num_sequences=12,
-                       noise_scale=1.5, rng_seed=4)
-    )
-    params = clf.ClassifierParams.zeros(5, 3, context_radius=2)
-    params.weights[:] = rng.standard_normal(params.weights.shape)
-    params.bias[:] = rng.standard_normal(5)
-    got = clf.store_confusion(params, clf.FrameStore.build(ds, 2))
-    want = cf.compute_confusion(params, ds)
-    np.testing.assert_array_equal(got.counts, want.counts)
-    assert got.total_frames == want.total_frames == ds.total_frames
-
-
 def _reference_train(dataset, config):
     """The training loop one sequence at a time: row-major logits, a
-    per-frame-row softmax, per-sequence gradient sums and a confusion
-    pass through ``compute_confusion``."""
+    per-frame-row softmax, per-sequence gradient sums and, under
+    cost_sensitive, a per-sequence confusion count."""
     stats = sd.compute_transition_stats(dataset)
     mult = cs.MultiplierState.zeros(stats, step_size=config.gamma,
                                     epsilon=config.epsilon)
@@ -305,9 +289,18 @@ def _reference_train(dataset, config):
                 batch_frames += seq.num_frames
             params.weights -= config.learning_rate / batch_frames * grad_w
             params.bias -= config.learning_rate / batch_frames * grad_b
-        tensor = cf.compute_confusion(params, dataset)
         record = {"epoch": epoch, "loss": epoch_loss / dataset.total_frames}
         if config.loss_mode == "cost_sensitive":
+            L = dataset.num_classes
+            counts = np.zeros((L, L, L + 1), np.int64)
+            for seq in dataset.sequences:
+                phi = _kernels.window_stack(seq.features, config.context_radius)
+                pred = np.argmax(phi @ params.weights.T + params.bias, axis=1)
+                _kernels.count_confusion_into(
+                    counts, seq.frame_labels, pred, seq.prev_action
+                )
+            tensor = cf.ConfusionTensor(counts=counts,
+                                        total_frames=dataset.total_frames)
             updated = cs.update_multipliers(mult, tensor, stats)
             record = cs.telemetry_record(epoch, tensor, stats, mult, updated)
             record["loss"] = epoch_loss / dataset.total_frames
@@ -336,6 +329,22 @@ def test_train_matches_per_sequence_reference(loss_mode):
         # from identical confusion counts and must match exactly
         assert got.pop("loss") == pytest.approx(want.pop("loss"), rel=1e-12)
         assert got == want
+
+
+@pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)
+def test_confusion_pass_runs_only_for_cost_sensitive(monkeypatch, loss_mode):
+    calls = []
+    real = clf.store_confusion
+
+    def counting(params, store):
+        calls.append(store.num_frames)
+        return real(params, store)
+
+    monkeypatch.setattr(clf, "store_confusion", counting)
+    ds = _separable_dataset(seed=3)
+    clf.train(ds, clf.TrainConfig(epochs=4, batch_size=4, loss_mode=loss_mode))
+    want = 4 if loss_mode == "cost_sensitive" else 0
+    assert calls == [ds.total_frames] * want
 
 
 def test_first_epoch_gain_uses_initial_multipliers():
@@ -383,41 +392,6 @@ def test_train_config_validation():
         with pytest.raises(ConfigError):
             bad.validate()
     clf.TrainConfig(epochs=0).validate()  # no-op run is legal
-
-
-def test_bayes_decision_examples():
-    stats = sd.TransitionStats(counts=np.ones((2, 3), np.int64), total=6)
-    uniform = cs.compute_gain(stats, cs.MultiplierState.zeros(stats), tau=1.0)
-    assert clf.bayes_optimal_decision(np.array([0.3, 0.7]), uniform, 0) == 1
-    assert clf.bayes_optimal_decision(np.array([0.7, 0.3]), uniform, 2) == 0
-
-    skewed = replace(uniform, gain=np.array([[1.0] * 3, [2.0] * 3]))
-    assert clf.bayes_optimal_decision(np.array([0.6, 0.4]), skewed, 1) == 1
-
-
-def test_bayes_decision_matches_enumeration():
-    rng = np.random.default_rng(13)
-    L = 4
-    stats = sd.TransitionStats(counts=np.ones((L, L + 1), np.int64), total=L * (L + 1))
-    for _ in range(300):
-        p = rng.dirichlet(np.ones(L))
-        diag = rng.uniform(0.1, 5.0, (L, L + 1))
-        weights = replace(
-            cs.compute_gain(stats, cs.MultiplierState.zeros(stats), tau=1.0),
-            gain=diag,
-        )
-        u = int(rng.integers(0, L + 1))
-        got = clf.bayes_optimal_decision(p, weights, u)
-        # oracle: expected gain of every candidate answer, diagonal tensor
-        payoff = [p[j] * diag[j, u] for j in range(L)]
-        best = max(range(L), key=lambda j: (payoff[j], -j))
-        assert got == best
-
-        full = rng.uniform(0.0, 2.0, (L, L))
-        got_full = clf.bayes_optimal_decision(p, full, u)
-        payoff_full = [sum(p[i] * full[i, j] for i in range(L)) for j in range(L)]
-        best_full = max(range(L), key=lambda j: (payoff_full[j], -j))
-        assert got_full == best_full
 
 
 def test_checkpoint_round_trip(tmp_path):

@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import pathlib
 import warnings
 
 import numpy as np
@@ -13,7 +14,8 @@ from ltseg import classifier as clf
 from ltseg import cli
 from ltseg import decode as dec
 from ltseg import metrics as mx
-from ltseg.errors import ConfigError
+from ltseg import seqdata as sd
+from ltseg.errors import ConfigError, ParseError
 
 
 def write_config(path, **data):
@@ -516,6 +518,84 @@ def test_main_eval_malformed_manifest_exits_2(tmp_path, capsys):
     checkpoint = os.path.join(train_dir, "checkpoint.bin")
     assert cli.main(["eval", "--config", path, checkpoint]) == 2
     assert f"error: {manifest}" in capsys.readouterr().err
+
+
+def _not_utf8(path, line):
+    """Put a byte that is not UTF-8 into ``line`` (1-based) of a file."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[line - 1] = b"\xff" + lines[line - 1]
+    path.write_bytes(b"".join(lines))
+    return [f"{path}:{line}:"]
+
+
+def _edit_entries(manifest_path, edit):
+    data = json.loads(manifest_path.read_text(encoding="utf-8"))
+    edit(data["sequences"])
+    manifest_path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def _break_classes(root):
+    return _not_utf8(root / "classes.txt", 2)
+
+
+def _break_labels(root):
+    return _not_utf8(next((root / "groundTruth").iterdir()), 3)
+
+
+def _break_manifest(root):
+    return _not_utf8(root / "manifest.json", 4)
+
+
+def _nul_in_labels_path(root):
+    _edit_entries(root / "manifest.json", lambda e: e[1].update(labels="a\0b.txt"))
+    return [str(root / "manifest.json"), "entry 1"]
+
+
+def _nul_in_features_path(root):
+    _edit_entries(root / "manifest.json", lambda e: e[0].update(features="f\0.bin"))
+    return [str(root / "manifest.json"), "entry 0"]
+
+
+def _duplicate_id(root):
+    _edit_entries(root / "manifest.json", lambda e: e[3].update(id=e[1]["id"]))
+    return [str(root / "manifest.json"), "entries 1 and 3", "'seq_0001'"]
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        _break_classes,
+        _break_labels,
+        _break_manifest,
+        _nul_in_labels_path,
+        _nul_in_features_path,
+        _duplicate_id,
+    ],
+)
+def test_main_train_malformed_dataset_names_file(tmp_path, capsys, corrupt):
+    gen_config = cli.load_config(
+        write_config(
+            tmp_path / "gen.json",
+            dataset={"synthetic": small_synth()},
+            out=str(tmp_path / "runs"),
+        )
+    )
+    root = pathlib.Path(cli.cmd_gen(gen_config, stream=io.StringIO())) / "dataset"
+    expected = corrupt(root)
+    with pytest.raises(ParseError):
+        sd.load_dataset(str(root))
+    path = write_config(
+        tmp_path / "train.json",
+        dataset={"manifest": str(root / "manifest.json")},
+        train={"epochs": 1},
+        out=str(tmp_path / "runs"),
+    )
+    capsys.readouterr()
+    assert cli.main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for part in expected:
+        assert part in err
 
 
 # -- report ------------------------------------------------------------------

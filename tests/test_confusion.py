@@ -5,21 +5,30 @@ import zlib
 import numpy as np
 import pytest
 
+from ltseg import _kernels
+from ltseg import classifier as clf
 from ltseg import confusion as cf
+from ltseg import decode as dec
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError
 
 
-class FakePredictor:
-    """Duck-typed classifier: a fixed function of the true labels."""
+def _tensor(ds, predict):
+    """Tensor of fixed per-sequence predictions ``predict(seq)``."""
+    L = ds.num_classes
+    counts = np.zeros((L, L, L + 1), dtype=np.int64)
+    for seq in ds.sequences:
+        _kernels.count_confusion_into(
+            counts, seq.frame_labels, predict(seq), seq.prev_action
+        )
+    return cf.ConfusionTensor(counts=counts, total_frames=ds.total_frames)
 
-    def __init__(self, num_classes, feature_dim, fn):
-        self.num_classes = num_classes
-        self.feature_dim = feature_dim
-        self._fn = fn
 
-    def predict_sequence(self, seq):
-        return self._fn(seq)
+def _random_params(ds, seed, radius=1):
+    rng = np.random.default_rng(seed)
+    params = clf.ClassifierParams.zeros(ds.num_classes, ds.feature_dim, radius)
+    params.weights[:] = rng.standard_normal(params.weights.shape)
+    params.bias[:] = rng.standard_normal(ds.num_classes)
+    return params
 
 
 def _dataset(num_classes=3, num_sequences=12, seed=0, feature_dim=4):
@@ -35,22 +44,22 @@ def _dataset(num_classes=3, num_sequences=12, seed=0, feature_dim=4):
     )
 
 
-def _perfect(ds):
-    return FakePredictor(ds.num_classes, ds.feature_dim, lambda s: s.frame_labels)
+def _perfect(seq):
+    return seq.frame_labels
 
 
 def _seeded_random(ds, seed):
-    def fn(seq):
+    def predict(seq):
         # crc of the id keeps predictions per-sequence deterministic
         local = np.random.default_rng((seed, zlib.crc32(seq.seq_id.encode())))
         return local.integers(0, ds.num_classes, seq.num_frames)
 
-    return FakePredictor(ds.num_classes, ds.feature_dim, fn)
+    return predict
 
 
 def test_perfect_classifier_diagonal_support():
     ds = _dataset()
-    tensor = cf.compute_confusion(_perfect(ds), ds)
+    tensor = _tensor(ds, _perfect)
     assert tensor.total_frames == ds.total_frames
     off = tensor.counts.copy()
     L = ds.num_classes
@@ -64,10 +73,7 @@ def test_perfect_classifier_diagonal_support():
 
 def test_constant_classifier():
     ds = _dataset()
-    always0 = FakePredictor(
-        ds.num_classes, ds.feature_dim, lambda s: np.zeros(s.num_frames, np.int64)
-    )
-    tensor = cf.compute_confusion(always0, ds)
+    tensor = _tensor(ds, lambda s: np.zeros(s.num_frames, np.int64))
     stats = sd.compute_transition_stats(ds)
     assert np.array_equal(tensor.counts.sum(axis=1), tensor.counts[:, 0, :])
     assert np.array_equal(tensor.counts[:, 0, :], stats.counts)
@@ -78,14 +84,14 @@ def test_constant_classifier():
 
 def test_counts_match_per_frame_oracle():
     ds = _dataset(num_classes=3, num_sequences=6, seed=5)
-    clf = _seeded_random(ds, seed=77)
-    tensor = cf.compute_confusion(clf, ds)
+    params = _random_params(ds, seed=77)
+    tensor = clf.store_confusion(params, clf.FrameStore.build(ds, 1))
     # oracle: count every frame triple one by one
     L = ds.num_classes
     expect = np.zeros((L, L, L + 1), dtype=np.int64)
     n_frames = 0
     for seq in ds.sequences:
-        pred = clf.predict_sequence(seq)
+        pred = dec.decode_sequence(params, seq, "argmax")
         for t in range(seq.num_frames):
             expect[seq.frame_labels[t], pred[t], seq.prev_action[t]] += 1
             n_frames += 1
@@ -96,7 +102,7 @@ def test_counts_match_per_frame_oracle():
 def test_marginals():
     ds = _dataset(num_classes=4, num_sequences=10, seed=3)
     stats = sd.compute_transition_stats(ds)
-    tensor = cf.compute_confusion(_seeded_random(ds, 1), ds)
+    tensor = _tensor(ds, _seeded_random(ds, 1))
     assert np.array_equal(tensor.transition_counts(), stats.counts)
     m = tensor.counts.sum(axis=2)  # [truth, prediction]
     assert np.array_equal(m.sum(axis=1), ds.class_frame_counts)
@@ -107,23 +113,11 @@ def test_marginals():
 
 def test_sequence_order_invariance():
     ds = _dataset(num_classes=3, num_sequences=8, seed=9)
-    clf = _seeded_random(ds, 4)
-    a = cf.compute_confusion(clf, ds)
+    params = _random_params(ds, seed=4)
+    a = clf.store_confusion(params, clf.FrameStore.build(ds, 1))
     shuffled = sd.Dataset.build(ds.sequences[::-1], ds.num_classes, ds.class_names)
-    b = cf.compute_confusion(clf, shuffled)
+    b = clf.store_confusion(params, clf.FrameStore.build(shuffled, 1))
     assert np.array_equal(a.counts, b.counts)
-
-
-def test_dimension_mismatch_rejected():
-    ds = _dataset()
-    with pytest.raises(ConfigError):
-        cf.compute_confusion(
-            FakePredictor(ds.num_classes + 1, ds.feature_dim, lambda s: None), ds
-        )
-    with pytest.raises(ConfigError):
-        cf.compute_confusion(
-            FakePredictor(ds.num_classes, ds.feature_dim + 2, lambda s: None), ds
-        )
 
 
 def test_learning_state_four_frame_example():
@@ -137,13 +131,13 @@ def test_learning_state_four_frame_example():
     ds = sd.Dataset.build(seqs, 2)
     stats = sd.compute_transition_stats(ds)
 
-    def fn(seq):
+    def predict(seq):
         pred = seq.frame_labels.copy()
         wrong = seq.prev_action != 2
         pred[wrong] = 1 - pred[wrong]
         return pred
 
-    tensor = cf.compute_confusion(FakePredictor(2, 1, fn), ds)
+    tensor = _tensor(ds, predict)
     state = cf.learning_state(tensor, stats)
     assert state.trans_acc[1, 2] == 1.0
     assert state.trans_acc[0, 2] == 1.0
@@ -157,9 +151,7 @@ def test_learning_state_four_frame_example():
 def test_class_acc_decomposes_over_transitions():
     ds = _dataset(num_classes=5, num_sequences=15, seed=21)
     stats = sd.compute_transition_stats(ds)
-    state = cf.learning_state(
-        cf.compute_confusion(_seeded_random(ds, 8), ds), stats
-    )
+    state = cf.learning_state(_tensor(ds, _seeded_random(ds, 8)), stats)
     recomposed = (state.trans_acc * stats.transition).sum(axis=1) / stats.prior
     defined = state.class_acc_defined
     assert np.allclose(state.class_acc[defined], recomposed[defined], atol=1e-9)
@@ -171,9 +163,7 @@ def test_undefined_entries_flagged_not_nan():
     ds = sd.Dataset.build(
         [sd.LabeledSequence.from_frames(feats, [0, 1, 0], 3)], 3
     )
-    state = cf.learning_state(
-        cf.compute_confusion(_perfect(ds), ds), sd.compute_transition_stats(ds)
-    )
+    state = cf.learning_state(_tensor(ds, _perfect), sd.compute_transition_stats(ds))
     assert not state.class_acc_defined[2]
     assert np.isfinite(state.class_acc).all()
     assert np.isfinite(state.trans_acc).all()

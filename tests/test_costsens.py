@@ -6,10 +6,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ltseg import _kernels
 from ltseg import confusion as cf
 from ltseg import costsens as cs
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError, RangeError
+from ltseg.errors import ConfigError
 
 
 def _stats_from_counts(counts):
@@ -89,48 +90,55 @@ def _unit_weights(num_classes, prev_states=None):
     return replace(weights, tempered=np.ones_like(weights.tempered))
 
 
+def _frame_grad(logits, y, u, weights):
+    """One frame's training loss and logit gradient: the kernel with the
+    frame's weight from ``frame_weights``."""
+    w = cs.frame_weights(weights, np.array([y]), np.array([u]))
+    loss, grad = _kernels.softmax_xent_grad(
+        np.asarray(logits, dtype=np.float64)[:, None], np.array([y]), w
+    )
+    return loss, grad[:, 0]
+
+
+def _frame_loss(probs, y, u, weights):
+    """The training loss of one frame whose posteriors are ``probs``."""
+    with np.errstate(divide="ignore"):
+        return _frame_grad(np.log(probs), y, u, weights)[0]
+
+
 def test_weighted_ce_loss_examples():
     w1 = _unit_weights(4)
     probs = np.array([1.0, 0.0, 0.0, 0.0])
-    assert cs.weighted_ce_loss(probs, 0, 0, w1) == 0.0
+    assert _frame_loss(probs, 0, 0, w1) == 0.0
     uniform = np.full(4, 0.25)
-    assert cs.weighted_ce_loss(uniform, 2, 1, w1) == pytest.approx(math.log(4))
+    assert _frame_loss(uniform, 2, 1, w1) == pytest.approx(math.log(4))
 
     w2 = replace(w1, tempered=np.full_like(w1.tempered, 2.449))
     probs = np.array([0.3, 0.3, 0.2, 0.2])
-    got = cs.weighted_ce_loss(probs, 0, 3, w2)
+    got = _frame_loss(probs, 0, 3, w2)
     assert got == pytest.approx(2.449 * -math.log(0.3), rel=1e-12)
     assert got == pytest.approx(2.948, abs=2e-3)
+
+    # the weight is tempered[class, previous action], not the transpose
+    w3 = replace(w1, tempered=np.arange(20.0).reshape(4, 5) + 1.0)
+    assert _frame_loss(uniform, 1, 3, w3) == pytest.approx(9.0 * math.log(4))
 
 
 def test_weighted_ce_loss_monotone_in_p():
     w = _unit_weights(3)
     losses = [
-        cs.weighted_ce_loss(np.array([p, (1 - p) / 2, (1 - p) / 2]), 0, 0, w)
+        _frame_loss(np.array([p, (1 - p) / 2, (1 - p) / 2]), 0, 0, w)
         for p in (0.1, 0.3, 0.5, 0.9, 0.999)
     ]
     assert all(a > b for a, b in zip(losses, losses[1:]))
 
 
-def test_weighted_ce_loss_range_checks():
-    w = _unit_weights(3)
-    ok = np.full(3, 1 / 3)
-    with pytest.raises(RangeError):
-        cs.weighted_ce_loss(ok, 3, 0, w)
-    with pytest.raises(RangeError):
-        cs.weighted_ce_loss(ok, -1, 0, w)
-    with pytest.raises(RangeError):
-        cs.weighted_ce_loss(ok, 0, 4, w)
-    with pytest.raises(RangeError):
-        cs.weighted_ce_loss(np.array([0.9, 0.2, 0.2]), 0, 0, w)
-
-
 def test_grad_symmetry_and_scaling():
     w = _unit_weights(2, prev_states=3)
-    grad = cs.weighted_ce_grad_logits(np.array([1.7, 1.7]), 0, 0, w)
+    _, grad = _frame_grad(np.array([1.7, 1.7]), 0, 0, w)
     assert grad == pytest.approx([-0.5, 0.5])
     w0 = replace(w, tempered=np.zeros_like(w.tempered))
-    assert np.all(cs.weighted_ce_grad_logits(np.array([3.0, -1.0]), 0, 0, w0) == 0.0)
+    assert np.all(_frame_grad(np.array([3.0, -1.0]), 0, 0, w0)[1] == 0.0)
 
 
 def test_grad_matches_finite_differences():
@@ -148,12 +156,13 @@ def test_grad_matches_finite_differences():
         logits = rng.uniform(-4, 4, L)
         y = int(rng.integers(0, L))
         u = int(rng.integers(0, L + 1))
-        grad = cs.weighted_ce_grad_logits(logits, y, u, weights)
+        _, grad = _frame_grad(logits, y, u, weights)
 
         def loss_at(v):
+            # oracle: softmax and -w * log p by hand
             p = np.exp(v - v.max())
             p /= p.sum()
-            return cs.weighted_ce_loss(p, y, u, weights)
+            return weights.tempered[y, u] * -math.log(p[y])
 
         for j in range(L):
             bump = np.zeros(L)
@@ -176,7 +185,7 @@ def test_tau_zero_reduces_to_plain_ce():
         p = rng.dirichlet(np.ones(L))
         y = int(rng.integers(0, L))
         u = int(rng.integers(0, L + 1))
-        got = cs.weighted_ce_loss(p, y, u, weights)
+        got = _frame_loss(p, y, u, weights)
         assert abs(got - (-math.log(max(p[y], 1e-12)))) <= 1e-12
 
 
@@ -189,12 +198,25 @@ def test_uniform_prior_zero_lambda_scales_plain_ce():
         p = rng.dirichlet(np.ones(L))
         logits = rng.uniform(-2, 2, L)
         y = int(rng.integers(0, L))
-        assert cs.weighted_ce_loss(p, y, 0, weights) == L * -math.log(p[y])
-        grad = cs.weighted_ce_grad_logits(logits, y, 0, weights)
+        assert _frame_loss(p, y, 0, weights) == pytest.approx(
+            L * -math.log(p[y]), rel=1e-12
+        )
+        _, grad = _frame_grad(logits, y, 0, weights)
         q = np.exp(logits - logits.max())
         q /= q.sum()
         q[y] -= 1.0
         assert np.allclose(grad, L * q, rtol=1e-12, atol=1e-15)
+
+
+def _confusion_of(ds, predict):
+    """Tensor of fixed per-sequence predictions ``predict(seq)``."""
+    L = ds.num_classes
+    counts = np.zeros((L, L, L + 1), np.int64)
+    for seq in ds.sequences:
+        _kernels.count_confusion_into(
+            counts, seq.frame_labels, predict(seq), seq.prev_action
+        )
+    return cf.ConfusionTensor(counts=counts, total_frames=ds.total_frames)
 
 
 def _perfect_confusion(stats):
@@ -208,16 +230,12 @@ def test_lagrangian_zero_lambda_is_accuracy_sum():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=6, num_sequences=25, rng_seed=4))
     stats = sd.compute_transition_stats(ds)
 
-    class Half:
-        num_classes = ds.num_classes
-        feature_dim = ds.feature_dim
+    def half(seq):
+        pred = seq.frame_labels.copy()
+        pred[::2] = (pred[::2] + 1) % ds.num_classes
+        return pred
 
-        def predict_sequence(self, seq):
-            pred = seq.frame_labels.copy()
-            pred[::2] = (pred[::2] + 1) % ds.num_classes
-            return pred
-
-    tensor = cf.compute_confusion(Half(), ds)
+    tensor = _confusion_of(ds, half)
     mult = cs.MultiplierState.zeros(stats)
     state = cf.learning_state(tensor, stats)
     expect = state.class_acc[state.class_acc_defined].sum()
@@ -333,15 +351,11 @@ def test_update_support_and_nonnegativity():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=5, num_sequences=20, rng_seed=6))
     stats = sd.compute_transition_stats(ds)
 
-    class Noisy:
-        num_classes = ds.num_classes
-        feature_dim = ds.feature_dim
+    def noisy(seq):
+        local = np.random.default_rng(seq.num_frames)
+        return local.integers(0, ds.num_classes, seq.num_frames)
 
-        def predict_sequence(self, seq):
-            local = np.random.default_rng(seq.num_frames)
-            return local.integers(0, ds.num_classes, seq.num_frames)
-
-    tensor = cf.compute_confusion(Noisy(), ds)
+    tensor = _confusion_of(ds, noisy)
     mult = cs.MultiplierState.zeros(stats)
     for _ in range(30):
         mult = cs.update_multipliers(mult, tensor, stats)

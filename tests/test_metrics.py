@@ -214,6 +214,11 @@ def test_evaluate_hand_worked():
     assert tail.per_class_f1_25 == pytest.approx(100.0)
     assert not head.empty and not tail.empty
     assert report.counts.tolist() == [4, 4, 4, 4]
+    # the groups read F1@0.25 even when it is not a reported threshold
+    other = mx.evaluate(pred, truth, num_classes=4, thresholds=(0.5,), head={0, 1})
+    assert list(other.f1_at) == [0.5]
+    assert other.group["head"].per_class_f1_25 == head.per_class_f1_25
+    assert other.group["tail"].per_class_f1_25 == tail.per_class_f1_25
 
 
 def test_evaluate_perfect_both_groups():
