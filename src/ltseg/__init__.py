@@ -5,9 +5,8 @@ The package is organized around a small pipeline:
 
 - :mod:`ltseg.seqdata`: labeled frame sequences, synthetic long-tailed
   dataset generation, transition statistics, on-disk dataset format.
-- :mod:`ltseg.confusion`: transition-aware confusion statistics.
-- :mod:`ltseg.costsens`: constraint multipliers and the adaptively
-  re-weighted cross-entropy they induce.
+- :mod:`ltseg.costsens`: per-transition learning state, constraint
+  multipliers and the adaptively re-weighted cross-entropy they induce.
 - :mod:`ltseg.classifier`: a windowed linear frame classifier and its
   training loop.
 - :mod:`ltseg.decode`: frame and segment-level nearest-class-mean

@@ -1,5 +1,5 @@
-"""Numeric hot loops: window stacking, weighted softmax cross-entropy,
-confusion tallying and edit distance, all in numpy."""
+"""Numeric hot loops: window stacking, weighted softmax cross-entropy
+and edit distance, all in numpy."""
 
 import numpy as np
 
@@ -69,21 +69,6 @@ def softmax_xent_grad(logits, labels, weights):
     probs *= weights
     probs[labels, cols] -= weights
     return loss_sum, probs
-
-
-def count_confusion_into(counts, truth, pred, prev):
-    """Tally (truth, prediction, previous-action) triples into ``counts``.
-
-    ``counts`` is int64 [L, L, L+1] and is incremented in place, so partial
-    tallies from different sequences merge by plain addition.
-    """
-    num_classes = counts.shape[0]
-    truth = np.asarray(truth, dtype=np.int64)
-    pred = np.asarray(pred, dtype=np.int64)
-    prev = np.asarray(prev, dtype=np.int64)
-    flat = (truth * num_classes + pred) * (num_classes + 1) + prev
-    counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-    return counts
 
 
 def levenshtein(a, b):

@@ -3,20 +3,25 @@
 The backbone is deliberately small: softmax over an affine map of the
 frame's feature window. The interesting part is the loop around it,
 which alternates one epoch of gain-weighted gradient descent with a full
-confusion pass and a projected multiplier step, so the loss weights for
-epoch e always reflect the violations measured after epoch e-1.
+prediction pass over the training set and a projected multiplier step,
+so the loss weights for epoch e always reflect the violations measured
+after epoch e-1. The pass counts only correct frames per (class,
+previous action) pair: that and the pair's frame count are all the
+learning state needs.
 
 Training reads every window from one ``FrameStore`` built once per
 ``train`` call: the training set's features, frame-major in float64 and
 padded per sequence, behind a strided view whose rows are the stacked
 windows. It holds 1/(2w+1) of the bytes that per-sequence stacked
 windows would. Each SGD step gathers its batch's rows into one matrix
-and runs class-major (logits ``[L, n]``); the confusion pass predicts in
-chunks of ``CONFUSION_CHUNK_ROWS`` frames, so neither pass ever holds a
-full ``[N, L]`` logits matrix or a contiguous ``[N, D*(2w+1)]`` copy.
+and runs class-major (logits ``[L, n]``); the prediction pass
+(``store_hits``) predicts in chunks of ``CONFUSION_CHUNK_ROWS`` frames,
+so neither pass ever holds a full ``[N, L]`` logits matrix or a
+contiguous ``[N, D*(2w+1)]`` copy.
 
 ``_class_major_logits`` is the one logits expression: the SGD step, the
-confusion pass and eval (``ClassifierParams.predict_windows``) all use it.
+prediction pass and eval (``ClassifierParams.predict_windows``) all use
+it.
 """
 
 import json
@@ -26,14 +31,19 @@ import numpy as np
 
 from . import _kernels
 from . import costsens
-from .confusion import ConfusionTensor
 from .costsens import MultiplierState
-from .errors import ConfigError, ParseError, RangeError, TrainingDivergedError
+from .errors import (
+    ConfigError,
+    ParseError,
+    RangeError,
+    TrainingDivergedError,
+    require_int,
+)
 from .seqdata import compute_transition_stats
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
 
-# frames per chunk of the confusion pass: bounds its window copy and
+# frames per chunk of the prediction pass: bounds its window copy and
 # logits to a few MB whatever the dataset size
 CONFUSION_CHUNK_ROWS = 4096
 
@@ -88,6 +98,8 @@ class TrainConfig:
     loss_mode: str = "cost_sensitive"
 
     def validate(self):
+        for name in ("epochs", "batch_size", "context_radius"):
+            require_int(name, getattr(self, name))
         # epochs = 0 is a legal no-op run (checkpoint equals init)
         if self.epochs < 0 or self.batch_size <= 0 or self.context_radius < 0:
             raise ConfigError(
@@ -171,19 +183,19 @@ def batch_gradient(params, phi, labels, weights):
     return loss_sum, dlogits @ phi, dlogits.sum(axis=1)
 
 
-def store_confusion(params, store) -> ConfusionTensor:
-    """Confusion tensor of argmax predictions over every frame of
-    ``store``, predicted ``CONFUSION_CHUNK_ROWS`` frames at a time and
-    tallied in one ``count_confusion_into`` call."""
+def store_hits(params, store):
+    """Correctly predicted frames of ``store`` per (class, previous
+    action): int64 ``[L, L+1]``, column L the 'start' state. Argmax
+    predictions are made ``CONFUSION_CHUNK_ROWS`` frames at a time."""
     frames = store.num_frames
     pred = np.empty(frames, dtype=np.int64)
     for lo in range(0, frames, CONFUSION_CHUNK_ROWS):
         chunk = slice(lo, lo + CONFUSION_CHUNK_ROWS)
         pred[chunk] = params.predict_windows(store.gather(chunk))
     L = params.num_classes
-    counts = np.zeros((L, L, L + 1), dtype=np.int64)
-    _kernels.count_confusion_into(counts, store.labels, pred, store.prev_action)
-    return ConfusionTensor(counts=counts, total_frames=frames)
+    flat = store.labels * (L + 1) + store.prev_action
+    hits = np.bincount(flat[pred == store.labels], minlength=L * (L + 1))
+    return hits.reshape(L, L + 1)
 
 
 def train(dataset, config: TrainConfig):
@@ -191,19 +203,20 @@ def train(dataset, config: TrainConfig):
 
     Per epoch: (1) loss weights from the current multipliers, (2) one
     pass of mini-batch SGD on the weighted cross-entropy, (3) a full
-    confusion pass with the updated classifier, (4, 5) mean refresh and
-    projected multiplier step. plain_ce uses unit weights and skips
-    1 and 3-5; inverse_prior keeps the multipliers pinned at zero and
-    skips 3-5, so only cost_sensitive pays for the confusion pass.
+    prediction pass with the updated classifier and the learning state
+    built from it, (4, 5) mean refresh and projected multiplier step.
+    plain_ce uses unit weights and skips 1 and 3-5; inverse_prior keeps
+    the multipliers pinned at zero and skips 3-5, so only cost_sensitive
+    pays for the prediction pass.
 
     The training set is windowed once into a ``FrameStore`` (N + 2wS
     padded frames of D float64 values). Each epoch computes all N frame
     weights in one ``frame_weights`` call. A step gathers its batch of
     ``batch_size`` sequences into one ``[n, D*(2w+1)]`` matrix, computes
     class-major logits ``[L, n]``, and makes one ``softmax_xent_grad``
-    call and one gradient GEMM (``batch_gradient``). The confusion pass
-    (``store_confusion``)
-    holds at most ``CONFUSION_CHUNK_ROWS`` windows and logits at a time.
+    call and one gradient GEMM (``batch_gradient``). The prediction pass
+    (``store_hits``) holds at most ``CONFUSION_CHUNK_ROWS`` windows and
+    logits at a time.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
@@ -242,9 +255,12 @@ def train(dataset, config: TrainConfig):
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
         if config.loss_mode == "cost_sensitive":
-            tensor = store_confusion(params, store)
-            updated = costsens.update_multipliers(mult, tensor, stats)
-            record = costsens.telemetry_record(epoch, tensor, stats, mult, updated)
+            hits = store_hits(params, store)
+            state = costsens.learning_state(hits, stats)
+            updated = costsens.update_multipliers(mult, state, stats)
+            record = costsens.telemetry_record(
+                epoch, hits, state, stats, mult, updated
+            )
             record["loss"] = mean_loss
             mult = updated
         else:

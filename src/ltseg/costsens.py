@@ -7,13 +7,18 @@ gain: each (true class, previous action) pair gets the weight
 (1 + lambda) / prior, tempered by an exponent tau, and the classifier
 minimizes gain-weighted cross-entropy while the multipliers run
 projected gradient descent.
+
+The multipliers respond to the learning state: the accuracy of each
+(class, previous action) pair on the training set. Training builds it
+once per epoch with ``learning_state`` from the pair counts of correctly
+predicted frames (``classifier.store_hits``), and the multiplier step,
+the Lagrangian and the telemetry all read that one state.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .confusion import learning_state
 from .errors import ConfigError
 
 DEFAULT_EPSILON = 0.9
@@ -59,56 +64,64 @@ class MultiplierState:
 
 
 @dataclass(frozen=True, eq=False)
-class GainWeights:
-    """Per-(class, previous action) loss weights.
+class LearningState:
+    """How well each observed transition is learned.
 
-    ``gain`` is (1 + lambda) / prior on observed transitions of active
-    classes; ``tempered`` is gain ** tau, the factor actually multiplied
-    into the loss. Rows of inactive (zero-prior) classes are zero in
-    ``gain`` and flagged in ``active``; no training frame can index them.
+    Zero-support entries carry False in ``trans_acc_defined`` and 0.0 in
+    ``trans_acc``; they are excluded from the mean, never NaN.
     """
 
-    gain: np.ndarray
-    tempered: np.ndarray
-    tau: float
-    active: np.ndarray
+    trans_acc: np.ndarray
+    trans_acc_defined: np.ndarray
+    mean_trans_acc: float
 
 
-def compute_gain(stats, mult: MultiplierState, tau, active=None) -> GainWeights:
-    """Build loss weights from transition statistics and multipliers."""
+def learning_state(hits, stats) -> LearningState:
+    """Per-transition accuracy from ``hits``, the int64 ``[L, L+1]``
+    count of correctly predicted frames per (class, previous action).
+
+    The support of each transition is ``stats.counts``: the pass that
+    counted ``hits`` predicted every frame of the dataset. The mean
+    transition accuracy is the unweighted average over observed
+    transitions.
+    """
+    defined = stats.valid_mask
+    trans_acc = np.zeros(hits.shape)
+    np.divide(hits, stats.counts, out=trans_acc, where=defined)
+    mean = float(trans_acc[defined].mean()) if defined.any() else 0.0
+    return LearningState(
+        trans_acc=trans_acc, trans_acc_defined=defined, mean_trans_acc=mean
+    )
+
+
+def compute_gain(stats, mult: MultiplierState, tau):
+    """Tempered loss weights ``[L, L+1]``: ``((1 + lambda) / prior) ** tau``
+    on observed transitions of classes with frames. Rows of zero-prior
+    classes hold ``0 ** tau``; no training frame can index them."""
     if tau < 0:
         raise ConfigError(f"temper exponent must be >= 0, got {tau}")
     prior = stats.prior
-    if active is None:
-        active = prior > 0
-    else:
-        active = np.asarray(active, dtype=bool)
-        if (prior[active] == 0).any():
-            bad = int(np.flatnonzero(active & (prior == 0))[0])
-            raise ConfigError(f"class {bad} marked active but has zero prior")
     mult.validate(stats.valid_mask)
     gain = np.zeros_like(mult.lam)
     numer = 1.0 + stats.valid_mask * mult.lam
-    np.divide(numer, prior[:, None], out=gain, where=active[:, None])
-    # 0**0 == 1, so tau=0 yields exactly 1 everywhere, inactive rows included
-    tempered = gain ** float(tau)
-    return GainWeights(gain=gain, tempered=tempered, tau=float(tau), active=active)
+    np.divide(numer, prior[:, None], out=gain, where=(prior > 0)[:, None])
+    # 0**0 == 1, so tau=0 yields exactly 1 everywhere, zero-prior rows included
+    return gain ** float(tau)
 
 
-def frame_weights(weights: GainWeights, frame_labels, prev_action):
+def frame_weights(tempered, frame_labels, prev_action):
     """Per-frame ``tempered[label, prev]``: the softmax_xent_grad weights."""
-    return weights.tempered[frame_labels, prev_action]
+    return tempered[frame_labels, prev_action]
 
 
-def lagrangian_value(confusion, stats, mult: MultiplierState):
+def lagrangian_value(hits, stats, mult: MultiplierState):
     """Saddle-point objective at the current classifier and multipliers.
 
     Relative accuracy terms use the frozen mean snapshot carried by
     ``mult``; the per-constraint factor T/prior balances the constraint
     magnitudes against the accuracy objective.
     """
-    L = confusion.num_classes
-    diag = confusion.counts[np.arange(L), np.arange(L), :] / confusion.total_frames
+    diag = hits / stats.total
     prior = stats.prior
     trans = stats.transition
     active = prior > 0
@@ -122,14 +135,12 @@ def lagrangian_value(confusion, stats, mult: MultiplierState):
     return acc_sum + float((mult.lam * slack * scale)[valid].sum())
 
 
-def update_multipliers(mult: MultiplierState, confusion, stats) -> MultiplierState:
+def update_multipliers(mult: MultiplierState, state: LearningState, stats):
     """One projected gradient step on the multipliers.
 
     Refreshes the detached mean first, then for every observed transition
     moves lambda against the constraint slack and clamps at zero.
-    Transitions the confusion pass never saw keep their multiplier.
     """
-    state = learning_state(confusion, stats)
     mean = state.mean_trans_acc
     prior = stats.prior
     active = prior > 0
@@ -142,14 +153,13 @@ def update_multipliers(mult: MultiplierState, confusion, stats) -> MultiplierSta
     return replace(mult, lam=lam, detached_mean_trans_acc=mean)
 
 
-def count_violations(confusion, stats, mult: MultiplierState):
+def count_violations(state: LearningState, mult: MultiplierState):
     """Observed transitions currently below the tolerance line."""
-    state = learning_state(confusion, stats)
     below = state.trans_acc < mult.epsilon * mult.detached_mean_trans_acc
     return int((below & state.trans_acc_defined).sum())
 
 
-def telemetry_record(epoch, confusion, stats, before, after):
+def telemetry_record(epoch, hits, state: LearningState, stats, before, after):
     """Per-epoch telemetry: the objective the multiplier step descended
     (pre-update multipliers, refreshed mean) plus post-update summaries."""
     probe = replace(
@@ -159,10 +169,10 @@ def telemetry_record(epoch, confusion, stats, before, after):
     lam = after.lam[valid]
     return {
         "epoch": int(epoch),
-        "lagrangian": lagrangian_value(confusion, stats, probe),
+        "lagrangian": lagrangian_value(hits, stats, probe),
         "mean_trans_acc": after.detached_mean_trans_acc,
         "lambda_min": float(lam.min()) if lam.size else 0.0,
         "lambda_mean": float(lam.mean()) if lam.size else 0.0,
         "lambda_max": float(lam.max()) if lam.size else 0.0,
-        "violations": count_violations(confusion, stats, after),
+        "violations": count_violations(state, after),
     }

@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check
+that config validation raises them from."""
 
 
 class LtsegError(Exception):
@@ -35,3 +36,10 @@ class TrainingDivergedError(LtsegError, RuntimeError):
             "training diverged at epoch %d (mean loss %r is not finite)"
             % (epoch, mean_loss)
         )
+
+
+def require_int(name, value):
+    """Raise ConfigError naming ``name`` unless ``value`` is an int; a
+    bool is not one, although Python counts it as such."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")

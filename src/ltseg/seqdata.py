@@ -1,10 +1,10 @@
 """Labeled frame sequences, synthetic long-tailed data, and dataset I/O.
 
-A sequence is a feature matrix [D x T] plus a class label per frame. The
-same labeling is carried in two mutually consistent views: frame-wise
-(one id per frame) and segment-wise (maximal runs of a single class).
-Each frame also records the label of the preceding segment, with the
-synthetic 'start' class (index L) standing in before the first segment.
+A sequence is a feature matrix [D x T] plus a class label per frame.
+Each frame also records the label of the preceding segment (maximal run
+of a single class), with the synthetic 'start' class (index L) standing
+in before the first segment. ``segmentation_from_frames`` gives the
+segment-wise view of a labeling.
 """
 
 import io
@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, EmptySequenceError, ParseError, RangeError
+from .errors import (
+    ConfigError,
+    EmptySequenceError,
+    ParseError,
+    RangeError,
+    require_int,
+)
 
 START = "start"
 
@@ -29,43 +35,9 @@ class Segmentation:
 
     segments: tuple
 
-    def __len__(self):
-        return len(self.segments)
-
-    @property
-    def num_frames(self):
-        return self.segments[-1][1] + 1 if self.segments else 0
-
     def labels(self):
         """Per-segment label array, in temporal order."""
         return np.array([label for _, _, label in self.segments], dtype=np.int64)
-
-    def expand(self):
-        """Frame-wise labels; inverse of :func:`segmentation_from_frames`."""
-        out = np.empty(self.num_frames, dtype=np.int64)
-        for start, end, label in self.segments:
-            out[start : end + 1] = label
-        return out
-
-    def validate(self, num_classes=None):
-        if not self.segments:
-            raise EmptySequenceError("segmentation has no segments")
-        prev_end = -1
-        prev_label = None
-        for start, end, label in self.segments:
-            if start != prev_end + 1 or end < start:
-                raise ConfigError(
-                    f"segment ({start}, {end}) does not continue from frame {prev_end}"
-                )
-            if label == prev_label:
-                raise ConfigError(f"adjacent segments share label {label}")
-            if label < 0 or (num_classes is not None and label >= num_classes):
-                raise RangeError(
-                    f"segment label {label} outside [0, {num_classes})"
-                )
-            prev_end = end
-            prev_label = label
-        return self
 
 
 def segmentation_from_frames(frame_labels) -> Segmentation:
@@ -83,26 +55,14 @@ def segmentation_from_frames(frame_labels) -> Segmentation:
     )
 
 
-def prev_action_from_segmentation(segmentation, num_classes):
-    """Previous-segment label per frame; 'start' (= num_classes) before
-    the first segment."""
-    out = np.empty(segmentation.num_frames, dtype=np.int64)
-    prev = num_classes
-    for start, end, label in segmentation.segments:
-        out[start : end + 1] = prev
-        prev = label
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class LabeledSequence:
-    """One sequence: features [D x T], a label per frame, the previous
-    action per frame, and the derived segmentation."""
+    """One sequence: features [D x T], a label per frame and the previous
+    action per frame."""
 
     features: np.ndarray
     frame_labels: np.ndarray
     prev_action: np.ndarray
-    segmentation: Segmentation
     seq_id: str = ""
 
     @property
@@ -115,8 +75,8 @@ class LabeledSequence:
 
     @classmethod
     def from_frames(cls, features, frame_labels, num_classes, seq_id=""):
-        """Build a sequence from raw arrays, deriving the segment view and
-        previous actions, and checking every invariant."""
+        """Build a sequence from raw arrays, deriving the previous actions
+        from the run-length encoding, and checking every invariant."""
         feats = np.asarray(features, dtype=np.float32)
         labels = np.asarray(frame_labels, dtype=np.int64)
         if labels.ndim != 1 or labels.size == 0:
@@ -140,13 +100,15 @@ class LabeledSequence:
                 f"sequence {seq_id or '<unnamed>'}: label {bad} outside "
                 f"[0, {num_classes})"
             )
-        seg = segmentation_from_frames(labels).validate(num_classes)
-        prev = prev_action_from_segmentation(seg, num_classes)
+        prev = np.empty(labels.size, dtype=np.int64)
+        before = num_classes  # 'start'
+        for start, end, label in segmentation_from_frames(labels).segments:
+            prev[start : end + 1] = before
+            before = label
         return cls(
             features=np.ascontiguousarray(feats),
             frame_labels=labels,
             prev_action=prev,
-            segmentation=seg,
             seq_id=seq_id,
         )
 
@@ -282,6 +244,8 @@ class SynthConfig:
     rng_seed: int = 0
 
     def validate(self):
+        for name in ("num_classes", "feature_dim", "num_sequences"):
+            require_int(name, getattr(self, name))
         if self.num_classes < 2:
             raise ConfigError(
                 f"need at least 2 classes to alternate segments, got {self.num_classes}"

@@ -18,18 +18,16 @@ import pytest
 from ltseg import _kernels
 from ltseg import classifier as clf
 from ltseg import cli
-from ltseg import confusion as cf
 from ltseg import costsens as cs
 from ltseg import decode as dec
 from ltseg import metrics as mx
 from ltseg import seqdata as sd
 
 
-def random_gain(rng, num_classes):
-    gain = rng.uniform(0.2, 3.0, (num_classes, num_classes + 1))
-    tempered = rng.uniform(0.2, 3.0, (num_classes, num_classes + 1))
-    active = np.ones(num_classes, bool)
-    return cs.GainWeights(gain=gain, tempered=tempered, tau=1.0, active=active)
+def random_gains(rng, num_classes):
+    """Two independent positive ``[L, L+1]`` gain arrays."""
+    shape = (num_classes, num_classes + 1)
+    return rng.uniform(0.2, 3.0, shape), rng.uniform(0.2, 3.0, shape)
 
 
 def window_oracle(features, radius, t):
@@ -64,7 +62,8 @@ def test_criterion_01_weighted_ce_gradient():
         logits = rng.normal(scale=3.0, size=(num_classes, frames))
         labels = rng.integers(num_classes, size=frames)
         prev = rng.integers(num_classes + 1, size=frames)
-        weights = cs.frame_weights(random_gain(rng, num_classes), labels, prev)
+        _, tempered = random_gains(rng, num_classes)
+        weights = cs.frame_weights(tempered, labels, prev)
         _, grad = _kernels.softmax_xent_grad(logits, labels, weights)
         step = 1e-5
         fd = np.empty_like(logits)
@@ -87,7 +86,8 @@ def test_criterion_01_weighted_ce_gradient():
     seq = sd.LabeledSequence.from_frames(features, [0, 2, 1], 3, seq_id="fd")
     store = clf.FrameStore.build(sd.Dataset.build([seq], 3), 1)
     phi = store.gather(np.arange(3))
-    weights = cs.frame_weights(random_gain(rng, 3), store.labels, store.prev_action)
+    _, tempered = random_gains(rng, 3)
+    weights = cs.frame_weights(tempered, store.labels, store.prev_action)
     params = clf.ClassifierParams(
         weights=rng.normal(scale=0.5, size=(3, 6)),
         bias=rng.normal(scale=0.1, size=3),
@@ -117,7 +117,7 @@ def test_criterion_01_weighted_ce_gradient():
     assert time.perf_counter() - start < 10.0
 
 
-# -- 2. confusion tensor oracle ----------------------------------------------
+# -- 2. learning-state count oracle ------------------------------------------
 
 
 def test_criterion_02_confusion_oracle(monkeypatch):
@@ -144,18 +144,20 @@ def test_criterion_02_confusion_oracle(monkeypatch):
             bias=rng.normal(size=num_classes),
             context_radius=1,
         )
-        got = clf.store_confusion(params, clf.FrameStore.build(dataset, 1))
-        want = np.zeros(
+        got = clf.store_hits(params, clf.FrameStore.build(dataset, 1))
+        # oracle: the full (truth, prediction, previous action) tensor
+        tensor = np.zeros(
             (num_classes, num_classes, num_classes + 1), np.int64
         )
         for seq in dataset.sequences:
             pred = argmax_oracle(params, seq)
             for t in range(seq.num_frames):
-                want[seq.frame_labels[t], pred[t], seq.prev_action[t]] += 1
-        assert np.array_equal(got.counts, want)
-        assert got.total_frames == dataset.total_frames
+                tensor[seq.frame_labels[t], pred[t], seq.prev_action[t]] += 1
+        classes = np.arange(num_classes)
+        assert np.array_equal(got, tensor[classes, classes])
+        # the learning state's support: every frame was predicted
         stats = sd.compute_transition_stats(dataset)
-        assert np.array_equal(got.transition_counts(), stats.counts)
+        assert np.array_equal(tensor.sum(axis=1), stats.counts)
     assert time.perf_counter() - start < 10.0
 
 
@@ -184,14 +186,15 @@ def test_criterion_03_reductions():
     rng = np.random.default_rng(33)
     num_classes = 5
     counts = rng.integers(0, 30, (num_classes, num_classes, num_classes + 1))
-    tensor = cf.ConfusionTensor(
-        counts=counts.astype(np.int64), total_frames=int(counts.sum())
-    )
-    stats = sd.TransitionStats(counts=tensor.transition_counts(), total=int(counts.sum()))
+    classes = np.arange(num_classes)
+    hits = counts[classes, classes]
+    stats = sd.TransitionStats(counts=counts.sum(axis=1), total=int(counts.sum()))
     mult = cs.MultiplierState.zeros(stats)
-    state = cf.learning_state(tensor, stats)
-    value = cs.lagrangian_value(tensor, stats, mult)
-    want = state.class_acc[state.class_acc_defined].sum()
+    value = cs.lagrangian_value(hits, stats, mult)
+    # the sum of per-class accuracies over classes that have frames
+    support = stats.counts.sum(axis=1)
+    present = support > 0
+    want = (hits.sum(axis=1)[present] / support[present]).sum()
     assert value == pytest.approx(want, abs=1e-9)
 
 
@@ -201,19 +204,20 @@ def test_criterion_03_reductions():
 def test_criterion_04_multiplier_dynamics():
     start = time.perf_counter()
     num_classes, prev = 3, 4
-    counts = np.zeros((num_classes, num_classes, prev), np.int64)
-    counts[0, 0, 1], counts[0, 2, 1] = 4, 36  # Tacc 0.1, under-learned
-    counts[1, 1, 0], counts[1, 0, 0] = 36, 4  # Tacc 0.9, satisfied
-    counts[2, 2, 2], counts[2, 0, 2] = 10, 10  # Tacc 0.5, near the mean
-    tensor = cf.ConfusionTensor(counts=counts, total_frames=int(counts.sum()))
-    stats = sd.TransitionStats(counts=tensor.transition_counts(), total=int(counts.sum()))
+    support = np.zeros((num_classes, prev), np.int64)
+    hits = np.zeros((num_classes, prev), np.int64)
+    support[0, 1], hits[0, 1] = 40, 4  # Tacc 0.1, under-learned
+    support[1, 0], hits[1, 0] = 40, 36  # Tacc 0.9, satisfied
+    support[2, 2], hits[2, 2] = 20, 10  # Tacc 0.5, near the mean
+    stats = sd.TransitionStats(counts=support, total=int(support.sum()))
+    state = cs.learning_state(hits, stats)  # a frozen classifier
     mult = cs.MultiplierState.zeros(stats, step_size=0.01, epsilon=0.9)
     mult.lam[1, 0] = 0.04  # must decay back to zero
 
     valid = stats.valid_mask
     low_path, high_path = [], []
     for _ in range(20):
-        mult = cs.update_multipliers(mult, tensor, stats)
+        mult = cs.update_multipliers(mult, state, stats)
         assert (mult.lam >= 0).all()
         assert not mult.lam[~valid].any()
         low_path.append(mult.lam[0, 1])
@@ -234,7 +238,7 @@ def bayes_optimal_decision(posteriors, gain, u):
     """The answer with the highest expected gain under a diagonal gain
     (only correct answers pay off, weighted per class and previous
     action); ties go to the smallest class id."""
-    scores = [p * gain.gain[j, u] for j, p in enumerate(posteriors)]
+    scores = [p * gain[j, u] for j, p in enumerate(posteriors)]
     return max(range(len(scores)), key=lambda j: (scores[j], -j))
 
 
@@ -244,10 +248,10 @@ def test_criterion_05_bayes_calibration():
     for _ in range(10_000):
         num_classes = int(rng.integers(2, 7))
         posterior = rng.dirichlet(np.ones(num_classes))
-        weights = random_gain(rng, num_classes)
+        gain, _ = random_gains(rng, num_classes)
         u = int(rng.integers(num_classes + 1))
-        got = bayes_optimal_decision(posterior, weights, u)
-        scores = posterior * weights.gain[:, u]
+        got = bayes_optimal_decision(posterior, gain, u)
+        scores = posterior * gain[:, u]
         assert got == int(np.argmax(scores))
 
     # trained-with-weighted-CE boundary lands on the analytic weighted rule
@@ -389,11 +393,12 @@ def test_criterion_07_sncm_over_segmentation():
         ncm = dec.decode_sequence(params, seq, "ncm", means=means)
         argmax = dec.decode_sequence(params, seq, "argmax")
         sncm = dec.decode_sequence(params, seq, "sncm", means=means)
-        true_count += len(seq.segmentation.segments)
+        truth_seg = sd.segmentation_from_frames(seq.frame_labels)
+        true_count += len(truth_seg.segments)
         ncm_count += len(sd.segmentation_from_frames(ncm).segments)
         argmax_count += len(sd.segmentation_from_frames(argmax).segments)
         sncm_count += len(sd.segmentation_from_frames(sncm).segments)
-        truth_labels = seq.segmentation.labels()
+        truth_labels = truth_seg.labels()
         ncm_edits.append(
             mx.edit_score(sd.segmentation_from_frames(ncm).labels(), truth_labels)
         )

@@ -10,7 +10,6 @@ import pytest
 
 from ltseg import _kernels
 from ltseg import classifier as clf
-from ltseg import confusion as cf
 from ltseg import costsens as cs
 from ltseg import decode as dec
 from ltseg import seqdata as sd
@@ -134,7 +133,7 @@ def test_training_gradient_matches_finite_differences():
             z = _frame_logits(p, seq, t)
             log_p = z - z.max() - math.log(np.exp(z - z.max()).sum())
             y, u = int(seq.frame_labels[t]), int(seq.prev_action[t])
-            out += gain.tempered[y, u] * -log_p[y]
+            out += gain[y, u] * -log_p[y]
         return out / 3
 
     store = clf.FrameStore.build(ds, 1)
@@ -248,7 +247,9 @@ def test_frame_store_rows_equal_window_stack(radius):
 def _reference_train(dataset, config):
     """The training loop one sequence at a time: row-major logits, a
     per-frame-row softmax, per-sequence gradient sums and, under
-    cost_sensitive, a per-sequence confusion count."""
+    cost_sensitive, a full (truth, prediction, previous action) confusion
+    tensor counted per sequence, with the learning state read off its
+    diagonal and its marginal over predictions."""
     stats = sd.compute_transition_stats(dataset)
     mult = cs.MultiplierState.zeros(stats, step_size=config.gamma,
                                     epsilon=config.epsilon)
@@ -296,13 +297,20 @@ def _reference_train(dataset, config):
             for seq in dataset.sequences:
                 phi = _kernels.window_stack(seq.features, config.context_radius)
                 pred = np.argmax(phi @ params.weights.T + params.bias, axis=1)
-                _kernels.count_confusion_into(
-                    counts, seq.frame_labels, pred, seq.prev_action
-                )
-            tensor = cf.ConfusionTensor(counts=counts,
-                                        total_frames=dataset.total_frames)
-            updated = cs.update_multipliers(mult, tensor, stats)
-            record = cs.telemetry_record(epoch, tensor, stats, mult, updated)
+                np.add.at(counts, (seq.frame_labels, pred, seq.prev_action), 1)
+            hits = counts[np.arange(L), np.arange(L)]
+            support = counts.sum(axis=1)
+            defined = support > 0
+            trans_acc = np.zeros((L, L + 1))
+            np.divide(hits.astype(np.float64), support.astype(np.float64),
+                      out=trans_acc, where=defined)
+            state = cs.LearningState(
+                trans_acc=trans_acc, trans_acc_defined=defined,
+                mean_trans_acc=float(trans_acc[defined].mean()),
+            )
+            updated = cs.update_multipliers(mult, state, stats)
+            record = cs.telemetry_record(epoch, hits, state, stats, mult,
+                                         updated)
             record["loss"] = epoch_loss / dataset.total_frames
             mult = updated
         telemetry.append(record)
@@ -326,25 +334,34 @@ def test_train_matches_per_sequence_reference(loss_mode):
     assert len(telemetry) == len(want_telemetry) == 2
     for got, want in zip(telemetry, want_telemetry):
         # the loss sums the same terms in another order; the rest comes
-        # from identical confusion counts and must match exactly
+        # from identical hit counts and must match exactly
         assert got.pop("loss") == pytest.approx(want.pop("loss"), rel=1e-12)
         assert got == want
 
 
 @pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)
 def test_confusion_pass_runs_only_for_cost_sensitive(monkeypatch, loss_mode):
-    calls = []
-    real = clf.store_confusion
+    # one hit count and one learning state per cost_sensitive epoch,
+    # none under the other modes
+    calls, states = [], []
+    real_hits, real_state = clf.store_hits, cs.learning_state
 
-    def counting(params, store):
+    def counting_hits(params, store):
         calls.append(store.num_frames)
-        return real(params, store)
+        return real_hits(params, store)
 
-    monkeypatch.setattr(clf, "store_confusion", counting)
+    def counting_state(hits, stats):
+        states.append(hits.shape)
+        return real_state(hits, stats)
+
+    monkeypatch.setattr(clf, "store_hits", counting_hits)
+    monkeypatch.setattr(cs, "learning_state", counting_state)
     ds = _separable_dataset(seed=3)
     clf.train(ds, clf.TrainConfig(epochs=4, batch_size=4, loss_mode=loss_mode))
     want = 4 if loss_mode == "cost_sensitive" else 0
     assert calls == [ds.total_frames] * want
+    L = ds.num_classes
+    assert states == [(L, L + 1)] * want
 
 
 def test_first_epoch_gain_uses_initial_multipliers():

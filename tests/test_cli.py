@@ -112,12 +112,22 @@ def test_config_requires_single_source(tmp_path):
         ("iou_thresholds", [True]),
         ("head_threshold", "x"),
         ("head_threshold", 2.5),
+        ("train.epochs", 2.5),
+        ("train.epochs", True),
+        ("train.batch_size", 2.5),
+        ("train.context_radius", 1.5),
+        ("dataset.synthetic.num_sequences", 2.5),
+        ("dataset.synthetic.num_classes", 3.0),
+        ("dataset.synthetic.feature_dim", "4"),
     ],
 )
 def test_config_field_of_wrong_type_named(tmp_path, capsys, field, value):
-    path = write_config(
-        tmp_path / "cfg.json", out=str(tmp_path / "runs"), **{field: value}
-    )
+    # a dotted field sits in nested sections; errors name its last part
+    *sections, field = field.split(".")
+    data = {field: value}
+    for section in reversed(sections):
+        data = {section: data}
+    path = write_config(tmp_path / "cfg.json", out=str(tmp_path / "runs"), **data)
     with pytest.raises(ConfigError, match=field):
         cli.load_config(path)
     assert cli.main(["train", "--config", path]) == 2

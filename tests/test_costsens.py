@@ -1,4 +1,5 @@
-"""Gain weights, weighted cross-entropy, Lagrangian, multiplier updates."""
+"""Learning state, gain weights, weighted cross-entropy, Lagrangian,
+multiplier updates."""
 
 import math
 from dataclasses import replace
@@ -7,8 +8,9 @@ import numpy as np
 import pytest
 
 from ltseg import _kernels
-from ltseg import confusion as cf
+from ltseg import classifier as clf
 from ltseg import costsens as cs
+from ltseg import decode as dec
 from ltseg import seqdata as sd
 from ltseg.errors import ConfigError
 
@@ -26,10 +28,7 @@ def _uniform_stats(num_classes, prev=3):
 def test_gain_zero_multipliers_is_inverse_prior():
     stats = _uniform_stats(2, prev=3)
     mult = cs.MultiplierState.zeros(stats)
-    weights = cs.compute_gain(stats, mult, tau=1.0)
-    assert np.all(weights.gain == 2.0)
-    assert np.all(weights.tempered == 2.0)
-    assert weights.active.all()
+    assert np.all(cs.compute_gain(stats, mult, tau=1.0) == 2.0)
 
 
 def test_gain_direct_evaluation():
@@ -37,12 +36,12 @@ def test_gain_direct_evaluation():
     lam = np.zeros((4, 5))
     lam[1, 2] = 0.5
     mult = replace(cs.MultiplierState.zeros(stats), lam=lam)
-    weights = cs.compute_gain(stats, mult, tau=1.0)
-    assert weights.gain[1, 2] == pytest.approx((1 + 0.5) / 0.25)
-    assert weights.gain[0, 0] == pytest.approx(4.0)
+    gain = cs.compute_gain(stats, mult, tau=1.0)
+    assert gain[1, 2] == pytest.approx((1 + 0.5) / 0.25)
+    assert gain[0, 0] == pytest.approx(4.0)
     half = cs.compute_gain(stats, mult, tau=0.5)
-    assert half.tempered[1, 2] == pytest.approx(6 ** 0.5)
-    assert half.tempered[1, 2] == pytest.approx(2.449, abs=5e-4)
+    assert half[1, 2] == pytest.approx(6 ** 0.5)
+    assert half[1, 2] == pytest.approx(2.449, abs=5e-4)
 
 
 def test_gain_tau_zero_is_all_ones():
@@ -50,8 +49,7 @@ def test_gain_tau_zero_is_all_ones():
     stats = sd.compute_transition_stats(ds)
     lam = np.where(stats.valid_mask, 0.7, 0.0)
     mult = replace(cs.MultiplierState.zeros(stats), lam=lam)
-    weights = cs.compute_gain(stats, mult, tau=0.0)
-    assert np.all(weights.tempered == 1.0)
+    assert np.all(cs.compute_gain(stats, mult, tau=0.0) == 1.0)
 
 
 def test_gain_inactive_classes_flagged():
@@ -59,14 +57,9 @@ def test_gain_inactive_classes_flagged():
     counts[0, 3] = 2
     counts[1, 0] = 2
     stats = _stats_from_counts(counts)  # class 2 never occurs
-    weights = cs.compute_gain(stats, cs.MultiplierState.zeros(stats), tau=1.0)
-    assert not weights.active[2]
-    assert np.all(weights.gain[2] == 0.0)
-    with pytest.raises(ConfigError):
-        cs.compute_gain(
-            stats, cs.MultiplierState.zeros(stats), tau=1.0,
-            active=np.array([True, True, True]),
-        )
+    gain = cs.compute_gain(stats, cs.MultiplierState.zeros(stats), tau=1.0)
+    assert np.all(gain[2] == 0.0)
+    assert np.all(gain[:2][stats.valid_mask[:2]] == 2.0)
 
 
 def test_multiplier_state_validation():
@@ -83,11 +76,7 @@ def test_multiplier_state_validation():
 
 
 def _unit_weights(num_classes, prev_states=None):
-    stats = _uniform_stats(num_classes, prev=(prev_states or num_classes + 1))
-    mult = cs.MultiplierState.zeros(stats)
-    weights = cs.compute_gain(stats, mult, tau=1.0)
-    # overwrite with unit weights for loss-contract tests
-    return replace(weights, tempered=np.ones_like(weights.tempered))
+    return np.ones((num_classes, prev_states or num_classes + 1))
 
 
 def _frame_grad(logits, y, u, weights):
@@ -113,14 +102,14 @@ def test_weighted_ce_loss_examples():
     uniform = np.full(4, 0.25)
     assert _frame_loss(uniform, 2, 1, w1) == pytest.approx(math.log(4))
 
-    w2 = replace(w1, tempered=np.full_like(w1.tempered, 2.449))
+    w2 = np.full_like(w1, 2.449)
     probs = np.array([0.3, 0.3, 0.2, 0.2])
     got = _frame_loss(probs, 0, 3, w2)
     assert got == pytest.approx(2.449 * -math.log(0.3), rel=1e-12)
     assert got == pytest.approx(2.948, abs=2e-3)
 
     # the weight is tempered[class, previous action], not the transpose
-    w3 = replace(w1, tempered=np.arange(20.0).reshape(4, 5) + 1.0)
+    w3 = np.arange(20.0).reshape(4, 5) + 1.0
     assert _frame_loss(uniform, 1, 3, w3) == pytest.approx(9.0 * math.log(4))
 
 
@@ -137,7 +126,7 @@ def test_grad_symmetry_and_scaling():
     w = _unit_weights(2, prev_states=3)
     _, grad = _frame_grad(np.array([1.7, 1.7]), 0, 0, w)
     assert grad == pytest.approx([-0.5, 0.5])
-    w0 = replace(w, tempered=np.zeros_like(w.tempered))
+    w0 = np.zeros_like(w)
     assert np.all(_frame_grad(np.array([3.0, -1.0]), 0, 0, w0)[1] == 0.0)
 
 
@@ -162,7 +151,7 @@ def test_grad_matches_finite_differences():
             # oracle: softmax and -w * log p by hand
             p = np.exp(v - v.max())
             p /= p.sum()
-            return weights.tempered[y, u] * -math.log(p[y])
+            return weights[y, u] * -math.log(p[y])
 
         for j in range(L):
             bump = np.zeros(L)
@@ -208,22 +197,122 @@ def test_uniform_prior_zero_lambda_scales_plain_ce():
         assert np.allclose(grad, L * q, rtol=1e-12, atol=1e-15)
 
 
-def _confusion_of(ds, predict):
-    """Tensor of fixed per-sequence predictions ``predict(seq)``."""
+def _hits_of(ds, predict):
+    """Correct frames per (class, previous action) of fixed per-sequence
+    predictions ``predict(seq)``, counted one frame at a time."""
     L = ds.num_classes
-    counts = np.zeros((L, L, L + 1), np.int64)
+    hits = np.zeros((L, L + 1), np.int64)
     for seq in ds.sequences:
-        _kernels.count_confusion_into(
-            counts, seq.frame_labels, predict(seq), seq.prev_action
+        for y, p, u in zip(seq.frame_labels, predict(seq), seq.prev_action):
+            hits[y, u] += y == p
+    return hits
+
+
+def _class_acc_sum(hits, stats):
+    """Sum of per-class accuracies over the classes that have frames."""
+    support = stats.counts.sum(axis=1)
+    present = support > 0
+    return (hits.sum(axis=1)[present] / support[present]).sum()
+
+
+def _random_params(ds, seed, radius=1):
+    rng = np.random.default_rng(seed)
+    params = clf.ClassifierParams.zeros(ds.num_classes, ds.feature_dim, radius)
+    params.weights[:] = rng.standard_normal(params.weights.shape)
+    params.bias[:] = rng.standard_normal(ds.num_classes)
+    return params
+
+
+def _dataset(num_classes=3, num_sequences=12, seed=0, feature_dim=4):
+    return sd.generate_synthetic(
+        sd.SynthConfig(
+            num_classes=num_classes,
+            feature_dim=feature_dim,
+            num_sequences=num_sequences,
+            mean_segments=5.0,
+            duration_mean=6.0,
+            rng_seed=seed,
         )
-    return cf.ConfusionTensor(counts=counts, total_frames=ds.total_frames)
+    )
 
 
-def _perfect_confusion(stats):
-    L = stats.num_classes
-    counts = np.zeros((L, L, L + 1), np.int64)
-    counts[np.arange(L), np.arange(L), :] = stats.counts
-    return cf.ConfusionTensor(counts=counts, total_frames=int(stats.counts.sum()))
+def _perfect(seq):
+    return seq.frame_labels
+
+
+def test_perfect_classifier_diagonal_support():
+    ds = _dataset()
+    stats = sd.compute_transition_stats(ds)
+    hits = _hits_of(ds, _perfect)
+    assert np.array_equal(hits, stats.counts)
+    state = cs.learning_state(hits, stats)
+    assert np.all(state.trans_acc[state.trans_acc_defined] == 1.0)
+    assert state.mean_trans_acc == 1.0
+
+
+def test_constant_classifier():
+    ds = _dataset()
+    stats = sd.compute_transition_stats(ds)
+    hits = _hits_of(ds, lambda s: np.zeros(s.num_frames, np.int64))
+    assert np.array_equal(hits[0], stats.counts[0])
+    assert not hits[1:].any()
+    state = cs.learning_state(hits, stats)
+    assert np.all(state.trans_acc[0][state.trans_acc_defined[0]] == 1.0)
+    assert np.all(state.trans_acc[1:] == 0.0)
+
+
+def test_counts_match_per_frame_oracle():
+    ds = _dataset(num_classes=3, num_sequences=6, seed=5)
+    params = _random_params(ds, seed=77)
+    hits = clf.store_hits(params, clf.FrameStore.build(ds, 1))
+    expect = _hits_of(ds, lambda seq: dec.decode_sequence(params, seq, "argmax"))
+    assert np.array_equal(hits, expect)
+
+
+def test_sequence_order_invariance():
+    ds = _dataset(num_classes=3, num_sequences=8, seed=9)
+    params = _random_params(ds, seed=4)
+    a = clf.store_hits(params, clf.FrameStore.build(ds, 1))
+    shuffled = sd.Dataset.build(ds.sequences[::-1], ds.num_classes, ds.class_names)
+    b = clf.store_hits(params, clf.FrameStore.build(shuffled, 1))
+    assert np.array_equal(a, b)
+
+
+def test_learning_state_four_frame_example():
+    # two 2-frame sequences: [B, A] and [A, B] (A=0, B=1, start=2);
+    # classifier is right exactly on the frames that follow 'start'
+    feats = np.zeros((1, 2), np.float32)
+    seqs = [
+        sd.LabeledSequence.from_frames(feats, [1, 0], 2, seq_id="p"),
+        sd.LabeledSequence.from_frames(feats, [0, 1], 2, seq_id="q"),
+    ]
+    ds = sd.Dataset.build(seqs, 2)
+    stats = sd.compute_transition_stats(ds)
+
+    def predict(seq):
+        pred = seq.frame_labels.copy()
+        wrong = seq.prev_action != 2
+        pred[wrong] = 1 - pred[wrong]
+        return pred
+
+    state = cs.learning_state(_hits_of(ds, predict), stats)
+    assert state.trans_acc[1, 2] == 1.0
+    assert state.trans_acc[0, 2] == 1.0
+    assert state.trans_acc[1, 0] == 0.0
+    assert state.trans_acc[0, 1] == 0.0
+    assert state.mean_trans_acc == pytest.approx(0.5)
+
+
+def test_undefined_entries_flagged_not_nan():
+    # class 2 exists in the inventory but never occurs
+    feats = np.zeros((1, 3), np.float32)
+    ds = sd.Dataset.build(
+        [sd.LabeledSequence.from_frames(feats, [0, 1, 0], 3)], 3
+    )
+    state = cs.learning_state(_hits_of(ds, _perfect), sd.compute_transition_stats(ds))
+    assert not state.trans_acc_defined[2].any()
+    assert np.isfinite(state.trans_acc).all()
+    assert np.all(state.trans_acc[2] == 0.0)
 
 
 def test_lagrangian_zero_lambda_is_accuracy_sum():
@@ -235,17 +324,16 @@ def test_lagrangian_zero_lambda_is_accuracy_sum():
         pred[::2] = (pred[::2] + 1) % ds.num_classes
         return pred
 
-    tensor = _confusion_of(ds, half)
+    hits = _hits_of(ds, half)
     mult = cs.MultiplierState.zeros(stats)
-    state = cf.learning_state(tensor, stats)
-    expect = state.class_acc[state.class_acc_defined].sum()
-    assert cs.lagrangian_value(tensor, stats, mult) == pytest.approx(expect, abs=1e-9)
+    expect = _class_acc_sum(hits, stats)
+    assert cs.lagrangian_value(hits, stats, mult) == pytest.approx(expect, abs=1e-9)
 
 
 def test_lagrangian_perfect_classifier_closed_form():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=4, num_sequences=15, rng_seed=9))
     stats = sd.compute_transition_stats(ds)
-    tensor = _perfect_confusion(stats)
+    hits = stats.counts.copy()
     rng = np.random.default_rng(3)
     lam = np.where(stats.valid_mask, rng.uniform(0, 1, stats.valid_mask.shape), 0.0)
     mult = replace(
@@ -255,11 +343,12 @@ def test_lagrangian_perfect_classifier_closed_form():
     active = int((stats.prior > 0).sum())
     scale = stats.transition / stats.prior[:, None]
     expect = active + 0.1 * (lam * scale)[stats.valid_mask].sum()
-    assert cs.lagrangian_value(tensor, stats, mult) == pytest.approx(expect, rel=1e-12)
+    assert cs.lagrangian_value(hits, stats, mult) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lagrangian_term_by_term_oracle():
-    # 3 classes, hand-built counts; oracle sums every term explicitly
+    # 3 classes, hand-built (truth, prediction, previous action) counts;
+    # oracle sums every term explicitly
     trans_counts = np.array(
         [[0, 2, 0, 6], [4, 0, 0, 2], [0, 4, 0, 0]], dtype=np.int64
     )
@@ -275,8 +364,8 @@ def test_lagrangian_term_by_term_oracle():
     counts[1, 2, 3] = 1
     counts[2, 2, 1] = 3
     counts[2, 0, 1] = 1
-    tensor = cf.ConfusionTensor(counts=counts, total_frames=int(counts.sum()))
-    assert np.array_equal(tensor.transition_counts(), trans_counts)
+    assert np.array_equal(counts.sum(axis=1), trans_counts)
+    hits = counts[np.arange(3), np.arange(3)]
 
     rng = np.random.default_rng(17)
     lam = np.where(stats.valid_mask, rng.uniform(0.1, 1.5, (3, 4)), 0.0)
@@ -297,7 +386,7 @@ def test_lagrangian_term_by_term_oracle():
             if t_ik > 0:
                 tacc = c_iik / t_ik
                 expect += lam[i, k] * (tacc - 0.9 * 0.62) * (t_ik / pi)
-    assert cs.lagrangian_value(tensor, stats, mult) == pytest.approx(expect, rel=1e-12)
+    assert cs.lagrangian_value(hits, stats, mult) == pytest.approx(expect, rel=1e-12)
 
 
 def _two_transition_setup():
@@ -305,45 +394,40 @@ def _two_transition_setup():
     # mean = 1/2, so with eps = 0.5 the second sits exactly on the line
     trans_counts = np.array([[0, 0, 4], [4, 0, 0]], dtype=np.int64)
     stats = _stats_from_counts(trans_counts)
-    counts = np.zeros((2, 2, 3), np.int64)
-    counts[0, 0, 2] = 3
-    counts[0, 1, 2] = 1
-    counts[1, 1, 0] = 1
-    counts[1, 0, 0] = 3
-    tensor = cf.ConfusionTensor(counts=counts, total_frames=8)
-    return stats, tensor
+    hits = np.array([[0, 0, 3], [1, 0, 0]], dtype=np.int64)
+    return stats, hits, cs.learning_state(hits, stats)
 
 
 def test_update_boundary_transition_unchanged():
-    stats, tensor = _two_transition_setup()
+    stats, _, state = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.2
     lam[1, 0] = 0.2
     mult = replace(cs.MultiplierState.zeros(stats, epsilon=0.5), lam=lam)
-    after = cs.update_multipliers(mult, tensor, stats)
+    after = cs.update_multipliers(mult, state, stats)
     assert after.detached_mean_trans_acc == pytest.approx(0.5)
     assert after.lam[1, 0] == 0.2  # exactly on the tolerance line
     assert after.lam[0, 2] < 0.2  # satisfied constraint decays
 
 
 def test_update_violated_constraint_raises_lambda():
-    stats, tensor = _two_transition_setup()
+    stats, _, state = _two_transition_setup()
     mult = cs.MultiplierState.zeros(stats, epsilon=0.9, step_size=0.01)
-    after = cs.update_multipliers(mult, tensor, stats)
+    after = cs.update_multipliers(mult, state, stats)
     # g = (1/4 - 0.9/2) * (T/pi) = -0.2 * 1 -> lambda = 0.002
     assert after.lam[1, 0] == pytest.approx(0.01 * 0.2, rel=1e-12)
     assert after.lam[1, 0] > 0
 
 
 def test_update_projection_clamps_to_zero():
-    stats, tensor = _two_transition_setup()
+    stats, _, state = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.001
     mult = replace(
         cs.MultiplierState.zeros(stats, epsilon=0.5, step_size=0.05), lam=lam
     )
     # g = (3/4 - 1/4) * 1 = 1/2; step = 0.025 > 0.001
-    after = cs.update_multipliers(mult, tensor, stats)
+    after = cs.update_multipliers(mult, state, stats)
     assert after.lam[0, 2] == 0.0
 
 
@@ -355,23 +439,23 @@ def test_update_support_and_nonnegativity():
         local = np.random.default_rng(seq.num_frames)
         return local.integers(0, ds.num_classes, seq.num_frames)
 
-    tensor = _confusion_of(ds, noisy)
+    state = cs.learning_state(_hits_of(ds, noisy), stats)
     mult = cs.MultiplierState.zeros(stats)
     for _ in range(30):
-        mult = cs.update_multipliers(mult, tensor, stats)
+        mult = cs.update_multipliers(mult, state, stats)
         assert (mult.lam >= 0).all()
         assert not mult.lam[~stats.valid_mask].any()
 
 
 def test_monotone_constraint_response():
-    stats, tensor = _two_transition_setup()
+    stats, _, state = _two_transition_setup()
     mult = cs.MultiplierState.zeros(stats, epsilon=0.9, step_size=0.01)
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.05  # satisfied constraint, positive start
     mult = replace(mult, lam=lam)
     under, over = [], []
     for _ in range(20):
-        mult = cs.update_multipliers(mult, tensor, stats)
+        mult = cs.update_multipliers(mult, state, stats)
         under.append(mult.lam[1, 0])
         over.append(mult.lam[0, 2])
     assert all(b > a for a, b in zip([0.0] + under[:-1], under))
@@ -382,16 +466,13 @@ def test_monotone_constraint_response():
 
 
 def test_telemetry_record_fields():
-    stats, tensor = _two_transition_setup()
+    stats, hits, state = _two_transition_setup()
     before = cs.MultiplierState.zeros(stats, epsilon=0.9)
-    after = cs.update_multipliers(before, tensor, stats)
-    rec = cs.telemetry_record(3, tensor, stats, before, after)
+    after = cs.update_multipliers(before, state, stats)
+    rec = cs.telemetry_record(3, hits, state, stats, before, after)
     assert rec["epoch"] == 3
     assert rec["mean_trans_acc"] == pytest.approx(0.5)
     assert rec["violations"] == 1  # only (1 <- 0) sits below 0.9 * mean
     assert rec["lambda_max"] >= rec["lambda_mean"] >= rec["lambda_min"] >= 0
     # pre-update lambdas are all zero, so the probe objective is Acc sum
-    state = cf.learning_state(tensor, stats)
-    assert rec["lagrangian"] == pytest.approx(
-        state.class_acc[state.class_acc_defined].sum()
-    )
+    assert rec["lagrangian"] == pytest.approx(_class_acc_sum(hits, stats))

@@ -86,34 +86,6 @@ def test_softmax_xent_extreme_logits_no_overflow():
     assert np.isfinite(grad).all()
 
 
-# -- count_confusion_into ----------------------------------------------------
-
-
-def test_count_confusion_oracle():
-    rng = np.random.default_rng(9)
-    classes = 5
-    truth = rng.integers(0, classes, 300)
-    pred = rng.integers(0, classes, 300)
-    prev = rng.integers(0, classes + 1, 300)
-    counts = np.zeros((classes, classes, classes + 1), np.int64)
-    _kernels.count_confusion_into(counts, truth, pred, prev)
-    want = np.zeros_like(counts)
-    for y, p, u in zip(truth, pred, prev):
-        want[y, p, u] += 1
-    np.testing.assert_array_equal(counts, want)
-    assert counts.sum() == 300
-
-
-def test_count_confusion_accumulates_in_place():
-    counts = np.zeros((2, 2, 3), np.int64)
-    one = np.array([1])
-    for _ in range(2):
-        returned = _kernels.count_confusion_into(counts, one, one, one * 2)
-        assert returned is counts
-    assert counts[1, 1, 2] == 2
-    assert counts.sum() == 2
-
-
 # -- levenshtein -------------------------------------------------------------
 
 

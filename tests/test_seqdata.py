@@ -15,6 +15,15 @@ def _make_seq(labels, num_classes, dim=3, seed=0):
     return sd.LabeledSequence.from_frames(feats, labels, num_classes=num_classes)
 
 
+def _expand(seg):
+    """Frame-wise labels of a Segmentation, one segment at a time."""
+    out = []
+    for start, end, label in seg.segments:
+        assert start == len(out) and end >= start
+        out.extend([label] * (end - start + 1))
+    return np.array(out, dtype=np.int64)
+
+
 def test_segmentation_from_frames_examples():
     seg = sd.segmentation_from_frames([0, 0, 1, 1, 1, 0])
     assert seg.segments == ((0, 1, 0), (2, 4, 1), (5, 5, 0))
@@ -26,7 +35,7 @@ def test_segmentation_round_trip_random():
     for _ in range(1000):
         labels = rng.integers(0, 5, size=rng.integers(1, 40))
         seg = sd.segmentation_from_frames(labels)
-        assert np.array_equal(seg.expand(), labels)
+        assert np.array_equal(_expand(seg), labels)
         runs = seg.labels()
         assert (runs[1:] != runs[:-1]).all()
 
@@ -42,12 +51,14 @@ def test_prev_action_matches_slow_oracle():
         L = int(rng.integers(2, 7))
         labels = rng.integers(0, L, size=rng.integers(1, 50))
         seq = _make_seq(labels, num_classes=L)
-        # oracle: walk segments directly
+        # oracle: walk frames; a label change makes the old label the
+        # previous action
         expect = np.empty(len(labels), dtype=np.int64)
         prev = L
-        for start, end, seg_label in seq.segmentation.segments:
-            expect[start : end + 1] = prev
-            prev = seg_label
+        for t in range(len(labels)):
+            if t and labels[t] != labels[t - 1]:
+                prev = labels[t - 1]
+            expect[t] = prev
         assert np.array_equal(seq.prev_action, expect)
         assert seq.prev_action[0] == L
 
@@ -59,8 +70,10 @@ def test_from_frames_validations():
         sd.LabeledSequence.from_frames(
             np.array([[0.0, np.inf]]), [0, 1], num_classes=2
         )
-    with pytest.raises(RangeError):
-        sd.LabeledSequence.from_frames(np.zeros((1, 2)), [0, 5], num_classes=2)
+    with pytest.raises(RangeError, match="seq_x: label 5"):
+        sd.LabeledSequence.from_frames(
+            np.zeros((1, 2)), [0, 5], num_classes=2, seq_id="seq_x"
+        )
     with pytest.raises(EmptySequenceError):
         sd.LabeledSequence.from_frames(np.zeros((1, 0)), [], num_classes=2)
 
@@ -110,8 +123,8 @@ def test_generator_invariants():
     assert ds.feature_dim == 16
     assert ds.total_frames == sum(s.num_frames for s in ds.sequences)
     for seq in ds.sequences:
-        seg = seq.segmentation
-        assert np.array_equal(seg.expand(), seq.frame_labels)
+        seg = sd.segmentation_from_frames(seq.frame_labels)
+        assert np.array_equal(_expand(seg), seq.frame_labels)
         runs = seg.labels()
         assert (runs[1:] != runs[:-1]).all()
 
@@ -183,7 +196,6 @@ def _datasets_equal(a, b):
         assert sa.features.tobytes() == sb.features.tobytes()
         assert np.array_equal(sa.frame_labels, sb.frame_labels)
         assert np.array_equal(sa.prev_action, sb.prev_action)
-        assert sa.segmentation == sb.segmentation
 
 
 @pytest.mark.parametrize("fmt", ["binary", "csv"])
