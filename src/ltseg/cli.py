@@ -21,7 +21,7 @@ from . import classifier as clf
 from . import decode as dec
 from . import metrics as mx
 from . import seqdata as sd
-from .errors import ConfigError, LtsegError, TrainingDivergedError
+from .errors import ConfigError, LtsegError, TrainingDivergedError, require_int
 
 REPORT_F1_KEYS = ("0.10", "0.25", "0.50")
 
@@ -85,12 +85,7 @@ class ExperimentConfig:
             if not 0.0 < thr < 1.0:
                 raise ConfigError(f"IoU threshold {thr} outside (0, 1)")
         if self.head_threshold is not None:
-            if not isinstance(self.head_threshold, int) or isinstance(
-                self.head_threshold, bool
-            ):
-                raise ConfigError(
-                    f"head_threshold must be an integer, got {self.head_threshold!r}"
-                )
+            require_int("head_threshold", self.head_threshold)
             if self.head_threshold <= 0:
                 raise ConfigError(
                     f"head_threshold must be positive, got {self.head_threshold}"
@@ -122,8 +117,7 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
     _check_keys(data, _TOP_KEYS, "config")
 
     seed = overrides.pop("seed", data.get("seed", 0))
-    if not isinstance(seed, int) or isinstance(seed, bool):
-        raise ConfigError(f"seed must be an integer, got {seed!r}")
+    require_int("seed", seed)
 
     source = data.get("dataset", {"synthetic": {}})
     if not isinstance(source, dict):

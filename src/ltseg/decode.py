@@ -13,6 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError, EmptySequenceError
+from .seqdata import segmentation_from_frames
 
 DECODE_MODES = ("argmax", "ncm", "sncm")
 
@@ -91,14 +92,6 @@ def ncm_predict(means: ClassMeans, representations):
     return np.argmin(dist, axis=1).astype(np.int64)
 
 
-def segment_boundaries(predictions):
-    """Indices t where the label changes between frames t and t+1."""
-    pred = np.asarray(predictions)
-    if pred.size == 0:
-        raise EmptySequenceError("no predictions to find boundaries in")
-    return np.flatnonzero(pred[1:] != pred[:-1]).astype(np.int64)
-
-
 def sncm_decode(classifier_predictions, ncm_predictions):
     """Per classifier-delimited segment, output the mode of the NCM votes.
 
@@ -111,13 +104,9 @@ def sncm_decode(classifier_predictions, ncm_predictions):
         raise ConfigError(
             f"classifier gave {y_hat.shape[0]} frames, NCM {v_hat.shape[0]}"
         )
-    if y_hat.size == 0:
-        raise EmptySequenceError("empty prediction vectors")
     out = np.empty_like(v_hat)
-    bounds = segment_boundaries(y_hat)
-    starts = np.concatenate(([0], bounds + 1))
-    ends = np.concatenate((bounds, [y_hat.size - 1]))
-    for s, e in zip(starts, ends):
+    starts, ends, _ = segmentation_from_frames(y_hat)
+    for s, e in zip(starts.tolist(), ends.tolist()):
         votes = np.bincount(v_hat[s : e + 1])
         out[s : e + 1] = np.argmax(votes)  # first max = smallest id
     return out

@@ -3,6 +3,8 @@ head/tail group summaries.
 
 All scores are percentages. Per-class aggregates average only over
 classes that actually occur in the ground truth of the evaluation set.
+Segmental F1 matches segments from ``segmentation_from_frames`` and
+counts tp, fp and fn per class into one int64 [3, L] array.
 """
 
 from dataclasses import dataclass
@@ -11,7 +13,7 @@ import numpy as np
 
 from . import _kernels
 from .errors import ConfigError
-from .seqdata import Segmentation, segmentation_from_frames
+from .seqdata import segmentation_from_frames
 
 DEFAULT_IOU_THRESHOLDS = (0.10, 0.25, 0.50)
 
@@ -60,70 +62,45 @@ def _segment_iou(a, b):
     return inter / union
 
 
-def _match_counts(pred_seg: Segmentation, truth_seg: Segmentation, threshold):
-    """Greedy matching; returns {label: [tp, fp, fn]}.
+def _match_counts(pred, truth, threshold, counts):
+    """Greedy matching of one video pair, added into ``counts``: an int64
+    [3, L] array whose rows count tp, fp and fn per class.
 
-    Each predicted segment, in temporal order, takes the unmatched
+    ``pred`` and ``truth`` are ``segmentation_from_frames`` triples. Each
+    predicted segment, in temporal order, takes the unmatched
     ground-truth segment of its label with the highest IoU; it scores a
     true positive only if that IoU clears the threshold, and only then
     is the ground-truth segment consumed.
     """
-    counts = {}
-
-    def cell(label):
-        return counts.setdefault(label, [0, 0, 0])
-
     unmatched = {}
-    for idx, (s, e, label) in enumerate(truth_seg.segments):
-        unmatched.setdefault(label, []).append((s, e, idx))
-    for s, e, label in pred_seg.segments:
+    for s, e, label in zip(*(a.tolist() for a in truth)):
+        unmatched.setdefault(label, []).append((s, e))
+    hit = []
+    for s, e, label in zip(*(a.tolist() for a in pred)):
         candidates = unmatched.get(label, ())
         best = -1
         best_iou = 0.0
-        for pos, (gs, ge, _) in enumerate(candidates):
-            iou = _segment_iou((s, e), (gs, ge))
+        for pos, gt in enumerate(candidates):
+            iou = _segment_iou((s, e), gt)
             if iou > best_iou:
                 best, best_iou = pos, iou
-        if best >= 0 and best_iou >= threshold:
-            cell(label)[0] += 1
+        hit.append(best >= 0 and best_iou >= threshold)
+        if hit[-1]:
             candidates.pop(best)
-        else:
-            cell(label)[1] += 1
-    for label, remaining in unmatched.items():
-        cell(label)[2] += len(remaining)
-    return counts
-
-
-def _merge_counts(into, other):
-    for label, (tp, fp, fn) in other.items():
-        cell = into.setdefault(label, [0, 0, 0])
-        cell[0] += tp
-        cell[1] += fp
-        cell[2] += fn
-    return into
+    hit = np.array(hit, dtype=bool)
+    L = counts.shape[1]
+    tp = np.bincount(pred[2][hit], minlength=L)
+    counts[0] += tp
+    counts[1] += np.bincount(pred[2][~hit], minlength=L)
+    # every true positive consumed one ground-truth segment of its class
+    counts[2] += np.bincount(truth[2], minlength=L) - tp
 
 
 def _f1(tp, fp, fn):
+    """F1 in percent, elementwise over count arrays; 0 where there is
+    nothing to count."""
     denom = 2 * tp + fp + fn
-    return 100.0 * (2 * tp / denom) if denom else 0.0
-
-
-def _scores_from_counts(counts, truth_labels):
-    tp = sum(c[0] for c in counts.values())
-    fp = sum(c[1] for c in counts.values())
-    fn = sum(c[2] for c in counts.values())
-    per = [_f1(*counts.get(label, (0, 0, 0))) for label in sorted(truth_labels)]
-    per_class = float(np.mean(per)) if per else 0.0
-    return _f1(tp, fp, fn), per_class
-
-
-def segmental_f1(pred_seg, truth_seg, iou_threshold):
-    """(global F1, per-class F1) in percent for one video pair."""
-    if not 0 < iou_threshold < 1:
-        raise ConfigError(f"IoU threshold must be in (0, 1), got {iou_threshold}")
-    counts = _match_counts(pred_seg, truth_seg, iou_threshold)
-    truth_labels = {label for _, _, label in truth_seg.segments}
-    return _scores_from_counts(counts, truth_labels)
+    return 100.0 * np.divide(2 * tp, denom, out=np.zeros(denom.shape), where=denom > 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -160,52 +137,55 @@ def evaluate(
         raise ConfigError(
             f"{len(predictions)} prediction vectors vs {len(truths)} truth vectors"
         )
-    pred_segs = [segmentation_from_frames(p) for p in predictions]
-    truth_segs = [segmentation_from_frames(t) for t in truths]
+    for thr in thresholds:
+        if not 0 < thr < 1:
+            raise ConfigError(f"IoU threshold must be in (0, 1), got {thr}")
     flat_pred = np.concatenate([np.asarray(p) for p in predictions])
     flat_truth = np.concatenate([np.asarray(t) for t in truths])
+    labels = np.concatenate((flat_pred, flat_truth))
+    if labels.min() < 0 or labels.max() >= num_classes:
+        raise ConfigError(f"labels must lie in [0, {num_classes})")
     global_acc, per_class_acc = frame_accuracy(flat_pred, flat_truth, num_classes)
+    pred_segs = [segmentation_from_frames(p) for p in predictions]
+    truth_segs = [segmentation_from_frames(t) for t in truths]
     edit = float(
-        np.mean(
-            [
-                edit_score(p.labels(), t.labels())
-                for p, t in zip(pred_segs, truth_segs)
-            ]
-        )
+        np.mean([edit_score(p[2], t[2]) for p, t in zip(pred_segs, truth_segs)])
     )
     support = np.bincount(flat_truth, minlength=num_classes)
-    truth_labels = set(np.flatnonzero(support).tolist())
+    present = support > 0
     # the head/tail groups read F1@0.25 whatever the reported thresholds
     counts_at = {}
     for thr in dict.fromkeys((*thresholds, 0.25)):
-        pooled = counts_at[thr] = {}
+        counts = counts_at[thr] = np.zeros((3, num_classes), dtype=np.int64)
         for p, t in zip(pred_segs, truth_segs):
-            _merge_counts(pooled, _match_counts(p, t, thr))
+            _match_counts(p, t, thr, counts)
     f1_at = {
-        thr: _scores_from_counts(counts_at[thr], truth_labels) for thr in thresholds
+        thr: (
+            float(_f1(*counts_at[thr].sum(axis=1))),
+            float(np.mean(_f1(*counts_at[thr])[present])),
+        )
+        for thr in thresholds
     }
     group = None
     if head is not None:
         group = {}
-        pooled_25 = counts_at[0.25]
         hits = np.bincount(flat_truth[flat_pred == flat_truth], minlength=num_classes)
+        f1_25 = _f1(*counts_at[0.25])
         for name, members in (
             ("head", set(head)),
             ("tail", set(range(num_classes)) - set(head)),
         ):
-            scored = sorted(members & truth_labels)
+            scored = sorted(members & set(np.flatnonzero(present).tolist()))
             if not scored:
                 group[name] = GroupReport(
                     classes=tuple(sorted(members)), per_class_acc=0.0,
                     per_class_f1_25=0.0, empty=True,
                 )
                 continue
-            recalls = [hits[c] / support[c] for c in scored]
-            f1s = [_f1(*pooled_25.get(c, (0, 0, 0))) for c in scored]
             group[name] = GroupReport(
                 classes=tuple(sorted(members)),
-                per_class_acc=100.0 * float(np.mean(recalls)),
-                per_class_f1_25=float(np.mean(f1s)),
+                per_class_acc=100.0 * float(np.mean(hits[scored] / support[scored])),
+                per_class_f1_25=float(np.mean(f1_25[scored])),
                 empty=False,
             )
     return MetricsReport(

@@ -3,8 +3,10 @@
 A sequence is a feature matrix [D x T] plus a class label per frame.
 Each frame also records the label of the preceding segment (maximal run
 of a single class), with the synthetic 'start' class (index L) standing
-in before the first segment. ``segmentation_from_frames`` gives the
-segment-wise view of a labeling.
+in before the first segment. ``segmentation_from_frames`` is the one
+run-length encoding of a labeling, as int64 arrays
+``(starts, ends, labels)``; the previous actions, the segment decoder
+and the segment metrics all read it.
 """
 
 import io
@@ -25,34 +27,17 @@ from .errors import (
 START = "start"
 
 
-@dataclass(frozen=True)
-class Segmentation:
-    """Ordered run-length view of a frame labeling.
-
-    ``segments`` holds (start, end, label) triples with inclusive ends,
-    contiguous over [0, T), adjacent labels distinct.
-    """
-
-    segments: tuple
-
-    def labels(self):
-        """Per-segment label array, in temporal order."""
-        return np.array([label for _, _, label in self.segments], dtype=np.int64)
-
-
-def segmentation_from_frames(frame_labels) -> Segmentation:
-    """Run-length encode a frame labeling into a Segmentation."""
+def segmentation_from_frames(frame_labels):
+    """Run-length encode a frame labeling into int64 arrays
+    ``(starts, ends, labels)``, one entry per segment in temporal order:
+    ends are inclusive, the segments tile [0, T), adjacent labels differ."""
     labels = np.asarray(frame_labels, dtype=np.int64)
     if labels.size == 0:
         raise EmptySequenceError("cannot segment an empty frame labeling")
     change = np.flatnonzero(labels[1:] != labels[:-1])
     starts = np.concatenate(([0], change + 1))
     ends = np.concatenate((change, [labels.size - 1]))
-    return Segmentation(
-        tuple(
-            (int(s), int(e), int(labels[s])) for s, e in zip(starts, ends)
-        )
-    )
+    return starts, ends, labels[starts]
 
 
 @dataclass(frozen=True, eq=False)
@@ -100,11 +85,10 @@ class LabeledSequence:
                 f"sequence {seq_id or '<unnamed>'}: label {bad} outside "
                 f"[0, {num_classes})"
             )
-        prev = np.empty(labels.size, dtype=np.int64)
-        before = num_classes  # 'start'
-        for start, end, label in segmentation_from_frames(labels).segments:
-            prev[start : end + 1] = before
-            before = label
+        # each segment's frames follow the previous segment's label, the
+        # first segment's follow 'start' (index num_classes)
+        starts, ends, runs = segmentation_from_frames(labels)
+        prev = np.repeat(np.concatenate(([num_classes], runs[:-1])), ends - starts + 1)
         return cls(
             features=np.ascontiguousarray(feats),
             frame_labels=labels,
@@ -497,9 +481,10 @@ def load_dataset(path) -> Dataset:
     num_classes = manifest["num_classes"]
     feature_dim = manifest["feature_dim"]
     entries = manifest.get("sequences")
-    if not isinstance(entries, list):
+    if not isinstance(entries, list) or not entries:
         raise ParseError(
-            f"{manifest_path}: field 'sequences' must be a list, got {entries!r}"
+            f"{manifest_path}: field 'sequences' must be a non-empty list, "
+            f"got {entries!r}"
         )
     index_of = {}
     for index, entry in enumerate(entries):
@@ -544,6 +529,8 @@ def load_dataset(path) -> Dataset:
                 f"{feat_path}: feature dim {feats.shape[0]}, manifest says "
                 f"{feature_dim}"
             )
+        if not np.isfinite(feats).all():
+            raise RangeError(f"{feat_path}: non-finite feature values")
         sequences.append(
             LabeledSequence.from_frames(
                 feats, labels, num_classes=num_classes, seq_id=entry["id"]

@@ -308,10 +308,10 @@ def _lev_oracle(a, b):
 def _f1_counts_oracle(pred_seg, truth_seg, thr):
     gt = [
         {"frames": set(range(s, e + 1)), "label": label, "used": False}
-        for s, e, label in truth_seg.segments
+        for s, e, label in zip(*truth_seg)
     ]
     tp = fp = 0
-    for s, e, label in pred_seg.segments:
+    for s, e, label in zip(*pred_seg):
         frames = set(range(s, e + 1))
         best, best_iou = None, 0.0
         for entry in gt:
@@ -344,14 +344,16 @@ def test_criterion_06_metric_oracles():
     checked = 0
     while checked < 300:
         n = int(rng.integers(3, 19))
-        pred = sd.segmentation_from_frames(rng.integers(0, 3, n))
-        truth = sd.segmentation_from_frames(rng.integers(0, 3, n))
-        if len(pred.segments) > 6 or len(truth.segments) > 6:
+        pred = rng.integers(0, 3, n)
+        truth = rng.integers(0, 3, n)
+        pred_seg = sd.segmentation_from_frames(pred)
+        truth_seg = sd.segmentation_from_frames(truth)
+        if pred_seg[0].size > 6 or truth_seg[0].size > 6:
             continue
         checked += 1
         thr = float(rng.choice([0.1, 0.25, 0.5, 0.75]))
-        got, _ = mx.segmental_f1(pred, truth, thr)
-        assert got == _f1_counts_oracle(pred, truth, thr)
+        got = mx.evaluate([pred], [truth], 3, thresholds=(thr,)).f1_at[thr][0]
+        assert got == _f1_counts_oracle(pred_seg, truth_seg, thr)
 
     for _ in range(50):
         n = int(rng.integers(1, 60))
@@ -393,18 +395,15 @@ def test_criterion_07_sncm_over_segmentation():
         ncm = dec.decode_sequence(params, seq, "ncm", means=means)
         argmax = dec.decode_sequence(params, seq, "argmax")
         sncm = dec.decode_sequence(params, seq, "sncm", means=means)
-        truth_seg = sd.segmentation_from_frames(seq.frame_labels)
-        true_count += len(truth_seg.segments)
-        ncm_count += len(sd.segmentation_from_frames(ncm).segments)
-        argmax_count += len(sd.segmentation_from_frames(argmax).segments)
-        sncm_count += len(sd.segmentation_from_frames(sncm).segments)
-        truth_labels = truth_seg.labels()
-        ncm_edits.append(
-            mx.edit_score(sd.segmentation_from_frames(ncm).labels(), truth_labels)
-        )
-        sncm_edits.append(
-            mx.edit_score(sd.segmentation_from_frames(sncm).labels(), truth_labels)
-        )
+        _, _, truth_runs = sd.segmentation_from_frames(seq.frame_labels)
+        _, _, ncm_runs = sd.segmentation_from_frames(ncm)
+        _, _, sncm_runs = sd.segmentation_from_frames(sncm)
+        true_count += truth_runs.size
+        ncm_count += ncm_runs.size
+        argmax_count += sd.segmentation_from_frames(argmax)[2].size
+        sncm_count += sncm_runs.size
+        ncm_edits.append(mx.edit_score(ncm_runs, truth_runs))
+        sncm_edits.append(mx.edit_score(sncm_runs, truth_runs))
     # the scenario must actually over-segment before the claim means anything
     assert ncm_count >= 2 * true_count
     assert sncm_count <= argmax_count

@@ -15,7 +15,7 @@ from ltseg import cli
 from ltseg import decode as dec
 from ltseg import metrics as mx
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError, ParseError
+from ltseg.errors import ConfigError, ParseError, RangeError
 
 
 def write_config(path, **data):
@@ -571,18 +571,50 @@ def _duplicate_id(root):
     return [str(root / "manifest.json"), "entries 1 and 3", "'seq_0001'"]
 
 
+def _nan_in_binary_features(root):
+    entry = json.loads((root / "manifest.json").read_text())["sequences"][0]
+    path = root / entry["features"]
+    with open(path, "r+b") as fh:
+        fh.seek(16 + 4 * 5)  # past the (D, T) header, into frame 1
+        fh.write(np.array([np.nan], dtype="<f4").tobytes())
+    return [str(path), "non-finite"]
+
+
+def _inf_in_csv_features(root):
+    features = sd.load_dataset(str(root)).sequences[0].features.copy()
+    features[2, 3] = np.inf
+    path = root / "features" / "seq_0000.csv"
+    np.savetxt(path, features.T, delimiter=",")
+    _edit_entries(
+        root / "manifest.json",
+        lambda e: e[0].update(features=os.path.join("features", "seq_0000.csv")),
+    )
+    return [str(path), "non-finite"]
+
+
+def _no_sequences(root):
+    _edit_entries(root / "manifest.json", lambda e: e.clear())
+    return [str(root / "manifest.json"), "'sequences'"]
+
+
 @pytest.mark.parametrize(
-    "corrupt",
+    "corrupt, error",
     [
-        _break_classes,
-        _break_labels,
-        _break_manifest,
-        _nul_in_labels_path,
-        _nul_in_features_path,
-        _duplicate_id,
+        pytest.param(corrupt, error, id=corrupt.__name__)
+        for corrupt, error in (
+            (_break_classes, ParseError),
+            (_break_labels, ParseError),
+            (_break_manifest, ParseError),
+            (_nul_in_labels_path, ParseError),
+            (_nul_in_features_path, ParseError),
+            (_duplicate_id, ParseError),
+            (_nan_in_binary_features, RangeError),
+            (_inf_in_csv_features, RangeError),
+            (_no_sequences, ParseError),
+        )
     ],
 )
-def test_main_train_malformed_dataset_names_file(tmp_path, capsys, corrupt):
+def test_main_train_malformed_dataset_names_file(tmp_path, capsys, corrupt, error):
     gen_config = cli.load_config(
         write_config(
             tmp_path / "gen.json",
@@ -592,7 +624,7 @@ def test_main_train_malformed_dataset_names_file(tmp_path, capsys, corrupt):
     )
     root = pathlib.Path(cli.cmd_gen(gen_config, stream=io.StringIO())) / "dataset"
     expected = corrupt(root)
-    with pytest.raises(ParseError):
+    with pytest.raises(error):
         sd.load_dataset(str(root))
     path = write_config(
         tmp_path / "train.json",

@@ -118,11 +118,15 @@ def test_ncm_invariant_under_orthogonal_maps():
 
 
 def test_segment_boundaries():
-    assert dc.segment_boundaries([3, 3, 3, 3]).tolist() == []
-    assert dc.segment_boundaries([0, 0, 1, 1, 2]).tolist() == [1, 3]
-    assert dc.segment_boundaries([0, 1, 0, 1]).tolist() == [0, 1, 2]
+    # S-NCM reads the classifier's runs from the run-length encoding:
+    # with one vote value per run, the output has exactly those runs
+    assert dc.sncm_decode([3, 3, 3, 3], [2, 1, 2, 1]).tolist() == [1, 1, 1, 1]
+    assert dc.sncm_decode([0, 0, 1, 1, 2], [4, 4, 5, 5, 6]).tolist() == [
+        4, 4, 5, 5, 6,
+    ]
+    assert dc.sncm_decode([0, 1, 0, 1], [3, 2, 1, 0]).tolist() == [3, 2, 1, 0]
     with pytest.raises(EmptySequenceError):
-        dc.segment_boundaries([])
+        dc.sncm_decode([], [])
 
 
 def test_sncm_agreement_fixed_point():
@@ -147,8 +151,8 @@ def test_sncm_never_adds_runs():
         runs = lambda a: 1 + int((np.diff(a) != 0).sum())
         assert runs(out) <= runs(y_hat)
         # constant labeling inside every classifier run
-        bounds = dc.segment_boundaries(y_hat)
-        for s, e in zip(np.r_[0, bounds + 1], np.r_[bounds, n - 1]):
+        starts, ends, _ = sd.segmentation_from_frames(y_hat)
+        for s, e in zip(starts, ends):
             assert len(set(out[s : e + 1].tolist())) == 1
 
 

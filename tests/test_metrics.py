@@ -1,15 +1,33 @@
 """Frame accuracy, edit score, segmental F1, group reports."""
 
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from ltseg import metrics as mx
 from ltseg import seqdata as sd
 from ltseg.errors import ConfigError
 
+# Hypothesis caches the constants it finds in the package source under its
+# home directory, ``.hypothesis/`` in the working directory by default, even
+# with no example database. Its pytest plugin does that while collecting,
+# before any fixture runs, so the redirect happens at import.
+set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "ltseg-hypothesis"))
 
-def seg(labels):
-    return sd.segmentation_from_frames(labels)
+
+def runs(labels):
+    """Per-segment labels of a frame labeling."""
+    return sd.segmentation_from_frames(labels)[2]
+
+
+def f1(pred, truth, num_classes, thr):
+    """(global F1, per-class F1) of one video pair at one threshold."""
+    return mx.evaluate([pred], [truth], num_classes, thresholds=(thr,)).f1_at[thr]
 
 
 # -- frame accuracy ----------------------------------------------------------
@@ -99,26 +117,24 @@ def test_edit_score_symmetry_and_duration_invariance():
         b = rng.integers(0, 4, rng.integers(1, 10)).tolist()
         assert mx.edit_score(a, b) == mx.edit_score(b, a)
     # stretching segment durations must not move the score
-    base_pred = seg([0, 0, 1, 2, 2, 0])
-    base_truth = seg([0, 1, 1, 2, 0, 0])
-    want = mx.edit_score(base_pred.labels(), base_truth.labels())
-    stretched_pred = seg([0] * 7 + [1] * 2 + [2] * 9 + [0] * 3)
-    stretched_truth = seg([0] * 2 + [1] * 11 + [2] * 5 + [0] * 4)
-    assert mx.edit_score(stretched_pred.labels(), stretched_truth.labels()) == want
+    want = mx.edit_score(runs([0, 0, 1, 2, 2, 0]), runs([0, 1, 1, 2, 0, 0]))
+    stretched_pred = runs([0] * 7 + [1] * 2 + [2] * 9 + [0] * 3)
+    stretched_truth = runs([0] * 2 + [1] * 11 + [2] * 5 + [0] * 4)
+    assert mx.edit_score(stretched_pred, stretched_truth) == want
 
 
 # -- segmental F1 ------------------------------------------------------------
 
 
-def _f1_oracle(pred_seg, truth_seg, thr):
-    """Same matching rule, written with frame sets instead of interval
-    arithmetic."""
+def _counts_oracle(pred, truth, num_classes, thr):
+    """Per-class [tp, fp, fn] rows by the same matching rule, written with
+    frame sets instead of interval arithmetic."""
     gt = [
         {"frames": set(range(s, e + 1)), "label": label, "used": False}
-        for s, e, label in truth_seg.segments
+        for s, e, label in zip(*sd.segmentation_from_frames(truth))
     ]
-    tp = fp = 0
-    for s, e, label in pred_seg.segments:
+    counts = np.zeros((3, num_classes), dtype=np.int64)
+    for s, e, label in zip(*sd.segmentation_from_frames(pred)):
         frames = set(range(s, e + 1))
         best, best_iou = None, 0.0
         for entry in gt:
@@ -128,63 +144,84 @@ def _f1_oracle(pred_seg, truth_seg, thr):
             if iou > best_iou:
                 best, best_iou = entry, iou
         if best is not None and best_iou >= thr:
-            tp += 1
+            counts[0, label] += 1
             best["used"] = True
         else:
-            fp += 1
-    fn = sum(1 for entry in gt if not entry["used"])
-    denom = 2 * tp + fp + fn
-    return 100.0 * 2 * tp / denom if denom else 0.0
+            counts[1, label] += 1
+    for entry in gt:
+        counts[2, entry["label"]] += not entry["used"]
+    return counts
+
+
+def _match(pred, truth, num_classes, thr):
+    counts = np.zeros((3, num_classes), dtype=np.int64)
+    mx._match_counts(
+        sd.segmentation_from_frames(pred), sd.segmentation_from_frames(truth),
+        thr, counts,
+    )
+    return counts
 
 
 def test_f1_perfect():
-    truth = seg([0, 0, 1, 1, 2])
+    truth = np.array([0, 0, 1, 1, 2])
     for thr in (0.1, 0.25, 0.5, 0.99):
-        assert mx.segmental_f1(truth, truth, thr) == (100.0, 100.0)
+        assert f1(truth, truth, 3, thr) == (100.0, 100.0)
 
 
 def test_f1_half_overlap_thresholds():
-    truth = seg([0] * 100)
-    pred = seg([0] * 50 + [1] * 50)
+    truth = np.array([0] * 100)
+    pred = np.array([0] * 50 + [1] * 50)
     # P(0..49, label 0) has IoU 0.5 with the single truth segment
     for thr in (0.10, 0.25, 0.50):
-        global_f1, _ = mx.segmental_f1(pred, truth, thr)
+        global_f1, _ = f1(pred, truth, 2, thr)
         # one TP (label 0) and one FP (label 1): F1 = 2/(2+1)
         assert global_f1 == pytest.approx(100 * 2 / 3)
-    global_f1, _ = mx.segmental_f1(pred, truth, 0.6)
+    global_f1, _ = f1(pred, truth, 2, 0.6)
     assert global_f1 == 0.0
+
+
+def test_match_counts_rows():
+    # predicted run 0 matches the first truth 0 run (IoU 2/3), so the
+    # second is a miss; predicted run 1 reaches IoU 2/5 with the truth 1
+    # run, short of 0.5; class 2 is not in the truth at all
+    pred = np.array([0, 0, 2, 2, 1, 1, 1, 1])
+    truth = np.array([0, 0, 0, 1, 1, 1, 0, 0])
+    counts = _match(pred, truth, 3, 0.5)
+    assert counts.tolist() == [[1, 0, 0], [0, 1, 1], [1, 1, 0]]
+    assert np.array_equal(counts, _counts_oracle(pred, truth, 3, 0.5))
 
 
 def test_f1_matches_frame_set_oracle():
     rng = np.random.default_rng(23)
     for _ in range(400):
         n = int(rng.integers(1, 20))
-        pred = seg(rng.integers(0, 3, n))
-        truth = seg(rng.integers(0, 3, n))
+        pred = rng.integers(0, 3, n)
+        truth = rng.integers(0, 3, n)
         thr = float(rng.choice([0.1, 0.25, 0.5, 0.75]))
-        got_global, _ = mx.segmental_f1(pred, truth, thr)
-        assert got_global == pytest.approx(_f1_oracle(pred, truth, thr))
+        want = _counts_oracle(pred, truth, 3, thr)
+        assert np.array_equal(_match(pred, truth, 3, thr), want)
+        tp, fp, fn = want.sum(axis=1)
+        got_global, _ = f1(pred, truth, 3, thr)
+        assert got_global == pytest.approx(100.0 * 2 * tp / (2 * tp + fp + fn))
 
 
 def test_f1_monotone_in_threshold():
     rng = np.random.default_rng(29)
+    thresholds = (0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
     for _ in range(100):
         n = int(rng.integers(2, 40))
-        pred = seg(rng.integers(0, 4, n))
-        truth = seg(rng.integers(0, 4, n))
-        scores = [
-            mx.segmental_f1(pred, truth, thr)[0]
-            for thr in (0.05, 0.1, 0.25, 0.5, 0.75, 0.9)
-        ]
+        pred = rng.integers(0, 4, n)
+        truth = rng.integers(0, 4, n)
+        f1_at = mx.evaluate([pred], [truth], 4, thresholds=thresholds).f1_at
+        scores = [f1_at[thr][0] for thr in thresholds]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
 
 
 def test_f1_threshold_range():
-    truth = seg([0, 1])
-    with pytest.raises(ConfigError):
-        mx.segmental_f1(truth, truth, 0.0)
-    with pytest.raises(ConfigError):
-        mx.segmental_f1(truth, truth, 1.0)
+    truth = np.array([0, 1])
+    for thr in (0.0, 1.0):
+        with pytest.raises(ConfigError, match="IoU threshold"):
+            f1(truth, truth, 2, thr)
 
 
 # -- evaluate / reports ------------------------------------------------------
@@ -273,3 +310,43 @@ def test_report_exports():
     empty_tail = mx.evaluate(truth, truth, num_classes=4, head={0, 1, 2, 3})
     rows = dict(mx.report_to_csv_rows(empty_tail))
     assert rows["tail_per_class_acc"] == "NA"
+
+
+@st.composite
+def relabeled_cases(draw):
+    """A small evaluation set, a head set and a permutation of class ids."""
+    L = draw(st.integers(2, 6))
+    label_lists = st.lists(st.integers(0, L - 1), min_size=1, max_size=30)
+    truths = [np.array(t) for t in draw(st.lists(label_lists, min_size=1, max_size=3))]
+    preds = [
+        np.array(draw(st.lists(st.integers(0, L - 1), min_size=t.size, max_size=t.size)))
+        for t in truths
+    ]
+    head = draw(st.sets(st.integers(0, L - 1)))
+    perm = np.array(draw(st.permutations(range(L))))
+    return L, preds, truths, head, perm
+
+
+def _scores(report):
+    values = [report.global_acc, report.per_class_acc, report.edit_score]
+    values += [v for _, pair in sorted(report.f1_at.items()) for v in pair]
+    for name in ("head", "tail"):
+        sub = report.group[name]
+        values += [sub.per_class_acc, sub.per_class_f1_25, float(sub.empty)]
+    return values
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(relabeled_cases())
+def test_evaluate_invariant_under_relabeling(case):
+    L, preds, truths, head, perm = case
+    base = mx.evaluate(preds, truths, L, head=head)
+    moved = mx.evaluate(
+        [perm[p] for p in preds],
+        [perm[t] for t in truths],
+        L,
+        head={int(perm[c]) for c in head},
+    )
+    # per-class means sum in another order, so only the last bits may move
+    assert _scores(moved) == pytest.approx(_scores(base), abs=1e-9, rel=0)
+    assert np.array_equal(moved.counts[perm], base.counts)

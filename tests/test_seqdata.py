@@ -15,29 +15,35 @@ def _make_seq(labels, num_classes, dim=3, seed=0):
     return sd.LabeledSequence.from_frames(feats, labels, num_classes=num_classes)
 
 
-def _expand(seg):
-    """Frame-wise labels of a Segmentation, one segment at a time."""
+def _expand(starts, ends, runs):
+    """Frame-wise labels of a run-length encoding, one segment at a time."""
     out = []
-    for start, end, label in seg.segments:
+    for start, end, label in zip(starts.tolist(), ends.tolist(), runs.tolist()):
         assert start == len(out) and end >= start
         out.extend([label] * (end - start + 1))
     return np.array(out, dtype=np.int64)
 
 
+def _check_encoding(labels):
+    seg = sd.segmentation_from_frames(labels)
+    assert all(a.dtype == np.int64 for a in seg)
+    assert np.array_equal(_expand(*seg), labels)
+    runs = seg[2]
+    assert (runs[1:] != runs[:-1]).all()
+
+
 def test_segmentation_from_frames_examples():
-    seg = sd.segmentation_from_frames([0, 0, 1, 1, 1, 0])
-    assert seg.segments == ((0, 1, 0), (2, 4, 1), (5, 5, 0))
-    assert sd.segmentation_from_frames([3]).segments == ((0, 0, 3),)
+    starts, ends, runs = sd.segmentation_from_frames([0, 0, 1, 1, 1, 0])
+    assert (starts.tolist(), ends.tolist(), runs.tolist()) == (
+        [0, 2, 5], [1, 4, 5], [0, 1, 0]
+    )
+    assert [a.tolist() for a in sd.segmentation_from_frames([3])] == [[0], [0], [3]]
 
 
 def test_segmentation_round_trip_random():
     rng = np.random.default_rng(1234)
     for _ in range(1000):
-        labels = rng.integers(0, 5, size=rng.integers(1, 40))
-        seg = sd.segmentation_from_frames(labels)
-        assert np.array_equal(_expand(seg), labels)
-        runs = seg.labels()
-        assert (runs[1:] != runs[:-1]).all()
+        _check_encoding(rng.integers(0, 5, size=rng.integers(1, 40)))
 
 
 def test_segmentation_empty_raises():
@@ -123,10 +129,7 @@ def test_generator_invariants():
     assert ds.feature_dim == 16
     assert ds.total_frames == sum(s.num_frames for s in ds.sequences)
     for seq in ds.sequences:
-        seg = sd.segmentation_from_frames(seq.frame_labels)
-        assert np.array_equal(_expand(seg), seq.frame_labels)
-        runs = seg.labels()
-        assert (runs[1:] != runs[:-1]).all()
+        _check_encoding(seq.frame_labels)
 
 
 def test_generator_config_errors():
