@@ -32,11 +32,13 @@ import numpy as np
 from . import _kernels
 from . import costsens
 from .costsens import MultiplierState
+from .decode import ClassMeans
 from .errors import (
     ConfigError,
     ParseError,
     RangeError,
     TrainingDivergedError,
+    require_finite,
     require_int,
 )
 from .seqdata import compute_transition_stats
@@ -51,11 +53,14 @@ CONFUSION_CHUNK_ROWS = 4096
 @dataclass(eq=False)
 class ClassifierParams:
     """Affine map [L x D*(2w+1)] plus bias, with w frames of replicated
-    context on each side."""
+    context on each side. ``train_means`` are the training split's class
+    means of the stacked windows with their support, the per-class
+    training frame counts; eval decodes with them."""
 
     weights: np.ndarray
     bias: np.ndarray
     context_radius: int
+    train_means: ClassMeans = None
 
     @classmethod
     def zeros(cls, num_classes, feature_dim, context_radius=0):
@@ -100,6 +105,8 @@ class TrainConfig:
     def validate(self):
         for name in ("epochs", "batch_size", "context_radius"):
             require_int(name, getattr(self, name))
+        for name in ("learning_rate", "tau", "epsilon", "gamma"):
+            require_finite(name, getattr(self, name))
         # epochs = 0 is a legal no-op run (checkpoint equals init)
         if self.epochs < 0 or self.batch_size <= 0 or self.context_radius < 0:
             raise ConfigError(
@@ -204,9 +211,9 @@ def train(dataset, config: TrainConfig):
     Per epoch: (1) loss weights from the current multipliers, (2) one
     pass of mini-batch SGD on the weighted cross-entropy, (3) a full
     prediction pass with the updated classifier and the learning state
-    built from it, (4, 5) mean refresh and projected multiplier step.
-    plain_ce uses unit weights and skips 1 and 3-5; inverse_prior keeps
-    the multipliers pinned at zero and skips 3-5, so only cost_sensitive
+    built from it, (4) the projected multiplier step.
+    plain_ce uses unit weights and skips 1, 3 and 4; inverse_prior keeps
+    the multipliers pinned at zero and skips 3 and 4, so only cost_sensitive
     pays for the prediction pass.
 
     The training set is windowed once into a ``FrameStore`` (N + 2wS
@@ -255,12 +262,9 @@ def train(dataset, config: TrainConfig):
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
         if config.loss_mode == "cost_sensitive":
-            hits = store_hits(params, store)
-            state = costsens.learning_state(hits, stats)
+            state = costsens.learning_state(store_hits(params, store), stats)
             updated = costsens.update_multipliers(mult, state, stats)
-            record = costsens.telemetry_record(
-                epoch, hits, state, stats, mult, updated
-            )
+            record = costsens.telemetry_record(epoch, state, stats, mult, updated)
             record["loss"] = mean_loss
             mult = updated
         else:
@@ -273,7 +277,11 @@ _CHECKPOINT_KEYS = ("num_classes", "feature_dim", "context_radius", "epoch")
 
 
 def save_checkpoint(params: ClassifierParams, path, epoch):
-    """JSON header line, then float32 little-endian weights and bias."""
+    """JSON header line, then little-endian float32 weights and bias,
+    float64 training class means and their int64 support."""
+    means = params.train_means
+    if means is None:
+        raise ConfigError("a checkpoint needs the training split's class means")
     header = {
         "num_classes": params.num_classes,
         "feature_dim": params.feature_dim,
@@ -284,10 +292,13 @@ def save_checkpoint(params: ClassifierParams, path, epoch):
         fh.write((json.dumps(header) + "\n").encode("ascii"))
         fh.write(np.ascontiguousarray(params.weights, dtype="<f4").tobytes())
         fh.write(np.ascontiguousarray(params.bias, dtype="<f4").tobytes())
+        fh.write(np.ascontiguousarray(means.means, dtype="<f8").tobytes())
+        fh.write(np.ascontiguousarray(means.support, dtype="<i8").tobytes())
 
 
 def load_checkpoint(path):
-    """Returns (params, epoch)."""
+    """Returns (params, epoch); the training class means ride on
+    ``params.train_means``."""
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
@@ -306,21 +317,33 @@ def load_checkpoint(path):
             raise ParseError(
                 f"{path}:1: header field {key!r} must be an integer, got {value!r}"
             )
-    L = header["num_classes"]
-    D = header["feature_dim"]
-    w = header["context_radius"]
-    if L <= 0 or D <= 0 or w < 0:
-        raise RangeError(f"{path}: non-positive dimensions in header")
-    width = 2 * w + 1
-    expect = L * D * width + L
-    values = np.frombuffer(payload, dtype="<f4")
-    if values.size != expect:
-        raise ParseError(
-            f"{path}: payload holds {values.size} floats, header implies {expect}"
+    L, D, w, epoch = (header[key] for key in _CHECKPOINT_KEYS)
+    if L <= 0 or D <= 0 or w < 0 or epoch < 0:
+        raise RangeError(
+            f"{path}: header out of range: num_classes {L}, feature_dim {D}, "
+            f"context_radius {w}, epoch {epoch}"
         )
+    size = L * D * (2 * w + 1)
+    # float32 weights and bias, float64 means, int64 support
+    expect = 4 * (size + L) + 8 * (size + L)
+    if len(payload) != expect:
+        raise ParseError(
+            f"{path}: payload holds {len(payload)} bytes, header implies {expect}"
+        )
+    params_f4 = np.frombuffer(payload, dtype="<f4", count=size + L)
+    means = np.frombuffer(payload, dtype="<f8", count=size, offset=4 * (size + L))
+    support = np.frombuffer(payload, dtype="<i8", offset=4 * (size + L) + 8 * size)
+    if not (np.isfinite(params_f4).all() and np.isfinite(means).all()):
+        raise RangeError(f"{path}: non-finite parameters or class means")
+    if (support < 0).any():
+        raise RangeError(f"{path}: negative class support")
     params = ClassifierParams(
-        weights=values[: L * D * width].reshape(L, D * width).astype(np.float64),
-        bias=values[L * D * width :].astype(np.float64),
+        weights=params_f4[:size].reshape(L, -1).astype(np.float64),
+        bias=params_f4[size:].astype(np.float64),
         context_radius=w,
+        train_means=ClassMeans(
+            means=means.reshape(L, -1).astype(np.float64),
+            support=support.astype(np.int64),
+        ),
     )
-    return params, header["epoch"]
+    return params, epoch

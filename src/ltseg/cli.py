@@ -21,13 +21,19 @@ from . import classifier as clf
 from . import decode as dec
 from . import metrics as mx
 from . import seqdata as sd
-from .errors import ConfigError, LtsegError, TrainingDivergedError, require_int
+from .errors import (
+    ConfigError,
+    LtsegError,
+    TrainingDivergedError,
+    require_finite,
+    require_int,
+)
 
 REPORT_F1_KEYS = ("0.10", "0.25", "0.50")
 
 _SYNTH_KEYS = frozenset(
     f.name for f in dataclasses.fields(sd.SynthConfig)
-) - {"class_means", "rng_seed"}
+) - {"rng_seed"}
 _TRAIN_KEYS = frozenset(
     f.name for f in dataclasses.fields(clf.TrainConfig)
 ) - {"rng_seed"}
@@ -73,6 +79,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"decode mode {self.decode_mode!r} not one of {dec.DECODE_MODES}"
             )
+        if not isinstance(self.out_dir, str):
+            raise ConfigError(f"out must be a path, got {self.out_dir!r}")
         if self.feature_format not in ("binary", "csv"):
             raise ConfigError(
                 f"feature_format must be 'binary' or 'csv', got {self.feature_format!r}"
@@ -80,8 +88,7 @@ class ExperimentConfig:
         if not self.iou_thresholds:
             raise ConfigError("iou_thresholds must not be empty")
         for thr in self.iou_thresholds:
-            if not _is_number(thr):
-                raise ConfigError(f"iou_thresholds must hold numbers, got {thr!r}")
+            require_finite("iou_thresholds", thr)
             if not 0.0 < thr < 1.0:
                 raise ConfigError(f"IoU threshold {thr} outside (0, 1)")
         if self.head_threshold is not None:
@@ -90,17 +97,10 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"head_threshold must be positive, got {self.head_threshold}"
                 )
-        try:
-            if self.synthetic is not None:
-                self.synthetic.validate()
-            self.train.validate()
-        except TypeError as exc:
-            raise ConfigError(f"config field has the wrong type: {exc}") from None
+        if self.synthetic is not None:
+            self.synthetic.validate()
+        self.train.validate()
         return self
-
-
-def _is_number(value):
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _check_keys(mapping, allowed, where):
@@ -118,6 +118,8 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
 
     seed = overrides.pop("seed", data.get("seed", 0))
     require_int("seed", seed)
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
 
     source = data.get("dataset", {"synthetic": {}})
     if not isinstance(source, dict):
@@ -265,7 +267,8 @@ def cmd_gen(config: ExperimentConfig, stream=None) -> str:
 
 
 def cmd_train(config: ExperimentConfig, stream=None):
-    """Train per config, write checkpoint + telemetry JSON-lines.
+    """Train per config, write checkpoint + telemetry JSON-lines; the
+    checkpoint also holds the training split's class means for eval.
     Returns (run_dir, exit_code); divergence reports and exits nonzero."""
     dataset = _resolve_dataset(config)
     run_dir = make_run_dir(config)
@@ -275,6 +278,9 @@ def cmd_train(config: ExperimentConfig, stream=None):
     except TrainingDivergedError as exc:
         (stream or sys.stderr).write(f"error: {exc}\n")
         return run_dir, 1
+    params.train_means = dec.compute_class_means(
+        dataset, dec.windowed_extractor(params.context_radius)
+    )
     clf.save_checkpoint(
         params, os.path.join(run_dir, "checkpoint.bin"), config.train.epochs
     )
@@ -297,9 +303,9 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     """Decode the config's dataset with a trained checkpoint and write
     JSON + CSV metric reports. Reads only; never touches its inputs.
 
-    NCM class means are computed from the evaluated dataset itself, so
-    train/test hygiene is the caller's job (point the config at the
-    split you mean to score).
+    The NCM class means and the head/tail split come from the training
+    split's means and frame counts stored in the checkpoint; the scored
+    dataset's labels are read only to score the predictions.
     """
     params, _ = clf.load_checkpoint(checkpoint_path)
     dataset = _resolve_dataset(config)
@@ -316,17 +322,15 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     run_dir = make_run_dir(config)
     _write_json(os.path.join(run_dir, "config.json"), config_to_dict(config))
 
-    # each window is stacked once and feeds the class means, the NCM
-    # votes and the classifier's predictions alike
+    # each window is stacked once and feeds the NCM votes and the
+    # classifier's predictions alike
     extract = dec.windowed_extractor(params.context_radius)
     windows = [extract(sequence) for sequence in dataset.sequences]
-    means = None
-    if config.decode_mode in ("ncm", "sncm"):
-        means = dec.class_means(dataset, windows)
+    means = params.train_means
     truths = [sequence.frame_labels for sequence in dataset.sequences]
     head = None
     if config.head_threshold is not None:
-        head, _ = sd.head_tail_split(dataset.class_frame_counts, config.head_threshold)
+        head, _ = sd.head_tail_split(means.support, config.head_threshold)
 
     if config.decode_mode == "sncm":
         # one NCM pass feeds the segment vote and the frame-NCM report
@@ -373,8 +377,7 @@ def _report_row(path, data):
     except TypeError as exc:
         raise ConfigError(f"{path} has a malformed report field: {exc}") from None
     for key, value in row.items():
-        if not _is_number(value):
-            raise ConfigError(f"{path}: report field {key!r} is not a number")
+        require_finite(f"{path}: report field {key!r}", value)
     return row
 
 

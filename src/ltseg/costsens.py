@@ -9,10 +9,11 @@ minimizes gain-weighted cross-entropy while the multipliers run
 projected gradient descent.
 
 The multipliers respond to the learning state: the accuracy of each
-(class, previous action) pair on the training set. Training builds it
-once per epoch with ``learning_state`` from the pair counts of correctly
-predicted frames (``classifier.store_hits``), and the multiplier step,
-the Lagrangian and the telemetry all read that one state.
+(class, previous action) pair on the training set, built once per epoch
+by ``learning_state`` from the correct-frame counts of
+``classifier.store_hits``. ``_constraint_gradient`` turns that state into
+the Lagrangian's gradient in the multipliers; the multiplier step, the
+Lagrangian and the violation count all read it.
 """
 
 from dataclasses import dataclass, replace
@@ -29,17 +30,11 @@ DEFAULT_TAU = 0.3
 @dataclass(frozen=True, eq=False)
 class MultiplierState:
     """One multiplier per (class, previous action), kept non-negative and
-    supported only on transitions the dataset contains.
-
-    ``detached_mean_trans_acc`` is the constraint reference point: a
-    snapshot of the mean transition accuracy, refreshed once per epoch
-    and never differentiated through.
-    """
+    supported only on transitions the dataset contains."""
 
     lam: np.ndarray
     step_size: float
     epsilon: float
-    detached_mean_trans_acc: float = 0.0
 
     @classmethod
     def zeros(cls, stats, step_size=DEFAULT_STEP_SIZE, epsilon=DEFAULT_EPSILON):
@@ -65,14 +60,10 @@ class MultiplierState:
 
 @dataclass(frozen=True, eq=False)
 class LearningState:
-    """How well each observed transition is learned.
-
-    Zero-support entries carry False in ``trans_acc_defined`` and 0.0 in
-    ``trans_acc``; they are excluded from the mean, never NaN.
-    """
+    """How well each transition is learned: 0.0 on the transitions that
+    ``stats.valid_mask`` marks unobserved, which the mean leaves out."""
 
     trans_acc: np.ndarray
-    trans_acc_defined: np.ndarray
     mean_trans_acc: float
 
 
@@ -85,13 +76,11 @@ def learning_state(hits, stats) -> LearningState:
     transition accuracy is the unweighted average over observed
     transitions.
     """
-    defined = stats.valid_mask
+    observed = stats.valid_mask
     trans_acc = np.zeros(hits.shape)
-    np.divide(hits, stats.counts, out=trans_acc, where=defined)
-    mean = float(trans_acc[defined].mean()) if defined.any() else 0.0
-    return LearningState(
-        trans_acc=trans_acc, trans_acc_defined=defined, mean_trans_acc=mean
-    )
+    np.divide(hits, stats.counts, out=trans_acc, where=observed)
+    mean = float(trans_acc[observed].mean()) if observed.any() else 0.0
+    return LearningState(trans_acc=trans_acc, mean_trans_acc=mean)
 
 
 def compute_gain(stats, mult: MultiplierState, tau):
@@ -114,65 +103,47 @@ def frame_weights(tempered, frame_labels, prev_action):
     return tempered[frame_labels, prev_action]
 
 
-def lagrangian_value(hits, stats, mult: MultiplierState):
-    """Saddle-point objective at the current classifier and multipliers.
-
-    Relative accuracy terms use the frozen mean snapshot carried by
-    ``mult``; the per-constraint factor T/prior balances the constraint
-    magnitudes against the accuracy objective.
-    """
-    diag = hits / stats.total
+def _constraint_gradient(state: LearningState, stats, epsilon):
+    """T/prior and the Lagrangian's gradient in the multipliers,
+    ``g = (trans_acc - epsilon * mean) * T/prior``. Both are 0 where
+    T = 0, so ``g < 0`` marks exactly the observed transitions below the
+    tolerance line."""
     prior = stats.prior
-    trans = stats.transition
-    active = prior > 0
-    acc_sum = float((diag.sum(axis=1)[active] / prior[active]).sum())
-    valid = stats.valid_mask
-    tacc = np.zeros_like(diag)
-    np.divide(diag, trans, out=tacc, where=valid)
-    slack = tacc - mult.epsilon * mult.detached_mean_trans_acc
-    scale = np.zeros_like(diag)
-    np.divide(trans, prior[:, None], out=scale, where=active[:, None])
-    return acc_sum + float((mult.lam * slack * scale)[valid].sum())
+    scale = np.zeros(state.trans_acc.shape)
+    np.divide(stats.transition, prior[:, None], out=scale, where=(prior > 0)[:, None])
+    return scale, (state.trans_acc - epsilon * state.mean_trans_acc) * scale
+
+
+def lagrangian_value(state: LearningState, stats, mult: MultiplierState):
+    """Saddle-point objective ``sum(T/prior * trans_acc) + sum(lambda * g)``:
+    the sum of per-class accuracies plus the weighted constraint terms,
+    with the tolerance line at the state's own (detached) mean."""
+    scale, g = _constraint_gradient(state, stats, mult.epsilon)
+    return float((scale * state.trans_acc).sum() + (mult.lam * g).sum())
 
 
 def update_multipliers(mult: MultiplierState, state: LearningState, stats):
-    """One projected gradient step on the multipliers.
-
-    Refreshes the detached mean first, then for every observed transition
-    moves lambda against the constraint slack and clamps at zero.
-    """
-    mean = state.mean_trans_acc
-    prior = stats.prior
-    active = prior > 0
-    scale = np.zeros_like(mult.lam)
-    np.divide(stats.transition, prior[:, None], out=scale, where=active[:, None])
-    grad = (state.trans_acc - mult.epsilon * mean) * scale
-    step = np.where(state.trans_acc_defined, mult.step_size * grad, 0.0)
-    lam = np.maximum(0.0, mult.lam - step)
+    """One projected gradient step on the multipliers: every lambda moves
+    against its constraint gradient, clamps at zero, and stays zero on
+    unobserved transitions."""
+    _, g = _constraint_gradient(state, stats, mult.epsilon)
+    lam = np.maximum(0.0, mult.lam - mult.step_size * g)
     lam[~stats.valid_mask] = 0.0
-    return replace(mult, lam=lam, detached_mean_trans_acc=mean)
+    return replace(mult, lam=lam)
 
 
-def count_violations(state: LearningState, mult: MultiplierState):
-    """Observed transitions currently below the tolerance line."""
-    below = state.trans_acc < mult.epsilon * mult.detached_mean_trans_acc
-    return int((below & state.trans_acc_defined).sum())
-
-
-def telemetry_record(epoch, hits, state: LearningState, stats, before, after):
+def telemetry_record(epoch, state: LearningState, stats, before, after):
     """Per-epoch telemetry: the objective the multiplier step descended
-    (pre-update multipliers, refreshed mean) plus post-update summaries."""
-    probe = replace(
-        before, detached_mean_trans_acc=after.detached_mean_trans_acc
-    )
-    valid = stats.valid_mask
-    lam = after.lam[valid]
+    (pre-update multipliers), the violated constraints, and summaries of
+    the post-update multipliers."""
+    _, g = _constraint_gradient(state, stats, before.epsilon)
+    lam = after.lam[stats.valid_mask]
     return {
         "epoch": int(epoch),
-        "lagrangian": lagrangian_value(hits, stats, probe),
-        "mean_trans_acc": after.detached_mean_trans_acc,
+        "lagrangian": lagrangian_value(state, stats, before),
+        "mean_trans_acc": state.mean_trans_acc,
         "lambda_min": float(lam.min()) if lam.size else 0.0,
         "lambda_mean": float(lam.mean()) if lam.size else 0.0,
         "lambda_max": float(lam.max()) if lam.size else 0.0,
-        "violations": count_violations(state, after),
+        "violations": int((g < 0).sum()),
     }

@@ -52,26 +52,21 @@ def compute_class_means(dataset, extractor) -> ClassMeans:
     """Average the representation of every training frame per class.
 
     ``extractor`` maps a sequence to its [T, R] representation; it is
-    called once per sequence, in order, and no result is kept.
-    Training split only; evaluation data must never flow in here.
+    called once per sequence, in order, and no result is kept. Each
+    labelled run is summed once, and the run sums are added into their
+    class rows in order. The support is the dataset's per-class frame
+    count. Training split only; evaluation data must never flow in here.
     """
-    return class_means(dataset, map(extractor, dataset.sequences))
-
-
-def class_means(dataset, representations) -> ClassMeans:
-    """``compute_class_means`` over representations already extracted:
-    one [T, R] array per sequence of ``dataset``, in order."""
     if not dataset.sequences:
         raise EmptySequenceError("cannot compute class means of an empty dataset")
-    L = dataset.num_classes
     sums = None
-    support = np.zeros(L, dtype=np.int64)
-    for seq, reps in zip(dataset.sequences, representations):
-        reps = np.asarray(reps, dtype=np.float64)
+    for seq in dataset.sequences:
+        reps = np.asarray(extractor(seq), dtype=np.float64)
         if sums is None:
-            sums = np.zeros((L, reps.shape[1]))
-        np.add.at(sums, seq.frame_labels, reps)
-        support += np.bincount(seq.frame_labels, minlength=L)
+            sums = np.zeros((dataset.num_classes, reps.shape[1]))
+        starts, _, labels = segmentation_from_frames(seq.frame_labels)
+        np.add.at(sums, labels, np.add.reduceat(reps, starts, axis=0))
+    support = dataset.class_frame_counts.astype(np.int64)
     means = np.zeros_like(sums)
     np.divide(sums, support[:, None], out=means, where=support[:, None] > 0)
     return ClassMeans(means=means, support=support)

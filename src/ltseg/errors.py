@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the integer check
-that config validation raises them from."""
+"""Exception types shared across the package, and the integer and
+number checks that config validation raises them from."""
+
+import math
 
 
 class LtsegError(Exception):
@@ -43,3 +45,14 @@ def require_int(name, value):
     bool is not one, although Python counts it as such."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def require_finite(name, value):
+    """Raise ConfigError naming ``name`` unless ``value`` is a finite
+    number; bools, and the NaN and infinities that JSON accepts, are not."""
+    try:
+        finite = not isinstance(value, bool) and math.isfinite(value)
+    except (TypeError, OverflowError):
+        finite = False
+    if not finite:
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")

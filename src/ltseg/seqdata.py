@@ -21,6 +21,7 @@ from .errors import (
     EmptySequenceError,
     ParseError,
     RangeError,
+    require_finite,
     require_int,
 )
 
@@ -210,8 +211,9 @@ class SynthConfig:
     Segment labels follow a Zipf-skewed prior chained through a
     predecessor distribution whose rows are concentration-skewed, so both
     the class totals and the incoming transitions are imbalanced.
-    Durations are per-class normal, clamped to >= 1 frame. Features are
-    per-class Gaussian bumps: class mean plus isotropic noise.
+    Durations are normal around one mean for every class, clamped to
+    >= 1 frame. Features are per-class Gaussian bumps: a class mean drawn
+    at scale ``mean_scale`` plus isotropic noise.
     """
 
     num_classes: int = 12
@@ -223,13 +225,17 @@ class SynthConfig:
     duration_spread: float = 0.3
     mean_scale: float = 1.0
     noise_scale: float = 0.5
-    class_means: np.ndarray = None
     transition_skew: float = 1.0
     rng_seed: int = 0
 
     def validate(self):
         for name in ("num_classes", "feature_dim", "num_sequences"):
             require_int(name, getattr(self, name))
+        for name in (
+            "mean_segments", "class_skew", "duration_mean", "duration_spread",
+            "mean_scale", "noise_scale", "transition_skew",
+        ):
+            require_finite(name, getattr(self, name))
         if self.num_classes < 2:
             raise ConfigError(
                 f"need at least 2 classes to alternate segments, got {self.num_classes}"
@@ -245,19 +251,12 @@ class SynthConfig:
             )
         if self.class_skew < 0 or self.transition_skew < 0:
             raise ConfigError("skew parameters must be >= 0")
-        if np.min(self.duration_mean) < 1 or self.duration_spread < 0:
+        if self.duration_mean < 1 or self.duration_spread < 0:
             raise ConfigError("segment durations must average >= 1 frame")
         # noise_scale 0 is allowed: noiseless emitters make class means
         # exactly recoverable, which calibration tests rely on.
         if self.noise_scale < 0 or self.mean_scale <= 0:
             raise ConfigError("emitter scales out of range")
-        if self.class_means is not None:
-            means = np.asarray(self.class_means, dtype=np.float64)
-            if means.shape != (self.num_classes, self.feature_dim):
-                raise ConfigError(
-                    f"class_means shape {means.shape} does not match "
-                    f"({self.num_classes}, {self.feature_dim})"
-                )
         return self
 
 
@@ -281,10 +280,7 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     L, D = config.num_classes, config.feature_dim
     rng = np.random.default_rng(config.rng_seed)
 
-    if config.class_means is None:
-        class_means = rng.standard_normal((L, D)) * config.mean_scale
-    else:
-        class_means = np.asarray(config.class_means, dtype=np.float64)
+    means = rng.standard_normal((L, D)) * config.mean_scale
 
     base = (np.arange(1, L + 1, dtype=np.float64)) ** (-config.class_skew)
     twist = np.exp(config.transition_skew * rng.standard_normal((L + 1, L)))
@@ -292,9 +288,8 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
     np.fill_diagonal(weights[:L], 0.0)  # adjacent segments must differ
     cum_rows = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
 
-    dur_mean = np.broadcast_to(
-        np.asarray(config.duration_mean, dtype=np.float64), (L,)
-    )
+    dur_mean = float(config.duration_mean)
+    dur_scale = config.duration_spread * dur_mean
     width = max(4, len(str(config.num_sequences - 1)))
     sequences = []
     for s in range(config.num_sequences):
@@ -302,11 +297,10 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
         labels = _segment_label_chain(rng, cum_rows, n_seg, L)
         frame_labels = []
         for c in labels:
-            mean_c = dur_mean[c]
-            dur = int(np.rint(rng.normal(mean_c, config.duration_spread * mean_c)))
+            dur = int(np.rint(rng.normal(dur_mean, dur_scale)))
             frame_labels.extend([int(c)] * max(1, dur))
         frame_labels = np.array(frame_labels, dtype=np.int64)
-        feats = class_means[frame_labels].T.copy()
+        feats = means[frame_labels].T.copy()
         if config.noise_scale > 0:
             feats += config.noise_scale * rng.standard_normal(feats.shape)
         sequences.append(

@@ -190,7 +190,7 @@ def test_criterion_03_reductions():
     hits = counts[classes, classes]
     stats = sd.TransitionStats(counts=counts.sum(axis=1), total=int(counts.sum()))
     mult = cs.MultiplierState.zeros(stats)
-    value = cs.lagrangian_value(hits, stats, mult)
+    value = cs.lagrangian_value(cs.learning_state(hits, stats), stats, mult)
     # the sum of per-class accuracies over classes that have frames
     support = stats.counts.sum(axis=1)
     present = support > 0

@@ -7,13 +7,15 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltseg import _kernels
 from ltseg import classifier as clf
 from ltseg import costsens as cs
 from ltseg import decode as dec
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError, ParseError, TrainingDivergedError
+from ltseg.errors import ConfigError, ParseError, RangeError, TrainingDivergedError
 
 
 def _seq(features, labels, num_classes):
@@ -305,12 +307,11 @@ def _reference_train(dataset, config):
             np.divide(hits.astype(np.float64), support.astype(np.float64),
                       out=trans_acc, where=defined)
             state = cs.LearningState(
-                trans_acc=trans_acc, trans_acc_defined=defined,
+                trans_acc=trans_acc,
                 mean_trans_acc=float(trans_acc[defined].mean()),
             )
             updated = cs.update_multipliers(mult, state, stats)
-            record = cs.telemetry_record(epoch, hits, state, stats, mult,
-                                         updated)
+            record = cs.telemetry_record(epoch, state, stats, mult, updated)
             record["loss"] = epoch_loss / dataset.total_frames
             mult = updated
         telemetry.append(record)
@@ -411,33 +412,119 @@ def test_train_config_validation():
     clf.TrainConfig(epochs=0).validate()  # no-op run is legal
 
 
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(6)
-    params = clf.ClassifierParams.zeros(3, 4, context_radius=2)
+def _checkpointable(num_classes, feature_dim, context_radius=0, seed=6):
+    """Random parameters with random training class means attached."""
+    rng = np.random.default_rng(seed)
+    params = clf.ClassifierParams.zeros(num_classes, feature_dim, context_radius)
     params.weights[:] = rng.standard_normal(params.weights.shape)
-    params.bias[:] = rng.standard_normal(3)
+    params.bias[:] = rng.standard_normal(num_classes)
+    params.train_means = dec.ClassMeans(
+        means=rng.standard_normal(params.weights.shape),
+        support=rng.integers(0, 50, num_classes),
+    )
+    return params
+
+
+def test_checkpoint_round_trip(tmp_path):
+    params = _checkpointable(3, 4, context_radius=2)
     path = tmp_path / "model.ckpt"
     clf.save_checkpoint(params, path, epoch=17)
     loaded, epoch = clf.load_checkpoint(path)
     assert epoch == 17
     assert loaded.context_radius == 2
     assert loaded.num_classes == 3 and loaded.feature_dim == 4
-    # payload is float32, so parameters survive exactly at that precision
+    # weights and bias are float32, so they survive exactly at that
+    # precision; the class means are float64 and survive exactly
     assert np.array_equal(loaded.weights, params.weights.astype(np.float32))
     assert np.array_equal(loaded.bias, params.bias.astype(np.float32))
+    assert np.array_equal(loaded.train_means.means, params.train_means.means)
+    assert np.array_equal(loaded.train_means.support, params.train_means.support)
+    assert loaded.train_means.support.dtype == np.int64
+
+
+def test_checkpoint_needs_class_means(tmp_path):
+    with pytest.raises(ConfigError, match="class means"):
+        clf.save_checkpoint(clf.ClassifierParams.zeros(2, 2), tmp_path / "m", 0)
 
 
 def test_checkpoint_rejects_corruption(tmp_path):
-    params = clf.ClassifierParams.zeros(2, 2)
+    params = _checkpointable(2, 2)
     path = tmp_path / "model.ckpt"
     clf.save_checkpoint(params, path, epoch=0)
     raw = path.read_bytes()
-    (tmp_path / "trunc.ckpt").write_bytes(raw[:-8])
-    with pytest.raises(ParseError):
-        clf.load_checkpoint(tmp_path / "trunc.ckpt")
+    payload = len(raw) - raw.index(b"\n") - 1
+    for name, cut in (("trunc", 8), ("short", 3)):
+        (tmp_path / f"{name}.ckpt").write_bytes(raw[:-cut])
+        with pytest.raises(ParseError) as err:
+            clf.load_checkpoint(tmp_path / f"{name}.ckpt")
+        assert f"{name}.ckpt: payload holds {payload - cut} bytes" in str(err.value)
+        assert f"header implies {payload}" in str(err.value)
     (tmp_path / "garbled.ckpt").write_bytes(b"not json\n" + raw)
     with pytest.raises(ParseError):
         clf.load_checkpoint(tmp_path / "garbled.ckpt")
+
+
+def _rewrite_header(tmp_path, path, **fields):
+    header, payload = path.read_bytes().split(b"\n", 1)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(
+        json.dumps({**json.loads(header), **fields}).encode("ascii")
+        + b"\n" + payload
+    )
+    return bad
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("epoch", -5), ("num_classes", 0), ("feature_dim", -2), ("context_radius", -1)],
+)
+def test_checkpoint_header_out_of_range(tmp_path, field, value):
+    path = tmp_path / "model.ckpt"
+    clf.save_checkpoint(_checkpointable(2, 2), path, epoch=2)
+    bad = _rewrite_header(tmp_path, path, **{field: value})
+    with pytest.raises(RangeError) as err:
+        clf.load_checkpoint(bad)
+    assert str(bad) in str(err.value) and f"{field} {value}" in str(err.value)
+
+
+def test_checkpoint_rejects_non_finite_and_negative_payload(tmp_path):
+    params = _checkpointable(2, 2)
+    params.train_means.means[1, 0] = np.nan
+    path = tmp_path / "nan.ckpt"
+    clf.save_checkpoint(params, path, epoch=0)
+    with pytest.raises(RangeError, match="nan.ckpt: non-finite"):
+        clf.load_checkpoint(path)
+    params = _checkpointable(2, 2)
+    params.train_means.support[0] = -1
+    path = tmp_path / "neg.ckpt"
+    clf.save_checkpoint(params, path, epoch=0)
+    with pytest.raises(RangeError, match="neg.ckpt: negative class support"):
+        clf.load_checkpoint(path)
+
+
+_CHECKPOINT_DAMAGE = st.one_of(
+    st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+    st.tuples(st.just("overwrite"), st.integers(0, 10**6), st.integers(0, 255)),
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(damage=_CHECKPOINT_DAMAGE)
+def test_damaged_checkpoint_loads_or_fails_typed(tmp_path_factory, damage):
+    # any truncation or single-byte overwrite of a valid checkpoint either
+    # still loads or raises a typed error that names the file
+    path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
+    clf.save_checkpoint(_checkpointable(2, 3, context_radius=1), path, epoch=4)
+    raw = bytearray(path.read_bytes())
+    if damage[0] == "truncate":
+        raw = raw[: damage[1] % len(raw)]
+    else:
+        raw[damage[1] % len(raw)] = damage[2]
+    path.write_bytes(bytes(raw))
+    try:
+        clf.load_checkpoint(path)
+    except (ParseError, RangeError) as exc:
+        assert str(path) in str(exc)
 
 
 @pytest.mark.parametrize(
@@ -445,14 +532,10 @@ def test_checkpoint_rejects_corruption(tmp_path):
 )
 @pytest.mark.parametrize("value", ["x", None, 3.7, True])
 def test_checkpoint_header_fields_must_be_integers(tmp_path, field, value):
-    params = clf.ClassifierParams.zeros(2, 2, context_radius=1)
+    params = _checkpointable(2, 2, context_radius=1)
     path = tmp_path / "model.ckpt"
     clf.save_checkpoint(params, path, epoch=2)
-    header, payload = path.read_bytes().split(b"\n", 1)
-    fields = json.loads(header)
-    fields[field] = value
-    bad = tmp_path / "bad.ckpt"
-    bad.write_bytes(json.dumps(fields).encode("ascii") + b"\n" + payload)
+    bad = _rewrite_header(tmp_path, path, **{field: value})
     with pytest.raises(ParseError) as err:
         clf.load_checkpoint(bad)
     assert str(bad) in str(err.value) and field in str(err.value)

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import pathlib
+import shutil
 import warnings
 
 import numpy as np
@@ -119,6 +120,14 @@ def test_config_requires_single_source(tmp_path):
         ("dataset.synthetic.num_sequences", 2.5),
         ("dataset.synthetic.num_classes", 3.0),
         ("dataset.synthetic.feature_dim", "4"),
+        ("train.learning_rate", float("nan")),
+        ("train.tau", float("inf")),
+        pytest.param("train.gamma", 10**400, id="train.gamma-10**400"),
+        ("dataset.synthetic.duration_spread", float("nan")),
+        ("dataset.synthetic.noise_scale", float("nan")),
+        ("dataset.synthetic.class_skew", float("nan")),
+        ("dataset.synthetic.duration_mean", [5, 6]),
+        ("seed", -1),
     ],
 )
 def test_config_field_of_wrong_type_named(tmp_path, capsys, field, value):
@@ -131,6 +140,28 @@ def test_config_field_of_wrong_type_named(tmp_path, capsys, field, value):
     with pytest.raises(ConfigError, match=field):
         cli.load_config(path)
     assert cli.main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize(
+    "data, flags, field",
+    [
+        ({"out": 5}, [], "out"),
+        ({}, ["--tau", "nan"], "tau"),
+        ({}, ["--gamma", "inf"], "gamma"),
+        ({}, ["--seed", "-1"], "seed"),
+    ],
+    ids=["out", "tau-flag", "gamma-flag", "seed-flag"],
+)
+def test_config_out_and_flag_values_named(
+    tmp_path, monkeypatch, capsys, data, flags, field
+):
+    # the default output root is relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    path = write_config(tmp_path / "cfg.json", **data)
+    assert cli.main(["train", "--config", path, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not os.path.exists(tmp_path / "runs")
@@ -500,6 +531,91 @@ def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch):
     for name, report in want.items():
         with open(os.path.join(run_dir, f"{name}.json")) as fh:
             assert json.load(fh) == report
+
+
+def _rotate_labels(dataset_dir):
+    """Give every frame of a dataset directory the next class's name."""
+    names = [
+        line.split()[1]
+        for line in (dataset_dir / "classes.txt").read_text().splitlines()
+    ]
+    rotate = {name: names[(i + 1) % len(names)] for i, name in enumerate(names)}
+    for path in (dataset_dir / "groundTruth").iterdir():
+        tokens = path.read_text().split()
+        path.write_text("".join(rotate[token] + "\n" for token in tokens))
+
+
+@pytest.mark.parametrize("decode", dec.DECODE_MODES)
+def test_eval_predictions_ignore_eval_labels(tmp_path, monkeypatch, decode):
+    # eval decodes with the training split's class means and takes the
+    # head set from its frame counts, so relabelling the scored split may
+    # change the scores but never the predictions or the head set
+    gen_dir = cli.cmd_gen(
+        cli.load_config(
+            write_config(
+                tmp_path / "gen.json",
+                dataset={"synthetic": small_synth(noise_scale=1.2, mean_scale=0.8)},
+                out=str(tmp_path / "runs"),
+            )
+        ),
+        stream=io.StringIO(),
+    )
+    dataset_dir = pathlib.Path(gen_dir) / "dataset"
+    relabelled = tmp_path / "relabelled"
+    shutil.copytree(dataset_dir, relabelled)
+    _rotate_labels(relabelled)
+
+    def config_for(root):
+        return cli.load_config(
+            write_config(
+                tmp_path / "cfg.json",
+                dataset={"manifest": str(root / "manifest.json")},
+                train={"epochs": 4, "learning_rate": 0.5},
+                decode=decode,
+                head_threshold=20,
+                out=str(tmp_path / "runs"),
+            )
+        )
+
+    train_dir, code = cli.cmd_train(config_for(dataset_dir))
+    assert code == 0
+    checkpoint = os.path.join(train_dir, "checkpoint.bin")
+    decoded, heads = [], []
+    evaluate = mx.evaluate
+
+    def capture(predictions, truths, *args, **kwargs):
+        decoded.append([np.array(p) for p in predictions])
+        heads.append(kwargs["head"])
+        return evaluate(predictions, truths, *args, **kwargs)
+
+    monkeypatch.setattr(mx, "evaluate", capture)
+    cli.cmd_eval(config_for(dataset_dir), checkpoint)
+    cli.cmd_eval(config_for(relabelled), checkpoint)
+    half = len(decoded) // 2
+    assert half == (2 if decode == "sncm" else 1)
+    for original, permuted in zip(decoded[:half], decoded[half:]):
+        for a, b in zip(original, permuted, strict=True):
+            np.testing.assert_array_equal(a, b)
+    train_counts = cli._resolve_dataset(config_for(dataset_dir)).class_frame_counts
+    want_head, _ = sd.head_tail_split(train_counts, 20)
+    assert heads == [want_head] * len(heads)
+    relabelled_counts = cli._resolve_dataset(config_for(relabelled)).class_frame_counts
+    assert sd.head_tail_split(relabelled_counts, 20)[0] != want_head
+
+
+def test_eval_checkpoint_without_class_means_exits_2(tmp_path, capsys):
+    # a checkpoint that stops after the float32 weights and bias, the
+    # layout written before the class means were stored, is refused
+    config, checkpoint = _train_small(tmp_path)
+    params, _ = clf.load_checkpoint(checkpoint)
+    old = tmp_path / "old.bin"
+    with open(checkpoint, "rb") as fh:
+        header = fh.readline()
+        old.write_bytes(header + fh.read(4 * (params.weights.size + params.bias.size)))
+    path = write_config(tmp_path / "eval.json", **cli.config_to_dict(config))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", path, str(old)]) == 2
+    assert f"error: {old}: payload holds" in capsys.readouterr().err
 
 
 def test_main_eval_malformed_manifest_exits_2(tmp_path, capsys):

@@ -246,7 +246,7 @@ def test_perfect_classifier_diagonal_support():
     hits = _hits_of(ds, _perfect)
     assert np.array_equal(hits, stats.counts)
     state = cs.learning_state(hits, stats)
-    assert np.all(state.trans_acc[state.trans_acc_defined] == 1.0)
+    assert np.all(state.trans_acc[stats.valid_mask] == 1.0)
     assert state.mean_trans_acc == 1.0
 
 
@@ -257,7 +257,7 @@ def test_constant_classifier():
     assert np.array_equal(hits[0], stats.counts[0])
     assert not hits[1:].any()
     state = cs.learning_state(hits, stats)
-    assert np.all(state.trans_acc[0][state.trans_acc_defined[0]] == 1.0)
+    assert np.all(state.trans_acc[0][stats.valid_mask[0]] == 1.0)
     assert np.all(state.trans_acc[1:] == 0.0)
 
 
@@ -309,8 +309,9 @@ def test_undefined_entries_flagged_not_nan():
     ds = sd.Dataset.build(
         [sd.LabeledSequence.from_frames(feats, [0, 1, 0], 3)], 3
     )
-    state = cs.learning_state(_hits_of(ds, _perfect), sd.compute_transition_stats(ds))
-    assert not state.trans_acc_defined[2].any()
+    stats = sd.compute_transition_stats(ds)
+    state = cs.learning_state(_hits_of(ds, _perfect), stats)
+    assert not stats.valid_mask[2].any()
     assert np.isfinite(state.trans_acc).all()
     assert np.all(state.trans_acc[2] == 0.0)
 
@@ -327,7 +328,8 @@ def test_lagrangian_zero_lambda_is_accuracy_sum():
     hits = _hits_of(ds, half)
     mult = cs.MultiplierState.zeros(stats)
     expect = _class_acc_sum(hits, stats)
-    assert cs.lagrangian_value(hits, stats, mult) == pytest.approx(expect, abs=1e-9)
+    state = cs.learning_state(hits, stats)
+    assert cs.lagrangian_value(state, stats, mult) == pytest.approx(expect, abs=1e-9)
 
 
 def test_lagrangian_perfect_classifier_closed_form():
@@ -336,14 +338,13 @@ def test_lagrangian_perfect_classifier_closed_form():
     hits = stats.counts.copy()
     rng = np.random.default_rng(3)
     lam = np.where(stats.valid_mask, rng.uniform(0, 1, stats.valid_mask.shape), 0.0)
-    mult = replace(
-        cs.MultiplierState.zeros(stats, epsilon=0.9),
-        lam=lam, detached_mean_trans_acc=1.0,
-    )
+    mult = replace(cs.MultiplierState.zeros(stats, epsilon=0.9), lam=lam)
+    state = cs.learning_state(hits, stats)
+    assert state.mean_trans_acc == 1.0
     active = int((stats.prior > 0).sum())
     scale = stats.transition / stats.prior[:, None]
     expect = active + 0.1 * (lam * scale)[stats.valid_mask].sum()
-    assert cs.lagrangian_value(hits, stats, mult) == pytest.approx(expect, rel=1e-12)
+    assert cs.lagrangian_value(state, stats, mult) == pytest.approx(expect, rel=1e-12)
 
 
 def test_lagrangian_term_by_term_oracle():
@@ -369,12 +370,14 @@ def test_lagrangian_term_by_term_oracle():
 
     rng = np.random.default_rng(17)
     lam = np.where(stats.valid_mask, rng.uniform(0.1, 1.5, (3, 4)), 0.0)
-    mult = replace(
-        cs.MultiplierState.zeros(stats, epsilon=0.9),
-        lam=lam, detached_mean_trans_acc=0.62,
-    )
+    mult = replace(cs.MultiplierState.zeros(stats, epsilon=0.9), lam=lam)
 
     total_frames = counts.sum()
+    # the tolerance line sits at 0.9 times the mean over observed
+    # transitions of the right answers per transition frame
+    observed = [(i, k) for i in range(3) for k in range(4) if trans_counts[i, k]]
+    mean = sum(counts[i, i, k] / trans_counts[i, k] for i, k in observed)
+    mean /= len(observed)
     expect = 0.0
     for i in range(3):
         pi = trans_counts[i].sum() / total_frames
@@ -385,8 +388,10 @@ def test_lagrangian_term_by_term_oracle():
             t_ik = trans_counts[i, k] / total_frames
             if t_ik > 0:
                 tacc = c_iik / t_ik
-                expect += lam[i, k] * (tacc - 0.9 * 0.62) * (t_ik / pi)
-    assert cs.lagrangian_value(hits, stats, mult) == pytest.approx(expect, rel=1e-12)
+                expect += lam[i, k] * (tacc - 0.9 * mean) * (t_ik / pi)
+    state = cs.learning_state(hits, stats)
+    assert state.mean_trans_acc == pytest.approx(mean, rel=1e-12)
+    assert cs.lagrangian_value(state, stats, mult) == pytest.approx(expect, rel=1e-12)
 
 
 def _two_transition_setup():
@@ -405,7 +410,7 @@ def test_update_boundary_transition_unchanged():
     lam[1, 0] = 0.2
     mult = replace(cs.MultiplierState.zeros(stats, epsilon=0.5), lam=lam)
     after = cs.update_multipliers(mult, state, stats)
-    assert after.detached_mean_trans_acc == pytest.approx(0.5)
+    assert state.mean_trans_acc == pytest.approx(0.5)
     assert after.lam[1, 0] == 0.2  # exactly on the tolerance line
     assert after.lam[0, 2] < 0.2  # satisfied constraint decays
 
@@ -469,10 +474,32 @@ def test_telemetry_record_fields():
     stats, hits, state = _two_transition_setup()
     before = cs.MultiplierState.zeros(stats, epsilon=0.9)
     after = cs.update_multipliers(before, state, stats)
-    rec = cs.telemetry_record(3, hits, state, stats, before, after)
+    rec = cs.telemetry_record(3, state, stats, before, after)
     assert rec["epoch"] == 3
     assert rec["mean_trans_acc"] == pytest.approx(0.5)
     assert rec["violations"] == 1  # only (1 <- 0) sits below 0.9 * mean
     assert rec["lambda_max"] >= rec["lambda_mean"] >= rec["lambda_min"] >= 0
-    # pre-update lambdas are all zero, so the probe objective is Acc sum
+    # pre-update lambdas are all zero, so the objective is the Acc sum
     assert rec["lagrangian"] == pytest.approx(_class_acc_sum(hits, stats))
+
+
+def test_violations_are_observed_transitions_below_the_line():
+    # class 4 never occurs and most (class, prev) pairs are unobserved:
+    # the count must match an explicit oracle on observed transitions only
+    ds = _dataset(num_classes=5, num_sequences=6, seed=2)
+    stats = sd.compute_transition_stats(ds)
+    assert ds.class_frame_counts[4] == 0 and stats.valid_mask.sum() < 15
+
+    def noisy(seq):
+        local = np.random.default_rng(seq.num_frames)
+        return np.where(local.random(seq.num_frames) < 0.6, seq.frame_labels, 0)
+
+    hits = _hits_of(ds, noisy)
+    state = cs.learning_state(hits, stats)
+    before = cs.MultiplierState.zeros(stats, epsilon=0.95)
+    after = cs.update_multipliers(before, state, stats)
+    rec = cs.telemetry_record(0, state, stats, before, after)
+    want = 0
+    for i, k in zip(*np.nonzero(stats.counts)):
+        want += hits[i, k] / stats.counts[i, k] < 0.95 * state.mean_trans_acc
+    assert 0 < rec["violations"] == want

@@ -1,23 +1,13 @@
 """Frame accuracy, edit score, segmental F1, group reports."""
 
-import os
-import tempfile
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
 from ltseg import metrics as mx
 from ltseg import seqdata as sd
 from ltseg.errors import ConfigError
-
-# Hypothesis caches the constants it finds in the package source under its
-# home directory, ``.hypothesis/`` in the working directory by default, even
-# with no example database. Its pytest plugin does that while collecting,
-# before any fixture runs, so the redirect happens at import.
-set_hypothesis_home_dir(os.path.join(tempfile.gettempdir(), "ltseg-hypothesis"))
 
 
 def runs(labels):
