@@ -2,26 +2,25 @@
 
 The backbone is deliberately small: softmax over an affine map of the
 frame's feature window. The interesting part is the loop around it,
-which alternates one epoch of gain-weighted gradient descent with a full
-prediction pass over the training set and a projected multiplier step,
-so the loss weights for epoch e always reflect the violations measured
-after epoch e-1. The pass counts only correct frames per (class,
-previous action) pair: that and the pair's frame count are all the
-learning state needs.
+which alternates one epoch of gain-weighted gradient descent with a
+projected multiplier step, so the loss weights for epoch e always
+reflect the violations measured during epoch e-1. The learning state
+comes from the SGD pass itself: each step also returns its batch's
+argmax, taken from the logits before the step, and the epoch counts the
+correct frames per (class, previous action) pair. Every frame sits in
+exactly one batch per epoch, so that and the pair's frame count are all
+the learning state needs.
 
 Training reads every window from one ``FrameStore`` built once per
 ``train`` call: the training set's features, frame-major in float64 and
 padded per sequence, behind a strided view whose rows are the stacked
 windows. It holds 1/(2w+1) of the bytes that per-sequence stacked
 windows would. Each SGD step gathers its batch's rows into one matrix
-and runs class-major (logits ``[L, n]``); the prediction pass
-(``store_hits``) predicts in chunks of ``CONFUSION_CHUNK_ROWS`` frames,
-so neither pass ever holds a full ``[N, L]`` logits matrix or a
-contiguous ``[N, D*(2w+1)]`` copy.
+and runs class-major (logits ``[L, n]``), so training never holds a full
+``[N, L]`` logits matrix or a contiguous ``[N, D*(2w+1)]`` copy.
 
-``_class_major_logits`` is the one logits expression: the SGD step, the
-prediction pass and eval (``ClassifierParams.predict_windows``) all use
-it.
+``_class_major_logits`` is the one logits expression: the SGD step and
+eval (``ClassifierParams.predict_windows``) both use it.
 """
 
 import json
@@ -44,10 +43,6 @@ from .errors import (
 from .seqdata import compute_transition_stats
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
-
-# frames per chunk of the prediction pass: bounds its window copy and
-# logits to a few MB whatever the dataset size
-CONFUSION_CHUNK_ROWS = 4096
 
 
 @dataclass(eq=False)
@@ -182,48 +177,32 @@ def _class_major_logits(params, phi):
 
 
 def batch_gradient(params, phi, labels, weights):
-    """``(loss_sum, grad_weights, grad_bias)`` of the weighted
-    cross-entropy of windows ``phi``, summed over the batch's frames."""
-    loss_sum, dlogits = _kernels.softmax_xent_grad(
-        _class_major_logits(params, phi), labels, weights
-    )
-    return loss_sum, dlogits @ phi, dlogits.sum(axis=1)
-
-
-def store_hits(params, store):
-    """Correctly predicted frames of ``store`` per (class, previous
-    action): int64 ``[L, L+1]``, column L the 'start' state. Argmax
-    predictions are made ``CONFUSION_CHUNK_ROWS`` frames at a time."""
-    frames = store.num_frames
-    pred = np.empty(frames, dtype=np.int64)
-    for lo in range(0, frames, CONFUSION_CHUNK_ROWS):
-        chunk = slice(lo, lo + CONFUSION_CHUNK_ROWS)
-        pred[chunk] = params.predict_windows(store.gather(chunk))
-    L = params.num_classes
-    flat = store.labels * (L + 1) + store.prev_action
-    hits = np.bincount(flat[pred == store.labels], minlength=L * (L + 1))
-    return hits.reshape(L, L + 1)
+    """``(loss_sum, grad_weights, grad_bias, pred)`` of the weighted
+    cross-entropy of windows ``phi``, summed over the batch's frames;
+    ``pred`` is each frame's argmax under ``params`` (ties to the
+    smallest class id)."""
+    logits = _class_major_logits(params, phi)
+    loss_sum, dlogits = _kernels.softmax_xent_grad(logits, labels, weights)
+    return loss_sum, dlogits @ phi, dlogits.sum(axis=1), np.argmax(logits, axis=0)
 
 
 def train(dataset, config: TrainConfig):
     """Alternating optimization over a dataset.
 
     Per epoch: (1) loss weights from the current multipliers, (2) one
-    pass of mini-batch SGD on the weighted cross-entropy, (3) a full
-    prediction pass with the updated classifier and the learning state
-    built from it, (4) the projected multiplier step.
+    pass of mini-batch SGD on the weighted cross-entropy, which also
+    counts the correct frames per (class, previous action), each frame
+    as predicted just before its batch's step, (3) the learning state
+    built from those counts, (4) the projected multiplier step.
     plain_ce uses unit weights and skips 1, 3 and 4; inverse_prior keeps
-    the multipliers pinned at zero and skips 3 and 4, so only cost_sensitive
-    pays for the prediction pass.
+    the multipliers pinned at zero and skips 3 and 4.
 
     The training set is windowed once into a ``FrameStore`` (N + 2wS
     padded frames of D float64 values). Each epoch computes all N frame
     weights in one ``frame_weights`` call. A step gathers its batch of
     ``batch_size`` sequences into one ``[n, D*(2w+1)]`` matrix, computes
     class-major logits ``[L, n]``, and makes one ``softmax_xent_grad``
-    call and one gradient GEMM (``batch_gradient``). The prediction pass
-    (``store_hits``) holds at most ``CONFUSION_CHUNK_ROWS`` windows and
-    logits at a time.
+    call and one gradient GEMM (``batch_gradient``).
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
@@ -239,6 +218,10 @@ def train(dataset, config: TrainConfig):
     )
     rng = np.random.default_rng(config.rng_seed)
     store = FrameStore.build(dataset, config.context_radius)
+    L = dataset.num_classes
+    # flat (class, previous action) cell of every frame, column L 'start'
+    cells = store.labels * (L + 1) + store.prev_action
+    hit = np.empty(store.num_frames, dtype=bool)
     n_seq = len(dataset.sequences)
     telemetry = []
     for epoch in range(config.epochs):
@@ -251,9 +234,11 @@ def train(dataset, config: TrainConfig):
         epoch_loss = 0.0
         for lo in range(0, n_seq, config.batch_size):
             frames = store.frames_of(order[lo : lo + config.batch_size])
-            loss_sum, grad_w, grad_b = batch_gradient(
-                params, store.gather(frames), store.labels[frames], frame_w[frames]
+            labels = store.labels[frames]
+            loss_sum, grad_w, grad_b, pred = batch_gradient(
+                params, store.gather(frames), labels, frame_w[frames]
             )
+            hit[frames] = pred == labels
             scale = config.learning_rate / frames.size
             params.weights -= scale * grad_w
             params.bias -= scale * grad_b
@@ -262,7 +247,8 @@ def train(dataset, config: TrainConfig):
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
         if config.loss_mode == "cost_sensitive":
-            state = costsens.learning_state(store_hits(params, store), stats)
+            hits = np.bincount(cells[hit], minlength=L * (L + 1))
+            state = costsens.learning_state(hits.reshape(L, L + 1), stats)
             updated = costsens.update_multipliers(mult, state, stats)
             record = costsens.telemetry_record(epoch, state, stats, mult, updated)
             record["loss"] = mean_loss

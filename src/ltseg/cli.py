@@ -248,9 +248,10 @@ def cmd_gen(config: ExperimentConfig, stream=None) -> str:
     table as CSV. Returns the run directory."""
     if config.synthetic is None:
         raise ConfigError("gen needs a synthetic dataset source, not a manifest")
+    # draw first: a config the generator refuses leaves no run directory
+    dataset = sd.generate_synthetic(config.synthetic)
     run_dir = make_run_dir(config)
     _write_json(os.path.join(run_dir, "config.json"), config_to_dict(config))
-    dataset = sd.generate_synthetic(config.synthetic)
     sd.save_dataset(
         dataset,
         os.path.join(run_dir, "dataset"),

@@ -10,10 +10,11 @@ projected gradient descent.
 
 The multipliers respond to the learning state: the accuracy of each
 (class, previous action) pair on the training set, built once per epoch
-by ``learning_state`` from the correct-frame counts of
-``classifier.store_hits``. ``_constraint_gradient`` turns that state into
-the Lagrangian's gradient in the multipliers; the multiplier step, the
-Lagrangian and the violation count all read it.
+by ``learning_state`` from the correct-frame counts that
+``classifier.train`` takes from its SGD pass, each frame as predicted
+just before its batch's step. ``_constraint_gradient`` turns that state
+into the Lagrangian's gradient in the multipliers; the multiplier step,
+the Lagrangian and the violation count all read it.
 """
 
 from dataclasses import dataclass, replace
@@ -71,10 +72,11 @@ def learning_state(hits, stats) -> LearningState:
     """Per-transition accuracy from ``hits``, the int64 ``[L, L+1]``
     count of correctly predicted frames per (class, previous action).
 
-    The support of each transition is ``stats.counts``: the pass that
-    counted ``hits`` predicted every frame of the dataset. The mean
-    transition accuracy is the unweighted average over observed
-    transitions.
+    The support of each transition is ``stats.counts``: ``train``
+    counts ``hits`` over one epoch's SGD pass, which predicts every frame
+    of the dataset exactly once, with the parameters in force just
+    before the step of the frame's batch. The mean transition accuracy
+    is the unweighted average over observed transitions.
     """
     observed = stats.valid_mask
     trans_acc = np.zeros(hits.shape)

@@ -27,6 +27,11 @@ from .errors import (
 
 START = "start"
 
+# segments per sequence and frames per segment are drawn below this
+# bound; no recording comes near it, and larger draws overflow numpy's
+# Poisson sampler and the frame index
+DRAW_LIMIT = 2**31
+
 
 def segmentation_from_frames(frame_labels):
     """Run-length encode a frame labeling into int64 arrays
@@ -245,14 +250,18 @@ class SynthConfig:
                 f"feature_dim and num_sequences must be positive, got "
                 f"{self.feature_dim} and {self.num_sequences}"
             )
-        if self.mean_segments < 1:
-            raise ConfigError(
-                f"mean_segments must be >= 1, got {self.mean_segments}"
-            )
+        for name in ("mean_segments", "duration_mean"):
+            value = getattr(self, name)
+            if not 1 <= value < DRAW_LIMIT:
+                raise ConfigError(
+                    f"{name} must be in [1, {DRAW_LIMIT}), got {value}"
+                )
         if self.class_skew < 0 or self.transition_skew < 0:
             raise ConfigError("skew parameters must be >= 0")
-        if self.duration_mean < 1 or self.duration_spread < 0:
-            raise ConfigError("segment durations must average >= 1 frame")
+        if self.duration_spread < 0:
+            raise ConfigError(
+                f"duration_spread must be >= 0, got {self.duration_spread}"
+            )
         # noise_scale 0 is allowed: noiseless emitters make class means
         # exactly recoverable, which calibration tests rely on.
         if self.noise_scale < 0 or self.mean_scale <= 0:
@@ -274,41 +283,80 @@ def _segment_label_chain(rng, cum_rows, num_segments, num_classes):
     return labels
 
 
+def _chain_rows(config, rng):
+    """Cumulative successor distributions ``[L+1, L]``, row L 'start'.
+
+    A skew large enough to leave a row without finite positive mass is a
+    ConfigError naming it: a class_skew whose Zipf prior underflows past
+    class 0, else the transition_skew whose twist overflowed."""
+    L = config.num_classes
+    base = (np.arange(1, L + 1, dtype=np.float64)) ** (-config.class_skew)
+    with np.errstate(over="ignore", invalid="ignore"):
+        twist = np.exp(config.transition_skew * rng.standard_normal((L + 1, L)))
+        weights = base[None, :] * twist
+        np.fill_diagonal(weights[:L], 0.0)  # adjacent segments must differ
+        mass = weights.sum(axis=1, keepdims=True)
+    bad = np.flatnonzero(~(np.isfinite(mass) & (mass > 0)))
+    if bad.size:
+        name = "class_skew" if base[1] == 0 else "transition_skew"
+        row = START if bad[0] == L else f"class {bad[0]}"
+        raise ConfigError(
+            f"{name} {getattr(config, name)} leaves the successor row of "
+            f"{row} without finite positive mass"
+        )
+    return np.cumsum(weights / mass, axis=1)
+
+
+def _as_float32(values, name, scale, where):
+    """``values`` as float32; a value outside float32's range is a
+    ConfigError naming the emitter scale that drew it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.asarray(values).astype(np.float32)
+    if not np.isfinite(out).all():
+        raise ConfigError(f"{name} {scale} puts {where} outside the float32 range")
+    return out
+
+
 def generate_synthetic(config: SynthConfig) -> Dataset:
     """Draw a synthetic dataset; bit-identical for equal configs."""
     config.validate()
     L, D = config.num_classes, config.feature_dim
     rng = np.random.default_rng(config.rng_seed)
 
-    means = rng.standard_normal((L, D)) * config.mean_scale
-
-    base = (np.arange(1, L + 1, dtype=np.float64)) ** (-config.class_skew)
-    twist = np.exp(config.transition_skew * rng.standard_normal((L + 1, L)))
-    weights = base[None, :] * twist
-    np.fill_diagonal(weights[:L], 0.0)  # adjacent segments must differ
-    cum_rows = np.cumsum(weights / weights.sum(axis=1, keepdims=True), axis=1)
+    with np.errstate(over="ignore"):
+        means = rng.standard_normal((L, D)) * config.mean_scale
+    _as_float32(means, "mean_scale", config.mean_scale, "the class means")
+    cum_rows = _chain_rows(config, rng)
 
     dur_mean = float(config.duration_mean)
     dur_scale = config.duration_spread * dur_mean
     width = max(4, len(str(config.num_sequences - 1)))
     sequences = []
     for s in range(config.num_sequences):
+        seq_id = f"seq_{s:0{width}d}"
         n_seg = 1 + int(rng.poisson(config.mean_segments - 1.0))
         labels = _segment_label_chain(rng, cum_rows, n_seg, L)
-        frame_labels = []
-        for c in labels:
-            dur = int(np.rint(rng.normal(dur_mean, dur_scale)))
-            frame_labels.extend([int(c)] * max(1, dur))
-        frame_labels = np.array(frame_labels, dtype=np.int64)
+        durations = np.maximum(1.0, np.rint(rng.normal(dur_mean, dur_scale, n_seg)))
+        if not durations.max() < DRAW_LIMIT:
+            raise ConfigError(
+                f"duration_spread {config.duration_spread} around duration_mean "
+                f"{dur_mean} draws a segment of {durations.max()} frames in "
+                f"{seq_id}, not below {DRAW_LIMIT}"
+            )
+        frame_labels = np.repeat(labels, durations.astype(np.int64))
         feats = means[frame_labels].T.copy()
         if config.noise_scale > 0:
-            feats += config.noise_scale * rng.standard_normal(feats.shape)
+            with np.errstate(over="ignore", invalid="ignore"):
+                feats += config.noise_scale * rng.standard_normal(feats.shape)
         sequences.append(
             LabeledSequence.from_frames(
-                feats.astype(np.float32),
+                _as_float32(
+                    feats, "noise_scale", config.noise_scale,
+                    f"the features of {seq_id}",
+                ),
                 frame_labels,
                 num_classes=L,
-                seq_id=f"seq_{s:0{width}d}",
+                seq_id=seq_id,
             )
         )
     return Dataset.build(sequences, num_classes=L)

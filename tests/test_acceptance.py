@@ -97,7 +97,7 @@ def test_criterion_01_weighted_ce_gradient():
     def pipeline_loss(p):
         return clf.batch_gradient(p, phi, store.labels, weights)[0]
 
-    _, grad_w, grad_b = clf.batch_gradient(params, phi, store.labels, weights)
+    _, grad_w, grad_b, _ = clf.batch_gradient(params, phi, store.labels, weights)
     step = 1e-6
     worst = 0.0
     scale = max(np.abs(grad_w).max(), np.abs(grad_b).max(), 1.0)
@@ -121,10 +121,19 @@ def test_criterion_01_weighted_ce_gradient():
 
 
 def test_criterion_02_confusion_oracle(monkeypatch):
-    # a chunk size that cuts through sequences exercises the chunking
-    monkeypatch.setattr(clf, "CONFUSION_CHUNK_ROWS", 7)
+    # the table train hands to learning_state: one epoch of one batch
+    # that starts from the trial's random parameters, so every frame is
+    # predicted by them before the step
     start = time.perf_counter()
     rng = np.random.default_rng(7)
+    handed = []
+    real_state = cs.learning_state
+
+    def capture_state(hits, stats):
+        handed.append((hits, stats))
+        return real_state(hits, stats)
+
+    monkeypatch.setattr(cs, "learning_state", capture_state)
     for trial in range(50):
         num_classes = int(rng.integers(2, 6))
         feature_dim = int(rng.integers(2, 5))
@@ -144,7 +153,6 @@ def test_criterion_02_confusion_oracle(monkeypatch):
             bias=rng.normal(size=num_classes),
             context_radius=1,
         )
-        got = clf.store_hits(params, clf.FrameStore.build(dataset, 1))
         # oracle: the full (truth, prediction, previous action) tensor
         tensor = np.zeros(
             (num_classes, num_classes, num_classes + 1), np.int64
@@ -153,10 +161,20 @@ def test_criterion_02_confusion_oracle(monkeypatch):
             pred = argmax_oracle(params, seq)
             for t in range(seq.num_frames):
                 tensor[seq.frame_labels[t], pred[t], seq.prev_action[t]] += 1
+        monkeypatch.setattr(
+            clf.ClassifierParams, "zeros", lambda *args, **kwargs: params
+        )
+        handed.clear()
+        clf.train(
+            dataset,
+            clf.TrainConfig(epochs=1, batch_size=len(seqs), context_radius=1,
+                            rng_seed=trial),
+        )
+        assert len(handed) == 1
+        got, stats = handed[0]
         classes = np.arange(num_classes)
         assert np.array_equal(got, tensor[classes, classes])
-        # the learning state's support: every frame was predicted
-        stats = sd.compute_transition_stats(dataset)
+        # the learning state's support: every frame was predicted once
         assert np.array_equal(tensor.sum(axis=1), stats.counts)
     assert time.perf_counter() - start < 10.0
 

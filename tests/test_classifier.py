@@ -109,10 +109,11 @@ def test_single_step_descends():
     params.weights[:] = rng.standard_normal(params.weights.shape)
     phi = _kernels.window_stack(seq.features, 0)
     ones = np.ones(1)
-    before, grad_w, grad_b = clf.batch_gradient(params, phi, seq.frame_labels, ones)
+    before, grad_w, grad_b, _ = clf.batch_gradient(params, phi, seq.frame_labels,
+                                                   ones)
     params.weights -= 1e-4 * grad_w
     params.bias -= 1e-4 * grad_b
-    after, _, _ = clf.batch_gradient(params, phi, seq.frame_labels, ones)
+    after, _, _, _ = clf.batch_gradient(params, phi, seq.frame_labels, ones)
     assert after < before
 
 
@@ -140,8 +141,8 @@ def test_training_gradient_matches_finite_differences():
 
     store = clf.FrameStore.build(ds, 1)
     w = cs.frame_weights(gain, store.labels, store.prev_action)
-    _, grad_w, grad_b = clf.batch_gradient(params, store.gather(np.arange(3)),
-                                           store.labels, w)
+    _, grad_w, grad_b, _ = clf.batch_gradient(params, store.gather(np.arange(3)),
+                                              store.labels, w)
     grad_w /= 3
     grad_b /= 3
 
@@ -250,8 +251,9 @@ def _reference_train(dataset, config):
     """The training loop one sequence at a time: row-major logits, a
     per-frame-row softmax, per-sequence gradient sums and, under
     cost_sensitive, a full (truth, prediction, previous action) confusion
-    tensor counted per sequence, with the learning state read off its
-    diagonal and its marginal over predictions."""
+    tensor counted per sequence from the logits in force before its
+    batch's step, with the learning state read off its diagonal and its
+    marginal over predictions."""
     stats = sd.compute_transition_stats(dataset)
     mult = cs.MultiplierState.zeros(stats, step_size=config.gamma,
                                     epsilon=config.epsilon)
@@ -260,6 +262,7 @@ def _reference_train(dataset, config):
     )
     rng = np.random.default_rng(config.rng_seed)
     n_seq = len(dataset.sequences)
+    L = dataset.num_classes
     telemetry = []
     for epoch in range(config.epochs):
         gain = None
@@ -267,6 +270,7 @@ def _reference_train(dataset, config):
             gain = cs.compute_gain(stats, mult, config.tau)
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
+        counts = np.zeros((L, L, L + 1), np.int64)
         for lo in range(0, n_seq, config.batch_size):
             grad_w = np.zeros_like(params.weights)
             grad_b = np.zeros_like(params.bias)
@@ -275,6 +279,8 @@ def _reference_train(dataset, config):
                 seq = dataset.sequences[idx]
                 phi = _kernels.window_stack(seq.features, config.context_radius)
                 logits = phi @ params.weights.T + params.bias
+                np.add.at(counts, (seq.frame_labels, np.argmax(logits, axis=1),
+                                   seq.prev_action), 1)
                 frame_w = np.ones(seq.num_frames)
                 if gain is not None:
                     frame_w = cs.frame_weights(gain, seq.frame_labels,
@@ -294,12 +300,6 @@ def _reference_train(dataset, config):
             params.bias -= config.learning_rate / batch_frames * grad_b
         record = {"epoch": epoch, "loss": epoch_loss / dataset.total_frames}
         if config.loss_mode == "cost_sensitive":
-            L = dataset.num_classes
-            counts = np.zeros((L, L, L + 1), np.int64)
-            for seq in dataset.sequences:
-                phi = _kernels.window_stack(seq.features, config.context_radius)
-                pred = np.argmax(phi @ params.weights.T + params.bias, axis=1)
-                np.add.at(counts, (seq.frame_labels, pred, seq.prev_action), 1)
             hits = counts[np.arange(L), np.arange(L)]
             support = counts.sum(axis=1)
             defined = support > 0
@@ -341,26 +341,20 @@ def test_train_matches_per_sequence_reference(loss_mode):
 
 
 @pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)
-def test_confusion_pass_runs_only_for_cost_sensitive(monkeypatch, loss_mode):
-    # one hit count and one learning state per cost_sensitive epoch,
+def test_counting_runs_only_for_cost_sensitive(monkeypatch, loss_mode):
+    # one hit table and one learning state per cost_sensitive epoch,
     # none under the other modes
-    calls, states = [], []
-    real_hits, real_state = clf.store_hits, cs.learning_state
-
-    def counting_hits(params, store):
-        calls.append(store.num_frames)
-        return real_hits(params, store)
+    states = []
+    real_state = cs.learning_state
 
     def counting_state(hits, stats):
         states.append(hits.shape)
         return real_state(hits, stats)
 
-    monkeypatch.setattr(clf, "store_hits", counting_hits)
     monkeypatch.setattr(cs, "learning_state", counting_state)
     ds = _separable_dataset(seed=3)
     clf.train(ds, clf.TrainConfig(epochs=4, batch_size=4, loss_mode=loss_mode))
     want = 4 if loss_mode == "cost_sensitive" else 0
-    assert calls == [ds.total_frames] * want
     L = ds.num_classes
     assert states == [(L, L + 1)] * want
 

@@ -5,6 +5,8 @@ import json
 import os
 import pathlib
 import shutil
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -265,6 +267,28 @@ def test_gen_unwritable_out_dir_exit_code(tmp_path):
     assert cli.main(["gen", "--config", path]) == 2
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("class_skew", 2000.0),
+        ("transition_skew", 1e300),
+        ("mean_segments", 1e300),
+        ("duration_spread", 1e300),
+        ("noise_scale", 1e300),
+    ],
+)
+def test_gen_extreme_synthetic_values_exit_2(tmp_path, capsys, field, value):
+    path = write_config(
+        tmp_path / "cfg.json",
+        dataset={"synthetic": small_synth(**{field: value})},
+        out=str(tmp_path / "runs"),
+    )
+    assert cli.main(["gen", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and field in err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 # -- train -------------------------------------------------------------------
 
 
@@ -334,6 +358,36 @@ def test_train_seeded_reruns_identical(tmp_path):
     second, code_b = cli.cmd_train(cli.load_config(path))
     assert code_a == code_b == 0
     assert tree_bytes(first) == tree_bytes(second)
+
+
+def test_train_checkpoint_independent_of_blas_threads(tmp_path):
+    # the float64 weights may differ in the last bits across BLAS thread
+    # counts; the float32 checkpoint must not
+    path = write_config(
+        tmp_path / "cfg.json",
+        dataset={"synthetic": {"num_classes": 6, "num_sequences": 60}},
+        train={"epochs": 5},
+        seed=4,
+    )
+    package_root = os.path.dirname(os.path.dirname(cli.__file__))
+    checkpoints = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"runs_{threads}"
+        env = dict(
+            os.environ,
+            OPENBLAS_NUM_THREADS=threads,
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [package_root, os.environ.get("PYTHONPATH")])
+            ),
+        )
+        subprocess.run(
+            [sys.executable, "-m", "ltseg.cli", "train", "--config", path,
+             "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=120,
+        )
+        (run_dir,) = os.listdir(out)
+        checkpoints.append((out / run_dir / "checkpoint.bin").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 def test_train_rerun_from_echoed_config_identical(tmp_path):

@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltseg import _kernels
 from ltseg import classifier as clf
@@ -261,21 +263,24 @@ def test_constant_classifier():
     assert np.all(state.trans_acc[1:] == 0.0)
 
 
-def test_counts_match_per_frame_oracle():
+def test_counts_match_per_frame_oracle(monkeypatch):
+    # the hits train hands to learning_state, from one epoch of one batch
+    # that starts at fixed parameters, against per-sequence argmax decoding
     ds = _dataset(num_classes=3, num_sequences=6, seed=5)
     params = _random_params(ds, seed=77)
-    hits = clf.store_hits(params, clf.FrameStore.build(ds, 1))
     expect = _hits_of(ds, lambda seq: dec.decode_sequence(params, seq, "argmax"))
-    assert np.array_equal(hits, expect)
+    handed = []
+    real_state = cs.learning_state
 
+    def capture_state(hits, stats):
+        handed.append(hits)
+        return real_state(hits, stats)
 
-def test_sequence_order_invariance():
-    ds = _dataset(num_classes=3, num_sequences=8, seed=9)
-    params = _random_params(ds, seed=4)
-    a = clf.store_hits(params, clf.FrameStore.build(ds, 1))
-    shuffled = sd.Dataset.build(ds.sequences[::-1], ds.num_classes, ds.class_names)
-    b = clf.store_hits(params, clf.FrameStore.build(shuffled, 1))
-    assert np.array_equal(a, b)
+    monkeypatch.setattr(cs, "learning_state", capture_state)
+    monkeypatch.setattr(clf.ClassifierParams, "zeros", lambda *a, **k: params)
+    clf.train(ds, clf.TrainConfig(epochs=1, batch_size=6, context_radius=1))
+    assert len(handed) == 1
+    assert np.array_equal(handed[0], expect)
 
 
 def test_learning_state_four_frame_example():
@@ -503,3 +508,46 @@ def test_violations_are_observed_transitions_below_the_line():
     for i, k in zip(*np.nonzero(stats.counts)):
         want += hits[i, k] / stats.counts[i, k] < 0.95 * state.mean_trans_acc
     assert 0 < rec["violations"] == want
+
+
+@st.composite
+def multiplier_runs(draw):
+    """Transition counts with at least one frame, E realizable hit tables
+    (``hits <= counts``), a step size and a tolerance."""
+    L = draw(st.integers(2, 5))
+    cells = st.lists(st.integers(0, 40), min_size=L * (L + 1), max_size=L * (L + 1))
+    counts = np.array(draw(cells), np.int64).reshape(L, L + 1)
+    counts[draw(st.integers(0, L - 1)), draw(st.integers(0, L))] += 1
+    epochs = draw(st.integers(1, 12))
+    fractions = st.lists(
+        st.floats(0, 1), min_size=counts.size, max_size=counts.size
+    )
+    tables = [
+        np.floor(np.array(draw(fractions)).reshape(counts.shape) * counts)
+        .astype(np.int64)
+        for _ in range(epochs)
+    ]
+    gamma = draw(st.floats(1e-3, 10))
+    epsilon = draw(st.floats(1e-3, 1))
+    return _stats_from_counts(counts), tables, gamma, epsilon
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(multiplier_runs())
+def test_multipliers_bounded_by_steps(run):
+    # g >= -epsilon * mean * T/prior = -epsilon * mean * P(k|i), so steps
+    # from zero leave lambda[i, k] at most gamma * epsilon * P(k|i) times
+    # the sum of the means, and so at most E * gamma * epsilon * P(k|i)
+    stats, tables, gamma, epsilon = run
+    mult = cs.MultiplierState.zeros(stats, step_size=gamma, epsilon=epsilon)
+    mean_sum = 0.0
+    for hits in tables:
+        assert (hits <= stats.counts).all()
+        state = cs.learning_state(hits, stats)
+        mult = cs.update_multipliers(mult, state, stats)
+        mean_sum += state.mean_trans_acc
+    support = stats.counts.sum(axis=1, keepdims=True)
+    p_next = np.zeros(stats.counts.shape)
+    np.divide(stats.counts, support, out=p_next, where=support > 0)
+    assert (mult.lam <= gamma * epsilon * p_next * mean_sum * (1 + 1e-12)).all()
+    assert mean_sum <= len(tables)

@@ -113,6 +113,17 @@ def test_edit_score_symmetry_and_duration_invariance():
     assert mx.edit_score(stretched_pred, stretched_truth) == want
 
 
+@settings(database=None, derandomize=True, deadline=None)
+@given(
+    st.lists(st.integers(0, 4), max_size=25),
+    st.lists(st.integers(0, 4), max_size=25),
+)
+def test_edit_score_symmetric_and_in_range(a, b):
+    score = mx.edit_score(a, b)
+    assert score == mx.edit_score(b, a)
+    assert 0.0 <= score <= 100.0
+
+
 # -- segmental F1 ------------------------------------------------------------
 
 
@@ -205,6 +216,38 @@ def test_f1_monotone_in_threshold():
         f1_at = mx.evaluate([pred], [truth], 4, thresholds=thresholds).f1_at
         scores = [f1_at[thr][0] for thr in thresholds]
         assert all(a >= b for a, b in zip(scores, scores[1:]))
+
+
+@st.composite
+def scored_pairs(draw):
+    """Equal-length prediction and truth labelings and two thresholds."""
+    n = draw(st.integers(1, 30))
+    frames = st.lists(st.integers(0, 3), min_size=n, max_size=n)
+    low, high = sorted(
+        draw(st.lists(st.floats(0.01, 1.0), min_size=2, max_size=2))
+    )
+    return np.array(draw(frames)), np.array(draw(frames)), low, high
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(scored_pairs())
+def test_f1_does_not_rise_with_threshold(case):
+    pred, truth, low, high = case
+    f1_at = mx.evaluate([pred], [truth], 4, thresholds=(low, high)).f1_at
+    assert f1_at[high][0] <= f1_at[low][0]  # global
+    assert f1_at[high][1] <= f1_at[low][1]  # per class
+
+
+def test_f1_takes_best_unmatched_segment():
+    # truth runs: 0 [0-4], 1 [5], 0 [6], 1 [7-8]; predicted 0 [3-6] reaches
+    # IoU 2/7 with the truth 0 [0-4] that predicted 0 [0-1] already took,
+    # and IoU 1/4 with the unmatched truth 0 [6], which it takes. A rule
+    # that picks the best of all same-label segments would count it an fp.
+    truth = np.array([0, 0, 0, 0, 0, 1, 0, 1, 1])
+    pred = np.array([0, 0, 1, 0, 0, 0, 0, 1, 1])
+    counts = _match(pred, truth, 2, 0.25)
+    assert counts.tolist() == [[2, 1], [0, 1], [0, 1]]  # tp, fp, fn rows
+    assert np.array_equal(counts, _counts_oracle(pred, truth, 2, 0.25))
 
 
 def test_f1_threshold_range():

@@ -1,9 +1,12 @@
 """Sequence/segmentation types, synthetic generator, dataset I/O."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltseg import seqdata as sd
 from ltseg.errors import ConfigError, EmptySequenceError, ParseError, RangeError
@@ -143,6 +146,78 @@ def test_generator_config_errors():
     ):
         with pytest.raises(ConfigError):
             sd.generate_synthetic(bad)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("class_skew", 2000.0),
+        ("class_skew", 1e300),
+        ("transition_skew", 1e300),
+        ("mean_segments", 1e300),
+        ("duration_mean", 1e300),
+        ("duration_spread", 1e300),
+        ("mean_scale", 1e300),
+        ("noise_scale", 1e300),
+    ],
+)
+def test_generator_extreme_values_named(field, value):
+    # each would otherwise give NaN successor rows, a bare numpy error or
+    # features that float32 cannot hold
+    cfg = sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=3,
+                         **{field: value})
+    with pytest.raises(ConfigError, match=field):
+        sd.generate_synthetic(cfg)
+
+
+def _small_or_extreme(low, high, extreme):
+    return st.floats(low, high) | st.sampled_from(extreme)
+
+
+@st.composite
+def small_synth_configs(draw):
+    """Configs too small to allocate much, or with a value that must be
+    refused before anything large is drawn."""
+    return sd.SynthConfig(
+        num_classes=draw(st.integers(2, 6)),
+        feature_dim=draw(st.integers(1, 4)),
+        num_sequences=draw(st.integers(1, 4)),
+        mean_segments=draw(_small_or_extreme(1, 12, [2.0**31, 1e300])),
+        class_skew=draw(_small_or_extreme(0, 4, [1100.0, 1e300])),
+        duration_mean=draw(_small_or_extreme(1, 30, [2.0**31, 1e300])),
+        duration_spread=draw(_small_or_extreme(0, 2, [1e300])),
+        mean_scale=draw(_small_or_extreme(0.01, 10, [1e39, 1e300])),
+        noise_scale=draw(_small_or_extreme(0, 5, [1e39, 1e300])),
+        transition_skew=draw(_small_or_extreme(0, 6, [800.0, 1e300])),
+        rng_seed=draw(st.integers(0, 3)),
+    )
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(small_synth_configs())
+def test_generator_refuses_by_field_or_keeps_invariants(cfg):
+    chains = []
+    draw_chain = sd._segment_label_chain
+
+    def recording_chain(*args):
+        chains.append(draw_chain(*args))
+        return chains[-1]
+
+    sd._segment_label_chain = recording_chain
+    try:
+        ds = sd.generate_synthetic(cfg)
+    except ConfigError as exc:
+        names = [field.name for field in dataclasses.fields(cfg)]
+        assert any(name in str(exc) for name in names), str(exc)
+        return
+    finally:
+        sd._segment_label_chain = draw_chain
+    for seq in ds.sequences:
+        assert seq.features.dtype == np.float32
+        assert np.isfinite(seq.features).all()
+        assert ((seq.frame_labels >= 0) & (seq.frame_labels < cfg.num_classes)).all()
+    for labels in chains:
+        assert (labels[1:] != labels[:-1]).all()  # adjacent segments differ
 
 
 def test_transition_stats_hand_enumeration():
