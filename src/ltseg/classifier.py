@@ -30,7 +30,6 @@ import numpy as np
 
 from . import _kernels
 from . import costsens
-from .costsens import MultiplierState
 from .decode import ClassMeans
 from .errors import (
     ConfigError,
@@ -40,7 +39,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .seqdata import compute_transition_stats
+from .seqdata import compute_transition_stats, read_json
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
 
@@ -210,15 +209,13 @@ def train(dataset, config: TrainConfig):
     if not dataset.sequences:
         raise ConfigError("cannot train on an empty dataset")
     stats = compute_transition_stats(dataset)
-    mult = MultiplierState.zeros(
-        stats, step_size=config.gamma, epsilon=config.epsilon
-    )
+    L = dataset.num_classes
+    lam = np.zeros((L, L + 1))  # one multiplier per (class, previous action)
     params = ClassifierParams.zeros(
         dataset.num_classes, dataset.feature_dim, config.context_radius
     )
     rng = np.random.default_rng(config.rng_seed)
     store = FrameStore.build(dataset, config.context_radius)
-    L = dataset.num_classes
     # flat (class, previous action) cell of every frame, column L 'start'
     cells = store.labels * (L + 1) + store.prev_action
     hit = np.empty(store.num_frames, dtype=bool)
@@ -228,7 +225,7 @@ def train(dataset, config: TrainConfig):
         if config.loss_mode == "plain_ce":
             frame_w = np.ones(store.num_frames)
         else:
-            gain = costsens.compute_gain(stats, mult, config.tau)
+            gain = costsens.compute_gain(stats, lam, config.tau)
             frame_w = costsens.frame_weights(gain, store.labels, store.prev_action)
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
@@ -249,10 +246,14 @@ def train(dataset, config: TrainConfig):
         if config.loss_mode == "cost_sensitive":
             hits = np.bincount(cells[hit], minlength=L * (L + 1))
             state = costsens.learning_state(hits.reshape(L, L + 1), stats)
-            updated = costsens.update_multipliers(mult, state, stats)
-            record = costsens.telemetry_record(epoch, state, stats, mult, updated)
+            updated = costsens.update_multipliers(
+                lam, state, stats, config.gamma, config.epsilon
+            )
+            record = costsens.telemetry_record(
+                epoch, state, stats, lam, updated, config.epsilon
+            )
             record["loss"] = mean_loss
-            mult = updated
+            lam = updated
         else:
             record = {"epoch": epoch, "loss": mean_loss}
         telemetry.append(record)
@@ -288,10 +289,7 @@ def load_checkpoint(path):
     with open(path, "rb") as fh:
         header_line = fh.readline()
         payload = fh.read()
-    try:
-        header = json.loads(header_line.decode("ascii"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}:1: bad checkpoint header ({exc})") from exc
+    header = read_json(path, data=header_line)
     if not isinstance(header, dict):
         raise ParseError(f"{path}:1: checkpoint header is not a JSON object")
     if not all(k in header for k in _CHECKPOINT_KEYS):

@@ -29,7 +29,8 @@ from .errors import (
     require_int,
 )
 
-REPORT_F1_KEYS = ("0.10", "0.25", "0.50")
+# the F1 keys of report_to_dict, one per threshold that eval scores
+REPORT_F1_KEYS = tuple(f"{thr:.2f}" for thr in mx.DEFAULT_IOU_THRESHOLDS)
 
 _SYNTH_KEYS = frozenset(
     f.name for f in dataclasses.fields(sd.SynthConfig)
@@ -42,7 +43,6 @@ _TOP_KEYS = frozenset(
         "dataset",
         "train",
         "decode",
-        "iou_thresholds",
         "head_threshold",
         "feature_format",
         "out",
@@ -54,14 +54,14 @@ _TOP_KEYS = frozenset(
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs: a dataset source (exactly one of
-    synthetic or manifest), training knobs, decoder choice, metric
-    thresholds, and output placement."""
+    synthetic or manifest), training knobs, decoder choice, the head/tail
+    split, and output placement. Eval scores F1 at
+    ``metrics.DEFAULT_IOU_THRESHOLDS``, the paper's IoU thresholds."""
 
     synthetic: sd.SynthConfig = None
     manifest: str = None
     train: clf.TrainConfig = dataclasses.field(default_factory=clf.TrainConfig)
     decode_mode: str = "sncm"
-    iou_thresholds: tuple = mx.DEFAULT_IOU_THRESHOLDS
     head_threshold: int = None
     feature_format: str = "binary"
     out_dir: str = "runs"
@@ -85,12 +85,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"feature_format must be 'binary' or 'csv', got {self.feature_format!r}"
             )
-        if not self.iou_thresholds:
-            raise ConfigError("iou_thresholds must not be empty")
-        for thr in self.iou_thresholds:
-            require_finite("iou_thresholds", thr)
-            if not 0.0 < thr < 1.0:
-                raise ConfigError(f"IoU threshold {thr} outside (0, 1)")
         if self.head_threshold is not None:
             require_int("head_threshold", self.head_threshold)
             if self.head_threshold <= 0:
@@ -157,16 +151,11 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
         if key in overrides:
             train = dataclasses.replace(train, **{key: overrides.pop(key)})
 
-    thresholds = data.get("iou_thresholds", list(mx.DEFAULT_IOU_THRESHOLDS))
-    if not isinstance(thresholds, (list, tuple)):
-        raise ConfigError("iou_thresholds must be a list")
-
     config = ExperimentConfig(
         synthetic=synthetic,
         manifest=manifest,
         train=train,
         decode_mode=overrides.pop("decode", data.get("decode", "sncm")),
-        iou_thresholds=tuple(thresholds),
         head_threshold=data.get("head_threshold"),
         feature_format=data.get("feature_format", "binary"),
         out_dir=overrides.pop("out", data.get("out", "runs")),
@@ -179,13 +168,7 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
     """Read a config file, or start from all defaults when path is None."""
-    data = {}
-    if path is not None:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
+    data = {} if path is None else sd.read_json(path, ConfigError)
     return config_from_dict(data, overrides)
 
 
@@ -204,7 +187,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "dataset": source,
         "train": {name: getattr(config.train, name) for name in sorted(_TRAIN_KEYS)},
         "decode": config.decode_mode,
-        "iou_thresholds": list(config.iou_thresholds),
         "head_threshold": config.head_threshold,
         "feature_format": config.feature_format,
         "out": config.out_dir,
@@ -352,13 +334,7 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
             ]
         }
     for name, decoded in reports.items():
-        report = mx.evaluate(
-            decoded,
-            truths,
-            dataset.num_classes,
-            thresholds=config.iou_thresholds,
-            head=head,
-        )
+        report = mx.evaluate(decoded, truths, dataset.num_classes, head=head)
         _write_report(run_dir, name, report)
     return run_dir
 
@@ -383,9 +359,7 @@ def _report_row(path, data):
 
 
 _COMPARE_COLUMNS = (
-    ("per_class_f1@0.10", "0.10"),
-    ("per_class_f1@0.25", "0.25"),
-    ("per_class_f1@0.50", "0.50"),
+    *((f"per_class_f1@{key}", key) for key in REPORT_F1_KEYS),
     ("per_class_acc", "per_class_acc"),
     ("global_f1@0.25", "global_f1"),
 )
@@ -398,12 +372,7 @@ def cmd_report(report_paths, stream=None, out_dir=None) -> int:
         raise ConfigError("need at least one report file")
     rows = []
     for path in report_paths:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"{path} is not valid JSON: {exc}") from None
-        rows.append((path, _report_row(path, data)))
+        rows.append((path, _report_row(path, sd.read_json(path, ConfigError))))
     baseline = rows[0][1]
     for path, row in rows:
         if row["classes"] != baseline["classes"]:

@@ -15,48 +15,21 @@ by ``learning_state`` from the correct-frame counts that
 just before its batch's step. ``_constraint_gradient`` turns that state
 into the Lagrangian's gradient in the multipliers; the multiplier step,
 the Lagrangian and the violation count all read it.
+
+The multipliers ``lam`` are one float64 ``[L, L+1]`` array, one per
+(class, previous action): non-negative, and zero on the transitions
+that ``stats.valid_mask`` marks unobserved. ``classifier.train`` starts
+them at zero. The step size gamma, the tolerance epsilon and the
+exponent tau are range-checked once, in ``TrainConfig.validate``.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-
-from .errors import ConfigError
 
 DEFAULT_EPSILON = 0.9
 DEFAULT_STEP_SIZE = 0.01
 DEFAULT_TAU = 0.3
-
-
-@dataclass(frozen=True, eq=False)
-class MultiplierState:
-    """One multiplier per (class, previous action), kept non-negative and
-    supported only on transitions the dataset contains."""
-
-    lam: np.ndarray
-    step_size: float
-    epsilon: float
-
-    @classmethod
-    def zeros(cls, stats, step_size=DEFAULT_STEP_SIZE, epsilon=DEFAULT_EPSILON):
-        """All-zero multipliers: the first epoch trains with pure
-        inverse-prior weighting until violations are measured."""
-        if step_size <= 0:
-            raise ConfigError(f"multiplier step size must be > 0, got {step_size}")
-        if not 0 < epsilon <= 1:
-            raise ConfigError(f"tolerance must be in (0, 1], got {epsilon}")
-        L = stats.num_classes
-        return cls(
-            lam=np.zeros((L, L + 1)), step_size=float(step_size),
-            epsilon=float(epsilon),
-        )
-
-    def validate(self, valid_mask):
-        if (self.lam < 0).any():
-            raise ConfigError("negative multiplier")
-        if self.lam[~valid_mask].any():
-            raise ConfigError("multiplier on an unobserved transition")
-        return self
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +58,13 @@ def learning_state(hits, stats) -> LearningState:
     return LearningState(trans_acc=trans_acc, mean_trans_acc=mean)
 
 
-def compute_gain(stats, mult: MultiplierState, tau):
+def compute_gain(stats, lam, tau):
     """Tempered loss weights ``[L, L+1]``: ``((1 + lambda) / prior) ** tau``
     on observed transitions of classes with frames. Rows of zero-prior
     classes hold ``0 ** tau``; no training frame can index them."""
-    if tau < 0:
-        raise ConfigError(f"temper exponent must be >= 0, got {tau}")
     prior = stats.prior
-    mult.validate(stats.valid_mask)
-    gain = np.zeros_like(mult.lam)
-    numer = 1.0 + stats.valid_mask * mult.lam
+    gain = np.zeros_like(lam)
+    numer = 1.0 + stats.valid_mask * lam
     np.divide(numer, prior[:, None], out=gain, where=(prior > 0)[:, None])
     # 0**0 == 1, so tau=0 yields exactly 1 everywhere, zero-prior rows included
     return gain ** float(tau)
@@ -116,33 +86,33 @@ def _constraint_gradient(state: LearningState, stats, epsilon):
     return scale, (state.trans_acc - epsilon * state.mean_trans_acc) * scale
 
 
-def lagrangian_value(state: LearningState, stats, mult: MultiplierState):
+def lagrangian_value(state: LearningState, stats, lam, epsilon):
     """Saddle-point objective ``sum(T/prior * trans_acc) + sum(lambda * g)``:
     the sum of per-class accuracies plus the weighted constraint terms,
     with the tolerance line at the state's own (detached) mean."""
-    scale, g = _constraint_gradient(state, stats, mult.epsilon)
-    return float((scale * state.trans_acc).sum() + (mult.lam * g).sum())
+    scale, g = _constraint_gradient(state, stats, epsilon)
+    return float((scale * state.trans_acc).sum() + (lam * g).sum())
 
 
-def update_multipliers(mult: MultiplierState, state: LearningState, stats):
-    """One projected gradient step on the multipliers: every lambda moves
-    against its constraint gradient, clamps at zero, and stays zero on
-    unobserved transitions."""
-    _, g = _constraint_gradient(state, stats, mult.epsilon)
-    lam = np.maximum(0.0, mult.lam - mult.step_size * g)
+def update_multipliers(lam, state: LearningState, stats, gamma, epsilon):
+    """One projected gradient step of size ``gamma`` on the multipliers:
+    every lambda moves against its constraint gradient, clamps at zero,
+    and stays zero on unobserved transitions. Returns a new array."""
+    _, g = _constraint_gradient(state, stats, epsilon)
+    lam = np.maximum(0.0, lam - gamma * g)
     lam[~stats.valid_mask] = 0.0
-    return replace(mult, lam=lam)
+    return lam
 
 
-def telemetry_record(epoch, state: LearningState, stats, before, after):
+def telemetry_record(epoch, state: LearningState, stats, before, after, epsilon):
     """Per-epoch telemetry: the objective the multiplier step descended
-    (pre-update multipliers), the violated constraints, and summaries of
-    the post-update multipliers."""
-    _, g = _constraint_gradient(state, stats, before.epsilon)
-    lam = after.lam[stats.valid_mask]
+    (pre-update multipliers ``before``), the violated constraints, and
+    summaries of the post-update multipliers ``after``."""
+    _, g = _constraint_gradient(state, stats, epsilon)
+    lam = after[stats.valid_mask]
     return {
         "epoch": int(epoch),
-        "lagrangian": lagrangian_value(state, stats, before),
+        "lagrangian": lagrangian_value(state, stats, before, epsilon),
         "mean_trans_acc": state.mean_trans_acc,
         "lambda_min": float(lam.min()) if lam.size else 0.0,
         "lambda_mean": float(lam.mean()) if lam.size else 0.0,

@@ -445,16 +445,30 @@ def save_dataset(dataset, path, feature_format="binary"):
         fh.write("\n")
 
 
-def _open_utf8(path):
-    """A UTF-8 text file as a text stream with ``open``'s universal
-    newlines; a byte that is not UTF-8 is a ParseError naming its line."""
-    with open(path, "rb") as fh:
-        data = fh.read()
+def _open_utf8(path, data=None, error=ParseError):
+    """A UTF-8 text file, or ``data``, bytes read from it, as a text
+    stream with ``open``'s universal newlines; a byte that is not UTF-8
+    raises ``error`` naming its line."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+        raise error(f"{path}:{line}: not UTF-8 text ({exc.reason})") from exc
+
+
+def read_json(path, error=ParseError, data=None):
+    """The JSON value in a UTF-8 file, or in ``data``, bytes read from
+    it. Text that is not UTF-8 or not JSON, and nesting deeper than the
+    parser's recursion limit, raise ``error`` naming the file."""
+    try:
+        return json.load(_open_utf8(path, data, error))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}:{exc.lineno}: not valid JSON ({exc.msg})") from None
+    except RecursionError:
+        raise error(f"{path}: JSON nested too deeply to parse") from None
 
 
 def _read_classes(path, num_classes):
@@ -508,10 +522,7 @@ def load_dataset(path) -> Dataset:
     if os.path.isdir(path):
         manifest_path = os.path.join(path, "manifest.json")
     root = os.path.dirname(manifest_path)
-    try:
-        manifest = json.load(_open_utf8(manifest_path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{manifest_path}:{exc.lineno}: {exc.msg}") from exc
+    manifest = read_json(manifest_path)
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("num_classes", "feature_dim"):

@@ -3,7 +3,6 @@
 import json
 import math
 import warnings
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -123,8 +122,7 @@ def test_training_gradient_matches_finite_differences():
     ds = sd.Dataset.build([seq], 3)
     stats = sd.compute_transition_stats(ds)
     lam = np.where(stats.valid_mask, rng.uniform(0, 1, (3, 4)), 0.0)
-    mult = replace(cs.MultiplierState.zeros(stats), lam=lam)
-    gain = cs.compute_gain(stats, mult, tau=0.6)
+    gain = cs.compute_gain(stats, lam, tau=0.6)
     params = clf.ClassifierParams.zeros(3, 2, context_radius=1)
     params.weights[:] = rng.standard_normal(params.weights.shape)
     params.bias[:] = rng.standard_normal(3)
@@ -255,8 +253,7 @@ def _reference_train(dataset, config):
     batch's step, with the learning state read off its diagonal and its
     marginal over predictions."""
     stats = sd.compute_transition_stats(dataset)
-    mult = cs.MultiplierState.zeros(stats, step_size=config.gamma,
-                                    epsilon=config.epsilon)
+    lam = np.zeros((dataset.num_classes, dataset.num_classes + 1))
     params = clf.ClassifierParams.zeros(
         dataset.num_classes, dataset.feature_dim, config.context_radius
     )
@@ -267,7 +264,7 @@ def _reference_train(dataset, config):
     for epoch in range(config.epochs):
         gain = None
         if config.loss_mode != "plain_ce":
-            gain = cs.compute_gain(stats, mult, config.tau)
+            gain = cs.compute_gain(stats, lam, config.tau)
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
         counts = np.zeros((L, L, L + 1), np.int64)
@@ -310,10 +307,12 @@ def _reference_train(dataset, config):
                 trans_acc=trans_acc,
                 mean_trans_acc=float(trans_acc[defined].mean()),
             )
-            updated = cs.update_multipliers(mult, state, stats)
-            record = cs.telemetry_record(epoch, state, stats, mult, updated)
+            updated = cs.update_multipliers(lam, state, stats, config.gamma,
+                                            config.epsilon)
+            record = cs.telemetry_record(epoch, state, stats, lam, updated,
+                                         config.epsilon)
             record["loss"] = epoch_loss / dataset.total_frames
-            mult = updated
+            lam = updated
         telemetry.append(record)
     return params, telemetry
 

@@ -1,5 +1,6 @@
 """End-to-end CLI behavior: config handling, gen/train/eval/report."""
 
+import glob
 import io
 import json
 import os
@@ -11,6 +12,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltseg import _kernels
 from ltseg import classifier as clf
@@ -41,6 +44,15 @@ def small_synth(**extra):
     return base
 
 
+TOO_DEEP = b"[" * 3000 + b"]" * 3000
+
+# JSON inputs that no reader may fail on with a bare traceback
+UNREADABLE_JSON = [
+    pytest.param(b'{"out": "\xff"}', id="not_utf8"),
+    pytest.param(TOO_DEEP, id="too_deep"),
+]
+
+
 def tree_bytes(root):
     """{relative path: content} for every file under root."""
     out = {}
@@ -67,6 +79,59 @@ def test_config_round_trips_through_dict():
     again = cli.config_from_dict(cli.config_to_dict(config))
     assert again == config
     assert cli.config_hash(again) == cli.config_hash(config)
+
+
+_SYNTH_VALUES = {
+    "num_classes": st.integers(2, 8),
+    "feature_dim": st.integers(1, 8),
+    "num_sequences": st.integers(1, 50),
+    "mean_segments": st.floats(1, 20),
+    "class_skew": st.floats(0, 3),
+    "duration_mean": st.floats(1, 40),
+    "duration_spread": st.floats(0, 1),
+    "mean_scale": st.floats(0.1, 5),
+    "noise_scale": st.floats(0, 5),
+    "transition_skew": st.floats(0, 3),
+}
+_TRAIN_VALUES = {
+    "epochs": st.integers(0, 5),
+    "learning_rate": st.floats(1e-3, 10),
+    "batch_size": st.integers(1, 16),
+    "context_radius": st.integers(0, 3),
+    "tau": st.floats(0, 2),
+    "epsilon": st.floats(1e-3, 1),
+    "gamma": st.floats(1e-3, 10),
+    "loss_mode": st.sampled_from(clf.LOSS_MODES),
+}
+_TOP_VALUES = {
+    "train": st.fixed_dictionaries({}, optional=_TRAIN_VALUES),
+    "decode": st.sampled_from(dec.DECODE_MODES),
+    "head_threshold": st.none() | st.integers(1, 1000),
+    "feature_format": st.sampled_from(["binary", "csv"]),
+    "out": st.text(max_size=8),
+    "seed": st.integers(0, 2**32),
+}
+
+
+@settings(database=None, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_config_round_trip_property(tmp_path_factory, data):
+    # any small valid config, from either dataset source and with any
+    # subset of its keys left to the defaults, survives config_to_dict,
+    # directly and through the JSON text of an echoed config.json
+    manifest = tmp_path_factory.getbasetemp() / "manifest.json"
+    manifest.touch()
+    source = st.one_of(
+        st.fixed_dictionaries(
+            {"synthetic": st.fixed_dictionaries({}, optional=_SYNTH_VALUES)}
+        ),
+        st.just({"manifest": str(manifest)}),
+    )
+    raw = data.draw(st.fixed_dictionaries({"dataset": source}, optional=_TOP_VALUES))
+    config = cli.config_from_dict(raw)
+    assert cli.config_from_dict(cli.config_to_dict(config)) == config
+    echoed = json.loads(json.dumps(cli.config_to_dict(config)))
+    assert cli.config_from_dict(echoed) == config
 
 
 def test_flag_overrides_reach_subconfigs(tmp_path):
@@ -166,6 +231,21 @@ def test_config_out_and_flag_values_named(
     assert cli.main(["train", "--config", path, *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
+    assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize(
+    "raw", [*UNREADABLE_JSON, pytest.param(b"{", id="not_json")]
+)
+def test_config_file_unreadable_named(tmp_path, monkeypatch, capsys, raw):
+    # the default output root is relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.json"
+    path.write_bytes(raw)
+    with pytest.raises(ConfigError, match="cfg.json"):
+        cli.load_config(str(path))
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {path}:")
     assert not os.path.exists(tmp_path / "runs")
 
 
@@ -461,6 +541,23 @@ def test_eval_sncm_reports_frame_ncm_supplement(tmp_path):
     assert sncm_report["edit_score"] >= ncm_report["edit_score"]
 
 
+def test_eval_reports_read_back_through_report(tmp_path, capsys):
+    # F1 is scored at the thresholds report reads, and a config cannot
+    # name others, so every report eval writes is one report accepts
+    config, checkpoint = _train_small(tmp_path)
+    data = cli.config_to_dict(config)
+    path = write_config(tmp_path / "f1.json", **{**data, "iou_thresholds": [0.3]})
+    assert cli.main(["eval", "--config", path, checkpoint]) == 2
+    assert "iou_thresholds" in capsys.readouterr().err
+    path = write_config(tmp_path / "eval.json", **data)
+    assert cli.main(["eval", "--config", path, checkpoint]) == 0
+    (report,) = glob.glob(os.path.join(data["out"], "*", "report.json"))
+    reports = [report, os.path.join(os.path.dirname(report), "report_ncm.json")]
+    capsys.readouterr()
+    assert cli.main(["report", *reports]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + len(reports)
+
+
 def test_eval_argmax_writes_single_report(tmp_path):
     config, checkpoint = _train_small(tmp_path)
     config = cli.config_from_dict({**cli.config_to_dict(config), "decode": "argmax"})
@@ -672,6 +769,22 @@ def test_eval_checkpoint_without_class_means_exits_2(tmp_path, capsys):
     assert f"error: {old}: payload holds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("header", UNREADABLE_JSON)
+def test_eval_unreadable_checkpoint_header_exits_2(tmp_path, capsys, header):
+    config, checkpoint = _train_small(tmp_path)
+    with open(checkpoint, "rb") as fh:
+        fh.readline()
+        payload = fh.read()
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(header + b"\n" + payload)
+    with pytest.raises(ParseError, match="bad.bin"):
+        clf.load_checkpoint(bad)
+    path = write_config(tmp_path / "eval.json", **cli.config_to_dict(config))
+    capsys.readouterr()
+    assert cli.main(["eval", "--config", path, str(bad)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {bad}:")
+
+
 def test_main_eval_malformed_manifest_exits_2(tmp_path, capsys):
     gen_config = cli.load_config(
         write_config(
@@ -762,6 +875,11 @@ def _inf_in_csv_features(root):
     return [str(path), "non-finite"]
 
 
+def _deep_manifest(root):
+    (root / "manifest.json").write_bytes(TOO_DEEP)
+    return [f"{root / 'manifest.json'}:", "nested"]
+
+
 def _no_sequences(root):
     _edit_entries(root / "manifest.json", lambda e: e.clear())
     return [str(root / "manifest.json"), "'sequences'"]
@@ -781,6 +899,7 @@ def _no_sequences(root):
             (_nan_in_binary_features, RangeError),
             (_inf_in_csv_features, RangeError),
             (_no_sequences, ParseError),
+            (_deep_manifest, ParseError),
         )
     ],
 )
@@ -909,12 +1028,16 @@ def test_report_missing_threshold_named(tmp_path):
             "per_class_acc": "high",
             "counts": [1],
         },
+        *UNREADABLE_JSON,
     ],
 )
 def test_report_malformed_file_named(tmp_path, capsys, content):
     path = str(tmp_path / "bad.json")
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(content, fh)
+    if isinstance(content, bytes):
+        pathlib.Path(path).write_bytes(content)
+    else:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(content, fh)
     with pytest.raises(ConfigError, match="bad.json"):
         cli.cmd_report([path], stream=io.StringIO())
     assert cli.main(["report", path]) == 2

@@ -2,7 +2,6 @@
 multiplier updates."""
 
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from ltseg import classifier as clf
 from ltseg import costsens as cs
 from ltseg import decode as dec
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError
 
 
 def _stats_from_counts(counts):
@@ -29,19 +27,17 @@ def _uniform_stats(num_classes, prev=3):
 
 def test_gain_zero_multipliers_is_inverse_prior():
     stats = _uniform_stats(2, prev=3)
-    mult = cs.MultiplierState.zeros(stats)
-    assert np.all(cs.compute_gain(stats, mult, tau=1.0) == 2.0)
+    assert np.all(cs.compute_gain(stats, np.zeros((2, 3)), tau=1.0) == 2.0)
 
 
 def test_gain_direct_evaluation():
     stats = _uniform_stats(4, prev=5)
     lam = np.zeros((4, 5))
     lam[1, 2] = 0.5
-    mult = replace(cs.MultiplierState.zeros(stats), lam=lam)
-    gain = cs.compute_gain(stats, mult, tau=1.0)
+    gain = cs.compute_gain(stats, lam, tau=1.0)
     assert gain[1, 2] == pytest.approx((1 + 0.5) / 0.25)
     assert gain[0, 0] == pytest.approx(4.0)
-    half = cs.compute_gain(stats, mult, tau=0.5)
+    half = cs.compute_gain(stats, lam, tau=0.5)
     assert half[1, 2] == pytest.approx(6 ** 0.5)
     assert half[1, 2] == pytest.approx(2.449, abs=5e-4)
 
@@ -50,8 +46,7 @@ def test_gain_tau_zero_is_all_ones():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=5, num_sequences=10, rng_seed=0))
     stats = sd.compute_transition_stats(ds)
     lam = np.where(stats.valid_mask, 0.7, 0.0)
-    mult = replace(cs.MultiplierState.zeros(stats), lam=lam)
-    assert np.all(cs.compute_gain(stats, mult, tau=0.0) == 1.0)
+    assert np.all(cs.compute_gain(stats, lam, tau=0.0) == 1.0)
 
 
 def test_gain_inactive_classes_flagged():
@@ -59,22 +54,9 @@ def test_gain_inactive_classes_flagged():
     counts[0, 3] = 2
     counts[1, 0] = 2
     stats = _stats_from_counts(counts)  # class 2 never occurs
-    gain = cs.compute_gain(stats, cs.MultiplierState.zeros(stats), tau=1.0)
+    gain = cs.compute_gain(stats, np.zeros((3, 4)), tau=1.0)
     assert np.all(gain[2] == 0.0)
     assert np.all(gain[:2][stats.valid_mask[:2]] == 2.0)
-
-
-def test_multiplier_state_validation():
-    stats = _uniform_stats(2)
-    with pytest.raises(ConfigError):
-        cs.MultiplierState.zeros(stats, step_size=0.0)
-    with pytest.raises(ConfigError):
-        cs.MultiplierState.zeros(stats, epsilon=0.0)
-    with pytest.raises(ConfigError):
-        cs.MultiplierState.zeros(stats, epsilon=1.5)
-    bad = replace(cs.MultiplierState.zeros(stats), lam=np.full((2, 3), -0.1))
-    with pytest.raises(ConfigError):
-        bad.validate(stats.valid_mask)
 
 
 def _unit_weights(num_classes, prev_states=None):
@@ -136,11 +118,7 @@ def test_grad_matches_finite_differences():
     rng = np.random.default_rng(2024)
     L = 5
     stats = _uniform_stats(L, prev=L + 1)
-    mult = replace(
-        cs.MultiplierState.zeros(stats),
-        lam=rng.uniform(0, 2, (L, L + 1)),
-    )
-    weights = cs.compute_gain(stats, mult, tau=0.7)
+    weights = cs.compute_gain(stats, rng.uniform(0, 2, (L, L + 1)), tau=0.7)
     h = 1e-5
     worst = 0.0
     for _ in range(1000):
@@ -168,10 +146,7 @@ def test_tau_zero_reduces_to_plain_ce():
     rng = np.random.default_rng(5)
     L = 6
     stats = _uniform_stats(L, prev=L + 1)
-    mult = replace(
-        cs.MultiplierState.zeros(stats), lam=rng.uniform(0, 3, (L, L + 1))
-    )
-    weights = cs.compute_gain(stats, mult, tau=0.0)
+    weights = cs.compute_gain(stats, rng.uniform(0, 3, (L, L + 1)), tau=0.0)
     for _ in range(100):
         p = rng.dirichlet(np.ones(L))
         y = int(rng.integers(0, L))
@@ -183,7 +158,7 @@ def test_tau_zero_reduces_to_plain_ce():
 def test_uniform_prior_zero_lambda_scales_plain_ce():
     L = 4
     stats = _uniform_stats(L, prev=L + 1)
-    weights = cs.compute_gain(stats, cs.MultiplierState.zeros(stats), tau=1.0)
+    weights = cs.compute_gain(stats, np.zeros((L, L + 1)), tau=1.0)
     rng = np.random.default_rng(8)
     for _ in range(50):
         p = rng.dirichlet(np.ones(L))
@@ -331,10 +306,12 @@ def test_lagrangian_zero_lambda_is_accuracy_sum():
         return pred
 
     hits = _hits_of(ds, half)
-    mult = cs.MultiplierState.zeros(stats)
+    lam = np.zeros(hits.shape)
     expect = _class_acc_sum(hits, stats)
     state = cs.learning_state(hits, stats)
-    assert cs.lagrangian_value(state, stats, mult) == pytest.approx(expect, abs=1e-9)
+    assert cs.lagrangian_value(state, stats, lam, 0.9) == pytest.approx(
+        expect, abs=1e-9
+    )
 
 
 def test_lagrangian_perfect_classifier_closed_form():
@@ -343,13 +320,14 @@ def test_lagrangian_perfect_classifier_closed_form():
     hits = stats.counts.copy()
     rng = np.random.default_rng(3)
     lam = np.where(stats.valid_mask, rng.uniform(0, 1, stats.valid_mask.shape), 0.0)
-    mult = replace(cs.MultiplierState.zeros(stats, epsilon=0.9), lam=lam)
     state = cs.learning_state(hits, stats)
     assert state.mean_trans_acc == 1.0
     active = int((stats.prior > 0).sum())
     scale = stats.transition / stats.prior[:, None]
     expect = active + 0.1 * (lam * scale)[stats.valid_mask].sum()
-    assert cs.lagrangian_value(state, stats, mult) == pytest.approx(expect, rel=1e-12)
+    assert cs.lagrangian_value(state, stats, lam, 0.9) == pytest.approx(
+        expect, rel=1e-12
+    )
 
 
 def test_lagrangian_term_by_term_oracle():
@@ -375,7 +353,6 @@ def test_lagrangian_term_by_term_oracle():
 
     rng = np.random.default_rng(17)
     lam = np.where(stats.valid_mask, rng.uniform(0.1, 1.5, (3, 4)), 0.0)
-    mult = replace(cs.MultiplierState.zeros(stats, epsilon=0.9), lam=lam)
 
     total_frames = counts.sum()
     # the tolerance line sits at 0.9 times the mean over observed
@@ -396,7 +373,9 @@ def test_lagrangian_term_by_term_oracle():
                 expect += lam[i, k] * (tacc - 0.9 * mean) * (t_ik / pi)
     state = cs.learning_state(hits, stats)
     assert state.mean_trans_acc == pytest.approx(mean, rel=1e-12)
-    assert cs.lagrangian_value(state, stats, mult) == pytest.approx(expect, rel=1e-12)
+    assert cs.lagrangian_value(state, stats, lam, 0.9) == pytest.approx(
+        expect, rel=1e-12
+    )
 
 
 def _two_transition_setup():
@@ -413,32 +392,29 @@ def test_update_boundary_transition_unchanged():
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.2
     lam[1, 0] = 0.2
-    mult = replace(cs.MultiplierState.zeros(stats, epsilon=0.5), lam=lam)
-    after = cs.update_multipliers(mult, state, stats)
+    after = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.5)
     assert state.mean_trans_acc == pytest.approx(0.5)
-    assert after.lam[1, 0] == 0.2  # exactly on the tolerance line
-    assert after.lam[0, 2] < 0.2  # satisfied constraint decays
+    assert after[1, 0] == 0.2  # exactly on the tolerance line
+    assert after[0, 2] < 0.2  # satisfied constraint decays
 
 
 def test_update_violated_constraint_raises_lambda():
     stats, _, state = _two_transition_setup()
-    mult = cs.MultiplierState.zeros(stats, epsilon=0.9, step_size=0.01)
-    after = cs.update_multipliers(mult, state, stats)
+    after = cs.update_multipliers(
+        np.zeros((2, 3)), state, stats, gamma=0.01, epsilon=0.9
+    )
     # g = (1/4 - 0.9/2) * (T/pi) = -0.2 * 1 -> lambda = 0.002
-    assert after.lam[1, 0] == pytest.approx(0.01 * 0.2, rel=1e-12)
-    assert after.lam[1, 0] > 0
+    assert after[1, 0] == pytest.approx(0.01 * 0.2, rel=1e-12)
+    assert after[1, 0] > 0
 
 
 def test_update_projection_clamps_to_zero():
     stats, _, state = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.001
-    mult = replace(
-        cs.MultiplierState.zeros(stats, epsilon=0.5, step_size=0.05), lam=lam
-    )
     # g = (3/4 - 1/4) * 1 = 1/2; step = 0.025 > 0.001
-    after = cs.update_multipliers(mult, state, stats)
-    assert after.lam[0, 2] == 0.0
+    after = cs.update_multipliers(lam, state, stats, gamma=0.05, epsilon=0.5)
+    assert after[0, 2] == 0.0
 
 
 def test_update_support_and_nonnegativity():
@@ -450,24 +426,22 @@ def test_update_support_and_nonnegativity():
         return local.integers(0, ds.num_classes, seq.num_frames)
 
     state = cs.learning_state(_hits_of(ds, noisy), stats)
-    mult = cs.MultiplierState.zeros(stats)
+    lam = np.zeros(stats.counts.shape)
     for _ in range(30):
-        mult = cs.update_multipliers(mult, state, stats)
-        assert (mult.lam >= 0).all()
-        assert not mult.lam[~stats.valid_mask].any()
+        lam = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.9)
+        assert (lam >= 0).all()
+        assert not lam[~stats.valid_mask].any()
 
 
 def test_monotone_constraint_response():
     stats, _, state = _two_transition_setup()
-    mult = cs.MultiplierState.zeros(stats, epsilon=0.9, step_size=0.01)
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.05  # satisfied constraint, positive start
-    mult = replace(mult, lam=lam)
     under, over = [], []
     for _ in range(20):
-        mult = cs.update_multipliers(mult, state, stats)
-        under.append(mult.lam[1, 0])
-        over.append(mult.lam[0, 2])
+        lam = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.9)
+        under.append(lam[1, 0])
+        over.append(lam[0, 2])
     assert all(b > a for a, b in zip([0.0] + under[:-1], under))
     assert all(b <= a for a, b in zip([0.05] + over[:-1], over))
     assert over[-1] == 0.0
@@ -477,9 +451,9 @@ def test_monotone_constraint_response():
 
 def test_telemetry_record_fields():
     stats, hits, state = _two_transition_setup()
-    before = cs.MultiplierState.zeros(stats, epsilon=0.9)
-    after = cs.update_multipliers(before, state, stats)
-    rec = cs.telemetry_record(3, state, stats, before, after)
+    before = np.zeros((2, 3))
+    after = cs.update_multipliers(before, state, stats, gamma=0.01, epsilon=0.9)
+    rec = cs.telemetry_record(3, state, stats, before, after, epsilon=0.9)
     assert rec["epoch"] == 3
     assert rec["mean_trans_acc"] == pytest.approx(0.5)
     assert rec["violations"] == 1  # only (1 <- 0) sits below 0.9 * mean
@@ -501,9 +475,9 @@ def test_violations_are_observed_transitions_below_the_line():
 
     hits = _hits_of(ds, noisy)
     state = cs.learning_state(hits, stats)
-    before = cs.MultiplierState.zeros(stats, epsilon=0.95)
-    after = cs.update_multipliers(before, state, stats)
-    rec = cs.telemetry_record(0, state, stats, before, after)
+    before = np.zeros(stats.counts.shape)
+    after = cs.update_multipliers(before, state, stats, gamma=0.01, epsilon=0.95)
+    rec = cs.telemetry_record(0, state, stats, before, after, epsilon=0.95)
     want = 0
     for i, k in zip(*np.nonzero(stats.counts)):
         want += hits[i, k] / stats.counts[i, k] < 0.95 * state.mean_trans_acc
@@ -537,17 +511,20 @@ def multiplier_runs(draw):
 def test_multipliers_bounded_by_steps(run):
     # g >= -epsilon * mean * T/prior = -epsilon * mean * P(k|i), so steps
     # from zero leave lambda[i, k] at most gamma * epsilon * P(k|i) times
-    # the sum of the means, and so at most E * gamma * epsilon * P(k|i)
+    # the sum of the means, and so at most E * gamma * epsilon * P(k|i);
+    # every step also keeps lambda >= 0 and zero off the support
     stats, tables, gamma, epsilon = run
-    mult = cs.MultiplierState.zeros(stats, step_size=gamma, epsilon=epsilon)
+    lam = np.zeros(stats.counts.shape)
     mean_sum = 0.0
     for hits in tables:
         assert (hits <= stats.counts).all()
         state = cs.learning_state(hits, stats)
-        mult = cs.update_multipliers(mult, state, stats)
+        lam = cs.update_multipliers(lam, state, stats, gamma, epsilon)
+        assert (lam >= 0).all()
+        assert not lam[~stats.valid_mask].any()
         mean_sum += state.mean_trans_acc
     support = stats.counts.sum(axis=1, keepdims=True)
     p_next = np.zeros(stats.counts.shape)
     np.divide(stats.counts, support, out=p_next, where=support > 0)
-    assert (mult.lam <= gamma * epsilon * p_next * mean_sum * (1 + 1e-12)).all()
+    assert (lam <= gamma * epsilon * p_next * mean_sum * (1 + 1e-12)).all()
     assert mean_sum <= len(tables)
