@@ -51,24 +51,32 @@ def softmax_xent_grad(logits, labels, weights):
     """Weighted softmax cross-entropy over a batch of frames, class-major.
 
     ``logits`` is [L, n], one column per frame. Returns
-    ``(loss_sum, dlogits)`` where per frame t
-    ``loss_t = weights[t] * -log(max(p[labels[t], t], PROB_FLOOR))`` and
-    ``dlogits[:, t] = weights[t] * (softmax(logits[:, t]) - onehot(labels[t]))``.
+    ``(loss_sum, dlogits, hit)`` where per frame t
+    ``loss_t = weights[t] * -log(max(p[labels[t], t], PROB_FLOOR))``,
+    ``dlogits[:, t] = weights[t] * (softmax(logits[:, t]) - onehot(labels[t]))``
+    and ``hit[t] = argmax(logits[:, t]) == labels[t]`` (ties to the
+    smallest id), read off the column max where the sum shows it unique.
     Softmax is computed with column-max subtraction; the reductions run
     across the L rows.
     """
-    logits = np.asarray(logits, dtype=np.float64)
+    logits = np.ascontiguousarray(logits, dtype=np.float64)  # so ravel() views
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    probs = logits - logits.max(axis=0)
+    col_max = logits.max(axis=0)
+    probs = logits - col_max
     np.exp(probs, out=probs)
-    probs /= probs.sum(axis=0)
-    cols = np.arange(logits.shape[1])
-    p_true = probs[labels, cols]
+    total = probs.sum(axis=0)
+    probs /= total
+    at_label = labels * logits.shape[1] + np.arange(logits.shape[1])  # flat [y_t, t]
+    hit = logits.ravel()[at_label] == col_max
+    tied = ~(total < 2.0)  # a tie adds exp(0) == 1.0 twice; NaN falls back too
+    if tied.any():
+        hit[tied] = np.argmax(logits[:, tied], axis=0) == labels[tied]
+    p_true = probs.ravel()[at_label]
     loss_sum = float(np.dot(weights, -np.log(np.maximum(p_true, PROB_FLOOR))))
     probs *= weights
-    probs[labels, cols] -= weights
-    return loss_sum, probs
+    probs.ravel()[at_label] -= weights
+    return loss_sum, probs, hit
 
 
 def levenshtein(a, b):

@@ -5,17 +5,17 @@ frame's feature window. The interesting part is the loop around it,
 which alternates one epoch of gain-weighted gradient descent with a
 projected multiplier step, so the loss weights for epoch e always
 reflect the violations measured during epoch e-1. The learning state
-comes from the SGD pass itself: each step also returns its batch's
-argmax, taken from the logits before the step, and the epoch counts the
-correct frames per (class, previous action) pair. Every frame sits in
-exactly one batch per epoch, so that and the pair's frame count are all
-the learning state needs.
+comes from the SGD pass itself: each step's softmax also marks the
+frames that the logits before the step classify correctly, read off its
+own column max, and the epoch counts those hits per (class, previous
+action) pair. Every frame sits in exactly one batch per epoch, so that
+and the pair's frame count are all the learning state needs.
 
 Training reads every window from one ``FrameStore`` built once per
 ``train`` call: the training set's features, frame-major in float64 and
 padded per sequence, behind a strided view whose rows are the stacked
-windows. It holds 1/(2w+1) of the bytes that per-sequence stacked
-windows would. Each SGD step gathers its batch's rows into one matrix
+windows (1/(2w+1) of their bytes), which also give the training class
+means. Each SGD step gathers its batch's rows into one matrix
 and runs class-major (logits ``[L, n]``), so training never holds a full
 ``[N, L]`` logits matrix or a contiguous ``[N, D*(2w+1)]`` copy.
 
@@ -30,7 +30,7 @@ import numpy as np
 
 from . import _kernels
 from . import costsens
-from .decode import ClassMeans
+from .decode import ClassMeans, class_means_of
 from .errors import (
     ConfigError,
     ParseError,
@@ -159,9 +159,10 @@ class FrameStore:
 
     def frames_of(self, sequence_ids):
         """Frame indices of the given sequences, concatenated in order."""
-        return np.concatenate(
-            [np.arange(self.starts[i], self.starts[i + 1]) for i in sequence_ids]
-        )
+        starts = self.starts[sequence_ids]
+        lengths = self.starts[np.add(sequence_ids, 1)] - starts
+        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+        return shift + np.arange(shift.size)
 
     def gather(self, frames):
         """Contiguous ``[n, D*(2w+1)]`` copy of the given frames' windows."""
@@ -176,13 +177,13 @@ def _class_major_logits(params, phi):
 
 
 def batch_gradient(params, phi, labels, weights):
-    """``(loss_sum, grad_weights, grad_bias, pred)`` of the weighted
+    """``(loss_sum, grad_weights, grad_bias, hit)`` of the weighted
     cross-entropy of windows ``phi``, summed over the batch's frames;
-    ``pred`` is each frame's argmax under ``params`` (ties to the
-    smallest class id)."""
+    ``hit`` marks the frames whose argmax under ``params`` (ties to the
+    smallest class id) is their label."""
     logits = _class_major_logits(params, phi)
-    loss_sum, dlogits = _kernels.softmax_xent_grad(logits, labels, weights)
-    return loss_sum, dlogits @ phi, dlogits.sum(axis=1), np.argmax(logits, axis=0)
+    loss_sum, dlogits, hit = _kernels.softmax_xent_grad(logits, labels, weights)
+    return loss_sum, dlogits @ phi, dlogits.sum(axis=1), hit
 
 
 def train(dataset, config: TrainConfig):
@@ -201,7 +202,8 @@ def train(dataset, config: TrainConfig):
     weights in one ``frame_weights`` call. A step gathers its batch of
     ``batch_size`` sequences into one ``[n, D*(2w+1)]`` matrix, computes
     class-major logits ``[L, n]``, and makes one ``softmax_xent_grad``
-    call and one gradient GEMM (``batch_gradient``).
+    call and one gradient GEMM (``batch_gradient``), whose softmax also
+    gives the hits. The store's rows give ``params.train_means`` too.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
@@ -231,11 +233,9 @@ def train(dataset, config: TrainConfig):
         epoch_loss = 0.0
         for lo in range(0, n_seq, config.batch_size):
             frames = store.frames_of(order[lo : lo + config.batch_size])
-            labels = store.labels[frames]
-            loss_sum, grad_w, grad_b, pred = batch_gradient(
-                params, store.gather(frames), labels, frame_w[frames]
+            loss_sum, grad_w, grad_b, hit[frames] = batch_gradient(
+                params, store.gather(frames), store.labels[frames], frame_w[frames]
             )
-            hit[frames] = pred == labels
             scale = config.learning_rate / frames.size
             params.weights -= scale * grad_w
             params.bias -= scale * grad_b
@@ -257,6 +257,8 @@ def train(dataset, config: TrainConfig):
         else:
             record = {"epoch": epoch, "loss": mean_loss}
         telemetry.append(record)
+    spans = zip(store.rows[store.starts[:-1]], store.rows[store.starts[1:] - 1] + 1)
+    params.train_means = class_means_of(dataset, (store.windows[a:b] for a, b in spans))
     return params, telemetry
 
 

@@ -261,9 +261,6 @@ def cmd_train(config: ExperimentConfig, stream=None):
     except TrainingDivergedError as exc:
         (stream or sys.stderr).write(f"error: {exc}\n")
         return run_dir, 1
-    params.train_means = dec.compute_class_means(
-        dataset, dec.windowed_extractor(params.context_radius)
-    )
     clf.save_checkpoint(
         params, os.path.join(run_dir, "checkpoint.bin"), config.train.epochs
     )

@@ -49,19 +49,23 @@ def windowed_extractor(context_radius):
 
 
 def compute_class_means(dataset, extractor) -> ClassMeans:
+    """``class_means_of`` over ``extractor(seq)``, [T, R], for each sequence."""
+    return class_means_of(dataset, map(extractor, dataset.sequences))
+
+
+def class_means_of(dataset, representations) -> ClassMeans:
     """Average the representation of every training frame per class.
 
-    ``extractor`` maps a sequence to its [T, R] representation; it is
-    called once per sequence, in order, and no result is kept. Each
-    labelled run is summed once, and the run sums are added into their
-    class rows in order. The support is the dataset's per-class frame
-    count. Training split only; evaluation data must never flow in here.
+    ``representations`` yields each sequence's [T, R] representation in
+    order. Each labelled run is summed once and added into its class row,
+    in order; the support is the dataset's per-class frame count. Training
+    split only: evaluation data must never flow in here.
     """
     if not dataset.sequences:
         raise EmptySequenceError("cannot compute class means of an empty dataset")
     sums = None
-    for seq in dataset.sequences:
-        reps = np.asarray(extractor(seq), dtype=np.float64)
+    for seq, reps in zip(dataset.sequences, representations):
+        reps = np.asarray(reps, dtype=np.float64)
         if sums is None:
             sums = np.zeros((dataset.num_classes, reps.shape[1]))
         starts, _, labels = segmentation_from_frames(seq.frame_labels)

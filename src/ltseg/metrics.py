@@ -176,17 +176,12 @@ def evaluate(
             ("tail", set(range(num_classes)) - set(head)),
         ):
             scored = sorted(members & set(np.flatnonzero(present).tolist()))
-            if not scored:
-                group[name] = GroupReport(
-                    classes=tuple(sorted(members)), per_class_acc=0.0,
-                    per_class_f1_25=0.0, empty=True,
-                )
-                continue
+            acc = hits[scored] / support[scored]
             group[name] = GroupReport(
                 classes=tuple(sorted(members)),
-                per_class_acc=100.0 * float(np.mean(hits[scored] / support[scored])),
-                per_class_f1_25=float(np.mean(f1_25[scored])),
-                empty=False,
+                per_class_acc=100.0 * float(np.mean(acc)) if scored else 0.0,
+                per_class_f1_25=float(np.mean(f1_25[scored])) if scored else 0.0,
+                empty=not scored,
             )
     return MetricsReport(
         global_acc=global_acc,

@@ -70,27 +70,21 @@ class LabeledSequence:
         from the run-length encoding, and checking every invariant."""
         feats = np.asarray(features, dtype=np.float32)
         labels = np.asarray(frame_labels, dtype=np.int64)
+        name = f"sequence {seq_id or '<unnamed>'}"
         if labels.ndim != 1 or labels.size == 0:
-            raise EmptySequenceError(
-                f"sequence {seq_id or '<unnamed>'} has no frames"
-            )
+            raise EmptySequenceError(f"{name} has no frames")
         if feats.ndim != 2 or feats.shape[1] != labels.size:
             raise ConfigError(
-                f"sequence {seq_id or '<unnamed>'}: feature matrix "
-                f"{feats.shape} does not match {labels.size} frames"
+                f"{name}: feature matrix {feats.shape} does not match "
+                f"{labels.size} frames"
             )
         if feats.shape[0] <= 0:
             raise ConfigError("feature dimension must be positive")
         if not np.isfinite(feats).all():
-            raise RangeError(
-                f"sequence {seq_id or '<unnamed>'} has non-finite features"
-            )
+            raise RangeError(f"{name} has non-finite features")
         if labels.min() < 0 or labels.max() >= num_classes:
             bad = int(labels.max() if labels.max() >= num_classes else labels.min())
-            raise RangeError(
-                f"sequence {seq_id or '<unnamed>'}: label {bad} outside "
-                f"[0, {num_classes})"
-            )
+            raise RangeError(f"{name}: label {bad} outside [0, {num_classes})")
         # each segment's frames follow the previous segment's label, the
         # first segment's follow 'start' (index num_classes)
         starts, ends, runs = segmentation_from_frames(labels)

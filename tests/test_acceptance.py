@@ -64,14 +64,14 @@ def test_criterion_01_weighted_ce_gradient():
         prev = rng.integers(num_classes + 1, size=frames)
         _, tempered = random_gains(rng, num_classes)
         weights = cs.frame_weights(tempered, labels, prev)
-        _, grad = _kernels.softmax_xent_grad(logits, labels, weights)
+        _, grad, _ = _kernels.softmax_xent_grad(logits, labels, weights)
         step = 1e-5
         fd = np.empty_like(logits)
         for idx in np.ndindex(*logits.shape):
             bump = np.zeros_like(logits)
             bump[idx] = step
-            hi, _ = _kernels.softmax_xent_grad(logits + bump, labels, weights)
-            lo, _ = _kernels.softmax_xent_grad(logits - bump, labels, weights)
+            hi = _kernels.softmax_xent_grad(logits + bump, labels, weights)[0]
+            lo = _kernels.softmax_xent_grad(logits - bump, labels, weights)[0]
             fd[idx] = (hi - lo) / (2 * step)
         # error relative to the gradient's own scale, unit floor below
         # it (central differences bottom out at cancellation noise)

@@ -245,6 +245,26 @@ def test_frame_store_rows_equal_window_stack(radius):
     )
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_train_means_equal_compute_class_means(radius):
+    # the means train takes from its frame store are the reference's,
+    # bit for bit: 1-frame sequences, and class 3 has no frame at all
+    rng = np.random.default_rng(40 + radius)
+    seqs = [
+        _seq(rng.standard_normal((3, t)), rng.integers(0, 3, t), 4)
+        for t in (1, 3, 12, 1, 2, 40, 7)
+    ]
+    ds = sd.Dataset.build(seqs, 4)
+    params, _ = clf.train(ds, clf.TrainConfig(epochs=1, batch_size=3,
+                                              context_radius=radius))
+    want = dec.compute_class_means(ds, dec.windowed_extractor(radius))
+    got = params.train_means
+    assert got.means.tobytes() == want.means.tobytes()
+    assert got.support.tobytes() == want.support.tobytes()
+    assert got.support[3] == 0 and not got.means[3].any()
+    assert got.means.shape == (4, 3 * (2 * radius + 1))
+
+
 def _reference_train(dataset, config):
     """The training loop one sequence at a time: row-major logits, a
     per-frame-row softmax, per-sequence gradient sums and, under

@@ -67,7 +67,7 @@ def _frame_grad(logits, y, u, weights):
     """One frame's training loss and logit gradient: the kernel with the
     frame's weight from ``frame_weights``."""
     w = cs.frame_weights(weights, np.array([y]), np.array([u]))
-    loss, grad = _kernels.softmax_xent_grad(
+    loss, grad, _ = _kernels.softmax_xent_grad(
         np.asarray(logits, dtype=np.float64)[:, None], np.array([y]), w
     )
     return loss, grad[:, 0]
@@ -415,6 +415,22 @@ def test_update_projection_clamps_to_zero():
     # g = (3/4 - 1/4) * 1 = 1/2; step = 0.025 > 0.001
     after = cs.update_multipliers(lam, state, stats, gamma=0.05, epsilon=0.5)
     assert after[0, 2] == 0.0
+
+
+def test_off_support_multipliers_are_masked():
+    # a lambda that is nonzero on the transitions never observed: the
+    # gain there is the inverse prior's, and the step returns 0 there
+    stats, _, state = _two_transition_setup()
+    lam = np.full((2, 3), 0.4)
+    off = ~stats.valid_mask
+    assert off.any() and (stats.prior > 0).all()
+    inverse_prior = np.broadcast_to((1.0 / stats.prior[:, None]) ** 0.6, lam.shape)
+    gain = cs.compute_gain(stats, lam, tau=0.6)
+    np.testing.assert_array_equal(gain[off], inverse_prior[off])
+    assert (gain[~off] > inverse_prior[~off]).all()
+    after = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.5)
+    assert not after[off].any()
+    assert (after[~off] > 0).all()
 
 
 def test_update_support_and_nonnegativity():

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ltseg import _kernels
 
@@ -61,7 +63,7 @@ def test_softmax_xent_oracle():
         labels = rng.integers(0, classes, frames)
         weights = rng.uniform(0.1, 3.0, frames)
         # the kernel is class-major: one column per frame
-        loss, grad = _kernels.softmax_xent_grad(logits.T, labels, weights)
+        loss, grad, _ = _kernels.softmax_xent_grad(logits.T, labels, weights)
         assert grad.shape == (classes, frames)
         want_loss, want_grad = xent_oracle(logits, labels, weights)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
@@ -72,7 +74,7 @@ def test_softmax_xent_nan_propagates():
     logits = np.array([[0.5, np.nan], [1.0, 0.0]]).T
     labels = np.array([0, 1])
     weights = np.ones(2)
-    loss, grad = _kernels.softmax_xent_grad(logits, labels, weights)
+    loss, grad, _ = _kernels.softmax_xent_grad(logits, labels, weights)
     # the probability floor must not hide a NaN posterior
     assert not np.isfinite(loss)
 
@@ -81,9 +83,59 @@ def test_softmax_xent_extreme_logits_no_overflow():
     logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]).T
     labels = np.array([1, 1])
     weights = np.ones(2)
-    loss, grad = _kernels.softmax_xent_grad(logits, labels, weights)
+    loss, grad, _ = _kernels.softmax_xent_grad(logits, labels, weights)
     assert np.isfinite(loss) and loss > 0
     assert np.isfinite(grad).all()
+
+
+# few distinct values, so columns tie often; 1.0 and the next float up
+# differ by less than exp resolves, so exp(1.0 - top) rounds to 1.0 too
+_TIE_VALUES = st.sampled_from([-3.0, -0.5, 0.0, 1.0, np.nextafter(1.0, 2.0), 2.0])
+
+
+@st.composite
+def tied_logits(draw):
+    """Class-major logits [L, n] and labels with forced exact ties: whole
+    columns equal, a duplicated row, and the label tied at the column max
+    with a smaller or a larger class id."""
+    classes = draw(st.integers(1, 5))
+    frames = draw(st.integers(1, 6))
+    scale = draw(st.sampled_from([1.0, 1e-3, 40.0]))
+    cells = st.lists(_TIE_VALUES, min_size=frames, max_size=frames)
+    logits = scale * np.array(draw(st.lists(cells, min_size=classes, max_size=classes)))
+    labels = np.array(draw(st.lists(st.integers(0, classes - 1), min_size=frames,
+                                    max_size=frames)))
+    if classes > 1 and draw(st.booleans()):
+        src, dst = draw(st.lists(st.integers(0, classes - 1), min_size=2, max_size=2,
+                                 unique=True))
+        logits[dst] = logits[src]
+    for t, y in enumerate(labels.tolist()):
+        top = logits[:, t].max()
+        tie = draw(st.sampled_from(["none", "column", "smaller", "larger"]))
+        if tie == "column":
+            logits[:, t] = top
+        elif tie == "smaller" and y > 0:
+            logits[[draw(st.integers(0, y - 1)), y], t] = top
+        elif tie == "larger" and y < classes - 1:
+            logits[[y, draw(st.integers(y + 1, classes - 1))], t] = top
+    return logits, labels
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(case=tied_logits())
+def test_softmax_xent_hit_is_argmax(case):
+    # the hit read off the column max equals the argmax's, ties included
+    logits, labels = case
+    _, _, hit = _kernels.softmax_xent_grad(logits, labels, np.ones(labels.size))
+    assert hit.dtype == bool
+    np.testing.assert_array_equal(hit, np.argmax(logits, axis=0) == labels)
+
+
+def test_softmax_xent_hit_at_zero_logits():
+    # zero weights give all-equal logits: only class 0 wins the argmax
+    labels = np.array([0, 1, 2, 0, 3])
+    _, _, hit = _kernels.softmax_xent_grad(np.zeros((4, 5)), labels, np.ones(5))
+    np.testing.assert_array_equal(hit, labels == 0)
 
 
 # -- levenshtein -------------------------------------------------------------
