@@ -9,9 +9,10 @@ PROB_FLOOR = 1e-12
 def window_store(feature_list, radius):
     """Windowed view over every sequence of ``feature_list`` at once.
 
-    Each ``[D, T]`` feature matrix is copied once, frame-major and
-    float64, into one ``[N + 2*radius*S, D]`` store, padded with
-    ``radius`` replicated edge frames on both sides of every sequence.
+    Each ``[D, T]`` feature matrix is copied once, frame-major and at
+    the inputs' ``np.result_type`` (float32 stays float32), into one
+    ``[N + 2*radius*S, D]`` store, padded with ``radius`` replicated
+    edge frames on both sides of every sequence.
     The result is a read-only ``as_strided`` view of shape
     ``[N + 2*radius*S - 2*radius, D*(2*radius+1)]``: row ``r`` is the
     window around store row ``r + radius``, laid out like
@@ -21,7 +22,7 @@ def window_store(feature_list, radius):
     """
     dim = feature_list[0].shape[0]
     total = sum(f.shape[1] + 2 * radius for f in feature_list)
-    store = np.empty((total, dim), dtype=np.float64)
+    store = np.empty((total, dim), np.result_type(*{f.dtype for f in feature_list}))
     row = 0
     for feats in feature_list:
         frames = feats.shape[1]
@@ -42,9 +43,9 @@ def window_stack(features, radius):
 
     ``features`` is [D, T]; the result is [T, D*(2*radius+1)] float64 with
     window offsets ordered -radius..+radius and edge frames replicated:
-    a contiguous copy of the one-sequence ``window_store``.
+    the one-sequence ``window_store``, widened exactly to float64.
     """
-    return window_store([np.asarray(features)], radius).copy()
+    return window_store([np.asarray(features)], radius).astype(np.float64)
 
 
 def softmax_xent_grad(logits, labels, weights):

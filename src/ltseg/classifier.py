@@ -12,12 +12,12 @@ action) pair. Every frame sits in exactly one batch per epoch, so that
 and the pair's frame count are all the learning state needs.
 
 Training reads every window from one ``FrameStore`` built once per
-``train`` call: the training set's features, frame-major in float64 and
-padded per sequence, behind a strided view whose rows are the stacked
-windows (1/(2w+1) of their bytes), which also give the training class
-means. Each SGD step gathers its batch's rows into one matrix
-and runs class-major (logits ``[L, n]``), so training never holds a full
-``[N, L]`` logits matrix or a contiguous ``[N, D*(2w+1)]`` copy.
+``train`` call: the training set's features, frame-major at their own
+precision and padded per sequence, behind a strided view whose rows are
+the stacked windows (1/(2w+1) of their bytes), which also give the class
+means. Each SGD step gathers its batch's rows into one matrix, widened
+exactly to float64, and runs class-major (logits ``[L, n]``), so training
+never holds a full ``[N, L]`` logits matrix or an ``[N, D*(2w+1)]`` copy.
 
 ``_class_major_logits`` is the one logits expression: the SGD step and
 eval (``ClassifierParams.predict_windows``) both use it.
@@ -165,8 +165,8 @@ class FrameStore:
         return shift + np.arange(shift.size)
 
     def gather(self, frames):
-        """Contiguous ``[n, D*(2w+1)]`` copy of the given frames' windows."""
-        return self.windows[self.rows[frames]]
+        """The given frames' windows, ``[n, D*(2w+1)]``, widened to float64."""
+        return self.windows[self.rows[frames]].astype(np.float64)
 
 
 def _class_major_logits(params, phi):
@@ -198,12 +198,13 @@ def train(dataset, config: TrainConfig):
     the multipliers pinned at zero and skips 3 and 4.
 
     The training set is windowed once into a ``FrameStore`` (N + 2wS
-    padded frames of D float64 values). Each epoch computes all N frame
-    weights in one ``frame_weights`` call. A step gathers its batch of
-    ``batch_size`` sequences into one ``[n, D*(2w+1)]`` matrix, computes
-    class-major logits ``[L, n]``, and makes one ``softmax_xent_grad``
-    call and one gradient GEMM (``batch_gradient``), whose softmax also
-    gives the hits. The store's rows give ``params.train_means`` too.
+    padded frames of D values, at the features' precision). Each epoch
+    computes all N frame weights in one ``frame_weights`` call. A step
+    gathers its batch of sequences into one float64 ``[n, D*(2w+1)]``
+    matrix (an exact widening), computes class-major logits ``[L, n]``,
+    and makes one ``softmax_xent_grad`` call and one gradient GEMM
+    (``batch_gradient``), whose softmax also gives the hits. The
+    store's rows give ``params.train_means`` too.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """

@@ -399,10 +399,11 @@ def _write_features_csv(path, features):
 
 def _read_features_csv(path):
     try:
-        table = np.loadtxt(path, delimiter=",", dtype=np.float64, ndmin=2)
+        # a value past the float32 range reads as inf, without a warning
+        table = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return np.ascontiguousarray(table.astype(np.float32).T)
+    return np.ascontiguousarray(table.T)
 
 
 def save_dataset(dataset, path, feature_format="binary"):
@@ -465,7 +466,7 @@ def read_json(path, error=ParseError, data=None):
         raise error(f"{path}: JSON nested too deeply to parse") from None
 
 
-def _read_classes(path, num_classes):
+def _read_classes(path, num_classes, manifest_path):
     name_of = {}
     for lineno, raw in enumerate(_open_utf8(path), start=1):
         line = raw.strip()
@@ -477,10 +478,11 @@ def _read_classes(path, num_classes):
         idx = int(parts[0])
         if not 0 <= idx < num_classes:
             raise RangeError(
-                f"{path}:{lineno}: class id {idx} outside [0, {num_classes})"
+                f"{path}:{lineno}: class id {idx} outside [0, {num_classes}), "
+                f"the num_classes of {manifest_path}"
             )
-        if idx in name_of:
-            raise ParseError(f"{path}:{lineno}: duplicate class id {idx}")
+        if idx in name_of or parts[1] in name_of.values():
+            raise ParseError(f"{path}:{lineno}: class id or name listed twice")
         if parts[1] == START:
             raise ParseError(
                 f"{path}:{lineno}: '{START}' is implicit and may not be listed"
@@ -488,19 +490,21 @@ def _read_classes(path, num_classes):
         name_of[idx] = parts[1]
     if len(name_of) != num_classes:
         raise ParseError(
-            f"{path}: lists {len(name_of)} classes, manifest says {num_classes}"
+            f"{path}: lists {len(name_of)} classes, {manifest_path} says {num_classes}"
         )
     return tuple(name_of[i] for i in range(num_classes))
 
 
-def _read_labels(path, id_of):
+def _read_labels(path, id_of, classes_path):
     ids = []
     for lineno, raw in enumerate(_open_utf8(path), start=1):
         token = raw.strip()
         if not token:
             continue
         if token not in id_of:
-            raise ParseError(f"{path}:{lineno}: unknown class name {token!r}")
+            raise ParseError(
+                f"{path}:{lineno}: class name {token!r} is not in {classes_path}"
+            )
         ids.append(id_of[token])
     if not ids:
         raise ParseError(f"{path}: no frames")
@@ -555,26 +559,24 @@ def load_dataset(path) -> Dataset:
             f"{manifest_path}: non-positive dimensions "
             f"L={num_classes}, D={feature_dim}"
         )
-    names = _read_classes(os.path.join(root, "classes.txt"), num_classes)
+    classes_path = os.path.join(root, "classes.txt")
+    names = _read_classes(classes_path, num_classes, manifest_path)
     id_of = {name: i for i, name in enumerate(names)}
     sequences = []
-    for entry in entries:
+    for index, entry in enumerate(entries):
         label_path = os.path.join(root, entry["labels"])
         feat_path = os.path.join(root, entry["features"])
-        labels = _read_labels(label_path, id_of)
-        if feat_path.endswith(".csv"):
-            feats = _read_features_csv(feat_path)
-        else:
-            feats = _read_features_binary(feat_path)
-        if feats.shape[1] != labels.size:
+        try:
+            labels = _read_labels(label_path, id_of, classes_path)
+            csv = feat_path.endswith(".csv")
+            feats = (_read_features_csv if csv else _read_features_binary)(feat_path)
+        except OSError as exc:  # a path in the manifest that cannot be read
+            raise ParseError(f"{manifest_path}: sequence entry {index}: {exc}") from exc
+        if feats.shape != (feature_dim, labels.size):
             raise ParseError(
-                f"{feat_path}: {feats.shape[1]} feature frames but "
-                f"{label_path} has {labels.size} label lines"
-            )
-        if feats.shape[0] != feature_dim:
-            raise ParseError(
-                f"{feat_path}: feature dim {feats.shape[0]}, manifest says "
-                f"{feature_dim}"
+                f"{feat_path}: {feats.shape[0]} x {feats.shape[1]} features, but "
+                f"{manifest_path} entry {index} expects feature_dim {feature_dim} "
+                f"x the {labels.size} label lines of {label_path}"
             )
         if not np.isfinite(feats).all():
             raise RangeError(f"{feat_path}: non-finite feature values")

@@ -229,8 +229,16 @@ def test_frame_store_rows_equal_window_stack(radius):
         ds.feature_dim * (2 * radius + 1),
     )
     assert not store.windows.flags.writeable
+    # the padded buffer behind the view holds the float32 features as
+    # they are, D * (N + 2wS) values; each gather widens to float64
+    buffer = store.windows
+    while getattr(buffer, "base", None) is not None:
+        buffer = buffer.base
+    assert buffer.dtype == np.float32
+    assert buffer.size == ds.feature_dim * (ds.total_frames + 2 * radius * n_seq)
     for s, seq in enumerate(ds.sequences):
         frames = store.frames_of([s])
+        assert store.gather(frames).dtype == np.float64
         np.testing.assert_array_equal(
             store.gather(frames), _kernels.window_stack(seq.features, radius)
         )

@@ -37,6 +37,27 @@ def test_window_stack_oracle(radius):
         np.testing.assert_array_equal(got, window_oracle(features, radius))
 
 
+@pytest.mark.parametrize("radius", [0, 1, 2])
+def test_window_store_and_stack_keep_float64_precision(radius):
+    # 1 + 2**-40 rounds to 1.0 in float32: a store allocated float32
+    # whatever its input would lose every fine part below
+    rng = np.random.default_rng(10 + radius)
+    fine = 1.0 + 2.0**-40 * rng.integers(1, 1000, size=(3, 7))
+    assert not np.array_equal(fine.astype(np.float32), fine)
+    got = _kernels.window_stack(fine, radius)
+    assert got.dtype == np.float64
+    assert got.tobytes() == window_oracle(fine, radius).tobytes()
+    # float32 and float64 sequences in one store: every value is kept
+    coarse = rng.normal(size=(3, 4)).astype(np.float32)
+    store = _kernels.window_store([coarse, fine, coarse[:, :1]], radius)
+    assert store.dtype == np.float64
+    rows = np.r_[0:4, 4 + 2 * radius : 11 + 2 * radius, 11 + 4 * radius]
+    want = np.concatenate(
+        [window_oracle(f, radius) for f in (coarse, fine, coarse[:, :1])]
+    )
+    assert store[rows].tobytes() == want.tobytes()
+
+
 # -- softmax_xent_grad -------------------------------------------------------
 
 

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError, EmptySequenceError, ParseError, RangeError
+from ltseg.errors import (
+    ConfigError,
+    EmptySequenceError,
+    LtsegError,
+    ParseError,
+    RangeError,
+)
 
 
 def _make_seq(labels, num_classes, dim=3, seed=0):
@@ -328,6 +334,12 @@ def test_load_rejects_unknown_token_and_bad_ids(tmp_path):
     with pytest.raises(ParseError, match="implicit"):
         sd.load_dataset(str(tmp_path / "ds3"))
 
+    # two ids under one name: its frames would all read as the last id
+    sd.save_dataset(ds, tmp_path / "ds4")
+    (tmp_path / "ds4" / "classes.txt").write_text("0 class_01\n1 class_01\n")
+    with pytest.raises(ParseError, match="listed twice"):
+        sd.load_dataset(str(tmp_path / "ds4"))
+
 
 def test_load_rejects_truncated_feature_file(tmp_path):
     ds = sd.Dataset.build([_make_seq([0, 1, 0], num_classes=2)], 2)
@@ -408,6 +420,7 @@ def test_load_rejects_non_object_manifest(tmp_path):
         ("labels", 7),
         ("id", None),
         (None, "not an object"),
+        ("features", "features/missing.bin"),
     ],
 )
 def test_load_rejects_malformed_manifest_entry(tmp_path, key, value):
@@ -422,3 +435,64 @@ def test_load_rejects_malformed_manifest_entry(tmp_path, key, value):
     with pytest.raises(ParseError) as err:
         sd.load_dataset(path)
     assert path in str(err.value) and "entry 1" in str(err.value)
+
+
+_DATASET_FILES = (
+    "manifest.json",
+    "classes.txt",
+    "groundTruth/s0.txt",
+    "groundTruth/s1.txt",
+    "features/s0",
+    "features/s1",
+)
+# uniform bytes, and the ones that keep a text file parseable but wrong
+_BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b'0129-.e \n",'))
+_DATASET_DAMAGE = st.tuples(
+    st.sampled_from(["binary", "csv"]),
+    st.sampled_from(_DATASET_FILES),
+    st.one_of(
+        st.tuples(st.just("truncate"), st.integers(0, 10**6)),
+        st.tuples(st.just("overwrite"), st.integers(0, 10**6), _BYTE),
+    ),
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(damage=_DATASET_DAMAGE)
+def test_damaged_dataset_loads_or_fails_typed(tmp_path_factory, damage):
+    # any truncation or single-byte overwrite of one file of a valid
+    # dataset either still loads as a valid dataset or raises a typed
+    # error that names the damaged file; class 3 has no frame, so a
+    # class name can turn into a duplicate no label file contradicts
+    fmt, name, (kind, offset, *byte) = damage
+    root = tmp_path_factory.mktemp("ds")
+    rng = np.random.default_rng(0)
+    seqs = [
+        sd.LabeledSequence.from_frames(
+            rng.standard_normal((2, len(labels))).astype(np.float32),
+            labels,
+            num_classes=4,
+            seq_id=f"s{index}",
+        )
+        for index, labels in enumerate(([0, 0, 1], [2, 1, 1, 0]))
+    ]
+    sd.save_dataset(sd.Dataset.build(seqs, 4), root, feature_format=fmt)
+    if name.startswith("features/"):
+        name += ".bin" if fmt == "binary" else ".csv"
+    path = root / name
+    raw = bytearray(path.read_bytes())
+    if kind == "truncate":
+        raw = raw[: offset % len(raw)]
+    else:
+        raw[offset % len(raw)] = byte[0]
+    path.write_bytes(bytes(raw))
+    try:
+        ds = sd.load_dataset(str(root))
+    except LtsegError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert len(set(ds.class_names)) == ds.num_classes
+        for seq in ds.sequences:
+            assert seq.features.dtype == np.float32
+            assert np.isfinite(seq.features).all()
+            assert 0 <= seq.frame_labels.min() <= seq.frame_labels.max() < ds.num_classes
