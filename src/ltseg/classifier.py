@@ -194,8 +194,8 @@ def train(dataset, config: TrainConfig):
     counts the correct frames per (class, previous action), each frame
     as predicted just before its batch's step, (3) the learning state
     built from those counts, (4) the projected multiplier step.
-    plain_ce uses unit weights and skips 1, 3 and 4; inverse_prior keeps
-    the multipliers pinned at zero and skips 3 and 4.
+    inverse_prior keeps the multipliers pinned at zero and skips 3 and
+    4; plain_ce is inverse_prior at tau = 0, whose gain is exactly 1.
 
     The training set is windowed once into a ``FrameStore`` (N + 2wS
     padded frames of D values, at the features' precision). Each epoch
@@ -223,13 +223,11 @@ def train(dataset, config: TrainConfig):
     cells = store.labels * (L + 1) + store.prev_action
     hit = np.empty(store.num_frames, dtype=bool)
     n_seq = len(dataset.sequences)
+    tau = 0.0 if config.loss_mode == "plain_ce" else config.tau
     telemetry = []
     for epoch in range(config.epochs):
-        if config.loss_mode == "plain_ce":
-            frame_w = np.ones(store.num_frames)
-        else:
-            gain = costsens.compute_gain(stats, lam, config.tau)
-            frame_w = costsens.frame_weights(gain, store.labels, store.prev_action)
+        gain = costsens.compute_gain(stats, lam, tau)
+        frame_w = costsens.frame_weights(gain, store.labels, store.prev_action)
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
         for lo in range(0, n_seq, config.batch_size):

@@ -281,7 +281,9 @@ def _write_report(run_dir, name, report):
 
 def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     """Decode the config's dataset with a trained checkpoint and write
-    JSON + CSV metric reports. Reads only; never touches its inputs.
+    JSON + CSV metric reports of every decoder: ``report_argmax`` and
+    ``report_ncm``, plus ``report`` from the decoder that ``decode``
+    names. Reads only; never touches its inputs.
 
     The NCM class means and the head/tail split come from the training
     split's means and frame counts stored in the checkpoint; the scored
@@ -302,37 +304,28 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     run_dir = make_run_dir(config)
     _write_json(os.path.join(run_dir, "config.json"), config_to_dict(config))
 
-    # each window is stacked once and feeds the NCM votes and the
-    # classifier's predictions alike
-    extract = dec.windowed_extractor(params.context_radius)
-    windows = [extract(sequence) for sequence in dataset.sequences]
     means = params.train_means
-    truths = [sequence.frame_labels for sequence in dataset.sequences]
     head = None
     if config.head_threshold is not None:
         head, _ = sd.head_tail_split(means.support, config.head_threshold)
-
-    if config.decode_mode == "sncm":
-        # one NCM pass feeds the segment vote and the frame-NCM report
-        # alongside it, which makes the segment-level gain visible
-        ncm_predictions = [dec.ncm_predict(means, phi) for phi in windows]
-        reports = {
-            "report": [
-                dec.sncm_decode(params.predict_windows(phi), votes)
-                for phi, votes in zip(windows, ncm_predictions)
-            ],
-            "report_ncm": ncm_predictions,
-        }
-    else:
-        reports = {
-            "report": [
-                dec.decode_windows(params, phi, config.decode_mode, means=means)
-                for phi in windows
-            ]
-        }
-    for name, decoded in reports.items():
-        report = mx.evaluate(decoded, truths, dataset.num_classes, head=head)
-        _write_report(run_dir, name, report)
+    # each sequence's windows are stacked once; the classifier's argmax
+    # and the NCM votes on them make up every decoder
+    extract = dec.windowed_extractor(params.context_radius)
+    decoded = {mode: [] for mode in dec.DECODE_MODES}
+    for sequence in dataset.sequences:
+        phi = extract(sequence)
+        argmax = params.predict_windows(phi)
+        votes = dec.ncm_predict(means, phi)
+        decoded["argmax"].append(argmax)
+        decoded["ncm"].append(votes)
+        decoded["sncm"].append(dec.sncm_decode(argmax, votes))
+    truths = [sequence.frame_labels for sequence in dataset.sequences]
+    for mode, predictions in decoded.items():
+        report = mx.evaluate(predictions, truths, dataset.num_classes, head=head)
+        if mode == config.decode_mode:
+            _write_report(run_dir, "report", report)
+        if mode != "sncm":
+            _write_report(run_dir, f"report_{mode}", report)
     return run_dir
 
 

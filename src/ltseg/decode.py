@@ -111,16 +111,17 @@ def sncm_decode(classifier_predictions, ncm_predictions):
     return out
 
 
-def decode_windows(params, windows, mode, means=None):
-    """Run one decoder on one sequence's stacked windows
-    ``[T, D*(2w+1)]``, which serve as both the classifier input and the
-    NCM representation.
+def decode_sequence(params, sequence, mode, means=None):
+    """Run one decoder on one sequence. Its stacked windows
+    ``[T, D*(2w+1)]`` serve as both the classifier input and the NCM
+    representation.
 
     ``argmax`` uses the classifier alone; ``ncm`` ignores the classifier
     scores and votes by distance; ``sncm`` combines both.
     """
     if mode not in DECODE_MODES:
         raise ConfigError(f"decode mode {mode!r} not one of {DECODE_MODES}")
+    windows = windowed_extractor(params.context_radius)(sequence)
     if mode == "argmax":
         return params.predict_windows(windows)
     if means is None:
@@ -129,9 +130,3 @@ def decode_windows(params, windows, mode, means=None):
     if mode == "ncm":
         return ncm
     return sncm_decode(params.predict_windows(windows), ncm)
-
-
-def decode_sequence(params, sequence, mode, means=None):
-    """``decode_windows`` on the sequence's windows, stacked once."""
-    windows = windowed_extractor(params.context_radius)(sequence)
-    return decode_windows(params, windows, mode, means=means)

@@ -398,9 +398,12 @@ def _write_features_csv(path, features):
 
 
 def _read_features_csv(path):
+    text = _open_utf8(path)
+    if not text.getvalue().strip():  # numpy warns on an input with no data
+        raise ParseError(f"{path}: no feature values")
     try:
         # a value past the float32 range reads as inf, without a warning
-        table = np.loadtxt(path, delimiter=",", dtype=np.float32, ndmin=2)
+        table = np.loadtxt(text, delimiter=",", dtype=np.float32, ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     return np.ascontiguousarray(table.T)
@@ -442,11 +445,15 @@ def save_dataset(dataset, path, feature_format="binary"):
 
 def _open_utf8(path, data=None, error=ParseError):
     """A UTF-8 text file, or ``data``, bytes read from it, as a text
-    stream with ``open``'s universal newlines; a byte that is not UTF-8
-    raises ``error`` naming its line."""
+    stream with ``open``'s universal newlines. A path that cannot be
+    read raises ``error`` naming it, and a byte that is not UTF-8 raises
+    ``error`` naming its line."""
     if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except OSError as exc:
+            raise error(f"{path}: cannot read it ({exc.strerror or exc})") from exc
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:
@@ -570,7 +577,7 @@ def load_dataset(path) -> Dataset:
             labels = _read_labels(label_path, id_of, classes_path)
             csv = feat_path.endswith(".csv")
             feats = (_read_features_csv if csv else _read_features_binary)(feat_path)
-        except OSError as exc:  # a path in the manifest that cannot be read
+        except (OSError, ParseError) as exc:  # also name the manifest entry
             raise ParseError(f"{manifest_path}: sequence entry {index}: {exc}") from exc
         if feats.shape != (feature_dim, labels.size):
             raise ParseError(

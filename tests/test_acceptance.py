@@ -555,7 +555,11 @@ def test_criterion_10_command_determinism(tmp_path):
     checkpoint = os.path.join(train_a, "checkpoint.bin")
     eval_a = cli.cmd_eval(config, checkpoint)
     eval_b = cli.cmd_eval(config, checkpoint)
-    names = ["report.json", "report.csv", "report_ncm.json", "report_ncm.csv"]
+    names = [
+        f"report{suffix}.{ext}"
+        for suffix in ("", "_ncm", "_argmax")
+        for ext in ("json", "csv")
+    ]
     assert file_bytes(eval_a, names) == file_bytes(eval_b, names)
 
     out_a, out_b = io.StringIO(), io.StringIO()

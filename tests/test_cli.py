@@ -552,18 +552,30 @@ def test_eval_reports_read_back_through_report(tmp_path, capsys):
     path = write_config(tmp_path / "eval.json", **data)
     assert cli.main(["eval", "--config", path, checkpoint]) == 0
     (report,) = glob.glob(os.path.join(data["out"], "*", "report.json"))
-    reports = [report, os.path.join(os.path.dirname(report), "report_ncm.json")]
+    reports = [report] + [
+        os.path.join(os.path.dirname(report), f"report_{mode}.json")
+        for mode in ("ncm", "argmax")
+    ]
     capsys.readouterr()
     assert cli.main(["report", *reports]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 1 + len(reports)
 
 
-def test_eval_argmax_writes_single_report(tmp_path):
-    config, checkpoint = _train_small(tmp_path)
-    config = cli.config_from_dict({**cli.config_to_dict(config), "decode": "argmax"})
-    run_dir = cli.cmd_eval(config, checkpoint)
-    assert os.path.exists(os.path.join(run_dir, "report.json"))
-    assert not os.path.exists(os.path.join(run_dir, "report_ncm.json"))
+def test_eval_writes_every_decoders_report(tmp_path):
+    # every decode mode writes all three reports; decode picks report's
+    # source, which for argmax and ncm is that mode's own report; the
+    # noisy data keeps the decoders' reports apart
+    config, checkpoint = _train_small(tmp_path, noise_scale=1.2, mean_scale=0.8)
+    for mode in dec.DECODE_MODES:
+        config = cli.config_from_dict({**cli.config_to_dict(config), "decode": mode})
+        run_dir = cli.cmd_eval(config, checkpoint)
+        reports = {}
+        for name in ("report", "report_ncm", "report_argmax"):
+            with open(os.path.join(run_dir, f"{name}.json"), "rb") as fh:
+                reports[name] = fh.read()
+        assert len(set(reports.values())) == (3 if mode == "sncm" else 2)
+        if mode != "sncm":
+            assert reports["report"] == reports[f"report_{mode}"]
 
 
 def test_eval_underlearned_tail_gap(tmp_path):
@@ -643,8 +655,10 @@ def test_eval_never_mutates_inputs(tmp_path):
         assert fh.read() == checkpoint_before
 
 
-def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch):
+@pytest.mark.parametrize("decode", dec.DECODE_MODES)
+def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch, decode):
     config, checkpoint = _train_small(tmp_path, noise_scale=1.2, mean_scale=0.8)
+    config = cli.config_from_dict({**cli.config_to_dict(config), "decode": decode})
     params, _ = clf.load_checkpoint(checkpoint)
     dataset = cli._resolve_dataset(config)
     means = dec.compute_class_means(
@@ -652,7 +666,11 @@ def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch):
     )
     truths = [sequence.frame_labels for sequence in dataset.sequences]
     want = {}
-    for name, mode in (("report", "sncm"), ("report_ncm", "ncm")):
+    for name, mode in (
+        ("report", decode),
+        ("report_ncm", "ncm"),
+        ("report_argmax", "argmax"),
+    ):
         predictions = [
             dec.decode_sequence(params, sequence, mode, means=means)
             for sequence in dataset.sequences
@@ -743,7 +761,7 @@ def test_eval_predictions_ignore_eval_labels(tmp_path, monkeypatch, decode):
     cli.cmd_eval(config_for(dataset_dir), checkpoint)
     cli.cmd_eval(config_for(relabelled), checkpoint)
     half = len(decoded) // 2
-    assert half == (2 if decode == "sncm" else 1)
+    assert half == 3
     for original, permuted in zip(decoded[:half], decoded[half:]):
         for a, b in zip(original, permuted, strict=True):
             np.testing.assert_array_equal(a, b)

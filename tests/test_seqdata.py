@@ -453,6 +453,7 @@ _DATASET_DAMAGE = st.tuples(
     st.one_of(
         st.tuples(st.just("truncate"), st.integers(0, 10**6)),
         st.tuples(st.just("overwrite"), st.integers(0, 10**6), _BYTE),
+        st.tuples(st.sampled_from(["delete", "directory"]), st.just(0)),
     ),
 )
 
@@ -461,9 +462,10 @@ _DATASET_DAMAGE = st.tuples(
 @given(damage=_DATASET_DAMAGE)
 def test_damaged_dataset_loads_or_fails_typed(tmp_path_factory, damage):
     # any truncation or single-byte overwrite of one file of a valid
-    # dataset either still loads as a valid dataset or raises a typed
-    # error that names the damaged file; class 3 has no frame, so a
-    # class name can turn into a duplicate no label file contradicts
+    # dataset, or its deletion or replacement by a directory, either
+    # still loads as a valid dataset or raises a typed error that names
+    # the damaged file; class 3 has no frame, so a class name can turn
+    # into a duplicate no label file contradicts
     fmt, name, (kind, offset, *byte) = damage
     root = tmp_path_factory.mktemp("ds")
     rng = np.random.default_rng(0)
@@ -483,9 +485,13 @@ def test_damaged_dataset_loads_or_fails_typed(tmp_path_factory, damage):
     raw = bytearray(path.read_bytes())
     if kind == "truncate":
         raw = raw[: offset % len(raw)]
-    else:
+    elif kind == "overwrite":
         raw[offset % len(raw)] = byte[0]
-    path.write_bytes(bytes(raw))
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    elif kind != "delete":
+        path.write_bytes(bytes(raw))
     try:
         ds = sd.load_dataset(str(root))
     except LtsegError as exc:
