@@ -39,7 +39,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .seqdata import compute_transition_stats, read_json
+from .seqdata import compute_transition_stats, read_bytes, read_json
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
 
@@ -192,14 +192,16 @@ def train(dataset, config: TrainConfig):
     Per epoch: (1) loss weights from the current multipliers, (2) one
     pass of mini-batch SGD on the weighted cross-entropy, which also
     counts the correct frames per (class, previous action), each frame
-    as predicted just before its batch's step, (3) the learning state
-    built from those counts, (4) the projected multiplier step.
-    inverse_prior keeps the multipliers pinned at zero and skips 3 and
-    4; plain_ce is inverse_prior at tau = 0, whose gain is exactly 1.
+    as predicted just before its batch's step, (3) one
+    ``costsens.multiplier_step`` on those counts, which steps the
+    multipliers and gives the epoch's telemetry record. The loss modes
+    differ only in tau and gamma: inverse_prior is gamma = 0, which
+    keeps the multipliers at zero, and plain_ce is inverse_prior at
+    tau = 0, whose gain is exactly 1.
 
     The training set is windowed once into a ``FrameStore`` (N + 2wS
     padded frames of D values, at the features' precision). Each epoch
-    computes all N frame weights in one ``frame_weights`` call. A step
+    reads all N frame weights off the gain array at once. A step
     gathers its batch of sequences into one float64 ``[n, D*(2w+1)]``
     matrix (an exact widening), computes class-major logits ``[L, n]``,
     and makes one ``softmax_xent_grad`` call and one gradient GEMM
@@ -224,10 +226,11 @@ def train(dataset, config: TrainConfig):
     hit = np.empty(store.num_frames, dtype=bool)
     n_seq = len(dataset.sequences)
     tau = 0.0 if config.loss_mode == "plain_ce" else config.tau
+    gamma = config.gamma if config.loss_mode == "cost_sensitive" else 0.0
     telemetry = []
     for epoch in range(config.epochs):
         gain = costsens.compute_gain(stats, lam, tau)
-        frame_w = costsens.frame_weights(gain, store.labels, store.prev_action)
+        frame_w = gain[store.labels, store.prev_action]
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
         for lo in range(0, n_seq, config.batch_size):
@@ -242,19 +245,11 @@ def train(dataset, config: TrainConfig):
         mean_loss = epoch_loss / store.num_frames
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
-        if config.loss_mode == "cost_sensitive":
-            hits = np.bincount(cells[hit], minlength=L * (L + 1))
-            state = costsens.learning_state(hits.reshape(L, L + 1), stats)
-            updated = costsens.update_multipliers(
-                lam, state, stats, config.gamma, config.epsilon
-            )
-            record = costsens.telemetry_record(
-                epoch, state, stats, lam, updated, config.epsilon
-            )
-            record["loss"] = mean_loss
-            lam = updated
-        else:
-            record = {"epoch": epoch, "loss": mean_loss}
+        hits = np.bincount(cells[hit], minlength=L * (L + 1))
+        lam, record = costsens.multiplier_step(
+            lam, hits.reshape(L, L + 1), stats, gamma, config.epsilon
+        )
+        record.update(epoch=epoch, loss=mean_loss)
         telemetry.append(record)
     spans = zip(store.rows[store.starts[:-1]], store.rows[store.starts[1:] - 1] + 1)
     params.train_means = class_means_of(dataset, (store.windows[a:b] for a, b in spans))
@@ -285,11 +280,9 @@ def save_checkpoint(params: ClassifierParams, path, epoch):
 
 
 def load_checkpoint(path):
-    """Returns (params, epoch); the training class means ride on
-    ``params.train_means``."""
-    with open(path, "rb") as fh:
-        header_line = fh.readline()
-        payload = fh.read()
+    """Returns (params, epoch), the training class means on
+    ``params.train_means``; a bad file raises an error naming it."""
+    header_line, _, payload = read_bytes(path).partition(b"\n")
     header = read_json(path, data=header_line)
     if not isinstance(header, dict):
         raise ParseError(f"{path}:1: checkpoint header is not a JSON object")

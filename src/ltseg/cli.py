@@ -338,11 +338,16 @@ def _report_row(path, data):
         }
         row["per_class_acc"] = data["per_class_acc"]
         row["global_f1"] = data["f1_at"]["0.25"]["global"]
-        row["classes"] = len(data["counts"])
+        counts = data["counts"]
     except KeyError as exc:
         raise ConfigError(f"{path} is missing report field {exc}") from None
     except TypeError as exc:
         raise ConfigError(f"{path} has a malformed report field: {exc}") from None
+    if not isinstance(counts, list):
+        raise ConfigError(
+            f"{path}: report field 'counts' must be a list, got {counts!r}"
+        )
+    row["classes"] = len(counts)
     for key, value in row.items():
         require_finite(f"{path}: report field {key!r}", value)
     return row

@@ -12,9 +12,10 @@ The multipliers respond to the learning state: the accuracy of each
 (class, previous action) pair on the training set, built once per epoch
 by ``learning_state`` from the correct-frame counts that
 ``classifier.train`` takes from its SGD pass, each frame as predicted
-just before its batch's step. ``_constraint_gradient`` turns that state
-into the Lagrangian's gradient in the multipliers; the multiplier step,
-the Lagrangian and the violation count all read it.
+just before its batch's step. ``multiplier_step`` turns that state into
+the Lagrangian's gradient in the multipliers once per epoch, and takes
+the step, the Lagrangian and the violation count from it. At gamma = 0
+zero multipliers stay zero, so every loss mode runs the same step.
 
 The multipliers ``lam`` are one float64 ``[L, L+1]`` array, one per
 (class, previous action): non-negative, and zero on the transitions
@@ -23,8 +24,6 @@ them at zero. The step size gamma, the tolerance epsilon and the
 exponent tau are range-checked once, in ``TrainConfig.validate``.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 DEFAULT_EPSILON = 0.9
@@ -32,30 +31,22 @@ DEFAULT_STEP_SIZE = 0.01
 DEFAULT_TAU = 0.3
 
 
-@dataclass(frozen=True, eq=False)
-class LearningState:
-    """How well each transition is learned: 0.0 on the transitions that
-    ``stats.valid_mask`` marks unobserved, which the mean leaves out."""
-
-    trans_acc: np.ndarray
-    mean_trans_acc: float
-
-
-def learning_state(hits, stats) -> LearningState:
-    """Per-transition accuracy from ``hits``, the int64 ``[L, L+1]``
-    count of correctly predicted frames per (class, previous action).
+def learning_state(hits, stats):
+    """``(trans_acc, mean)``: the accuracy of each (class, previous
+    action) from ``hits``, its int64 ``[L, L+1]`` count of correct
+    frames, and the unweighted mean over the observed transitions.
+    ``trans_acc`` is 0.0 on the unobserved ones (``stats.valid_mask``).
 
     The support of each transition is ``stats.counts``: ``train``
     counts ``hits`` over one epoch's SGD pass, which predicts every frame
     of the dataset exactly once, with the parameters in force just
-    before the step of the frame's batch. The mean transition accuracy
-    is the unweighted average over observed transitions.
+    before the step of the frame's batch.
     """
     observed = stats.valid_mask
     trans_acc = np.zeros(hits.shape)
     np.divide(hits, stats.counts, out=trans_acc, where=observed)
     mean = float(trans_acc[observed].mean()) if observed.any() else 0.0
-    return LearningState(trans_acc=trans_acc, mean_trans_acc=mean)
+    return trans_acc, mean
 
 
 def compute_gain(stats, lam, tau):
@@ -70,52 +61,34 @@ def compute_gain(stats, lam, tau):
     return gain ** float(tau)
 
 
-def frame_weights(tempered, frame_labels, prev_action):
-    """Per-frame ``tempered[label, prev]``: the softmax_xent_grad weights."""
-    return tempered[frame_labels, prev_action]
+def multiplier_step(lam, hits, stats, gamma, epsilon):
+    """One epoch's multiplier side, ``(updated, record)``, from the
+    learning state of ``hits``.
 
-
-def _constraint_gradient(state: LearningState, stats, epsilon):
-    """T/prior and the Lagrangian's gradient in the multipliers,
-    ``g = (trans_acc - epsilon * mean) * T/prior``. Both are 0 where
-    T = 0, so ``g < 0`` marks exactly the observed transitions below the
-    tolerance line."""
+    The Lagrangian's gradient in the multipliers is
+    ``g = (trans_acc - epsilon * mean) * T/prior``, 0 where T = 0, so
+    ``g < 0`` marks exactly the observed transitions below the tolerance
+    line. ``updated = max(0, lam - gamma * g)``, zero off the support, so
+    gamma = 0 keeps a zero ``lam`` zero. ``record`` holds the objective
+    ``sum(T/prior * trans_acc) + sum(lam * g)`` at the pre-step ``lam``
+    (the sum of per-class accuracies plus the weighted constraint
+    terms), the mean transition accuracy, the min, mean and max of
+    ``updated`` on the support, and the count of ``g < 0``.
+    """
+    trans_acc, mean = learning_state(hits, stats)
     prior = stats.prior
-    scale = np.zeros(state.trans_acc.shape)
+    scale = np.zeros(trans_acc.shape)
     np.divide(stats.transition, prior[:, None], out=scale, where=(prior > 0)[:, None])
-    return scale, (state.trans_acc - epsilon * state.mean_trans_acc) * scale
-
-
-def lagrangian_value(state: LearningState, stats, lam, epsilon):
-    """Saddle-point objective ``sum(T/prior * trans_acc) + sum(lambda * g)``:
-    the sum of per-class accuracies plus the weighted constraint terms,
-    with the tolerance line at the state's own (detached) mean."""
-    scale, g = _constraint_gradient(state, stats, epsilon)
-    return float((scale * state.trans_acc).sum() + (lam * g).sum())
-
-
-def update_multipliers(lam, state: LearningState, stats, gamma, epsilon):
-    """One projected gradient step of size ``gamma`` on the multipliers:
-    every lambda moves against its constraint gradient, clamps at zero,
-    and stays zero on unobserved transitions. Returns a new array."""
-    _, g = _constraint_gradient(state, stats, epsilon)
-    lam = np.maximum(0.0, lam - gamma * g)
-    lam[~stats.valid_mask] = 0.0
-    return lam
-
-
-def telemetry_record(epoch, state: LearningState, stats, before, after, epsilon):
-    """Per-epoch telemetry: the objective the multiplier step descended
-    (pre-update multipliers ``before``), the violated constraints, and
-    summaries of the post-update multipliers ``after``."""
-    _, g = _constraint_gradient(state, stats, epsilon)
-    lam = after[stats.valid_mask]
-    return {
-        "epoch": int(epoch),
-        "lagrangian": lagrangian_value(state, stats, before, epsilon),
-        "mean_trans_acc": state.mean_trans_acc,
-        "lambda_min": float(lam.min()) if lam.size else 0.0,
-        "lambda_mean": float(lam.mean()) if lam.size else 0.0,
-        "lambda_max": float(lam.max()) if lam.size else 0.0,
+    g = (trans_acc - epsilon * mean) * scale
+    updated = np.maximum(0.0, lam - gamma * g)
+    updated[~stats.valid_mask] = 0.0
+    kept = updated[stats.valid_mask]
+    record = {
+        "lagrangian": float((scale * trans_acc).sum() + (lam * g).sum()),
+        "mean_trans_acc": mean,
+        "lambda_min": float(kept.min()) if kept.size else 0.0,
+        "lambda_mean": float(kept.mean()) if kept.size else 0.0,
+        "lambda_max": float(kept.max()) if kept.size else 0.0,
         "violations": int((g < 0).sum()),
     }
+    return updated, record

@@ -443,17 +443,22 @@ def save_dataset(dataset, path, feature_format="binary"):
         fh.write("\n")
 
 
+def read_bytes(path, error=ParseError):
+    """A file's bytes; an unreadable path raises ``error`` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise error(f"{path}: cannot read it ({exc.strerror or exc})") from exc
+
+
 def _open_utf8(path, data=None, error=ParseError):
     """A UTF-8 text file, or ``data``, bytes read from it, as a text
     stream with ``open``'s universal newlines. A path that cannot be
     read raises ``error`` naming it, and a byte that is not UTF-8 raises
     ``error`` naming its line."""
     if data is None:
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise error(f"{path}: cannot read it ({exc.strerror or exc})") from exc
+        data = read_bytes(path, error)
     try:
         return io.StringIO(data.decode("utf-8"), newline=None)
     except UnicodeDecodeError as exc:

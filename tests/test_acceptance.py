@@ -52,7 +52,7 @@ def argmax_oracle(params, seq):
 
 def test_criterion_01_weighted_ce_gradient():
     # the training path's own loss and gradient: softmax_xent_grad on
-    # class-major logits [L, n] with frame_weights as the weights
+    # class-major logits [L, n], each frame weighted by tempered[y, u]
     start = time.perf_counter()
     rng = np.random.default_rng(101)
     worst = 0.0
@@ -63,7 +63,7 @@ def test_criterion_01_weighted_ce_gradient():
         labels = rng.integers(num_classes, size=frames)
         prev = rng.integers(num_classes + 1, size=frames)
         _, tempered = random_gains(rng, num_classes)
-        weights = cs.frame_weights(tempered, labels, prev)
+        weights = tempered[labels, prev]
         _, grad, _ = _kernels.softmax_xent_grad(logits, labels, weights)
         step = 1e-5
         fd = np.empty_like(logits)
@@ -87,7 +87,7 @@ def test_criterion_01_weighted_ce_gradient():
     store = clf.FrameStore.build(sd.Dataset.build([seq], 3), 1)
     phi = store.gather(np.arange(3))
     _, tempered = random_gains(rng, 3)
-    weights = cs.frame_weights(tempered, store.labels, store.prev_action)
+    weights = tempered[store.labels, store.prev_action]
     params = clf.ClassifierParams(
         weights=rng.normal(scale=0.5, size=(3, 6)),
         bias=rng.normal(scale=0.1, size=3),
@@ -208,7 +208,8 @@ def test_criterion_03_reductions():
     hits = counts[classes, classes]
     stats = sd.TransitionStats(counts=counts.sum(axis=1), total=int(counts.sum()))
     lam = np.zeros(hits.shape)
-    value = cs.lagrangian_value(cs.learning_state(hits, stats), stats, lam, 0.9)
+    _, record = cs.multiplier_step(lam, hits, stats, gamma=0.01, epsilon=0.9)
+    value = record["lagrangian"]
     # the sum of per-class accuracies over classes that have frames
     support = stats.counts.sum(axis=1)
     present = support > 0
@@ -228,14 +229,13 @@ def test_criterion_04_multiplier_dynamics():
     support[1, 0], hits[1, 0] = 40, 36  # Tacc 0.9, satisfied
     support[2, 2], hits[2, 2] = 20, 10  # Tacc 0.5, near the mean
     stats = sd.TransitionStats(counts=support, total=int(support.sum()))
-    state = cs.learning_state(hits, stats)  # a frozen classifier
     lam = np.zeros((num_classes, prev))
     lam[1, 0] = 0.04  # must decay back to zero
 
     valid = stats.valid_mask
     low_path, high_path = [], []
-    for _ in range(20):
-        lam = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.9)
+    for _ in range(20):  # the same hits every step: a frozen classifier
+        lam, _ = cs.multiplier_step(lam, hits, stats, gamma=0.01, epsilon=0.9)
         assert (lam >= 0).all()
         assert not lam[~valid].any()
         low_path.append(lam[0, 1])

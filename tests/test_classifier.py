@@ -138,7 +138,7 @@ def test_training_gradient_matches_finite_differences():
         return out / 3
 
     store = clf.FrameStore.build(ds, 1)
-    w = cs.frame_weights(gain, store.labels, store.prev_action)
+    w = gain[store.labels, store.prev_action]
     _, grad_w, grad_b, _ = clf.batch_gradient(params, store.gather(np.arange(3)),
                                               store.labels, w)
     grad_w /= 3
@@ -175,7 +175,7 @@ def test_plain_ce_learns_separable_data():
         total += seq.num_frames
     assert correct / total >= 0.95
     assert len(telemetry) == 50
-    assert set(telemetry[0]) == {"epoch", "loss"}  # no multiplier fields
+    assert telemetry[-1]["lambda_max"] == 0.0  # gamma = 0 holds lambda at 0
     assert telemetry[-1]["loss"] < telemetry[0]["loss"]
 
 
@@ -184,12 +184,11 @@ def test_tau_zero_matches_plain_ce_trajectory():
     common = dict(epochs=8, learning_rate=0.3, batch_size=4, context_radius=1,
                   rng_seed=9)
     p_plain, _ = clf.train(ds, clf.TrainConfig(loss_mode="plain_ce", **common))
-    p_cs, tel = clf.train(
+    p_cs, _ = clf.train(
         ds, clf.TrainConfig(loss_mode="cost_sensitive", tau=0.0, **common)
     )
     assert np.array_equal(p_plain.weights, p_cs.weights)
     assert np.array_equal(p_plain.bias, p_cs.bias)
-    assert "lambda_max" in tel[0]
 
 
 def test_seeded_runs_identical():
@@ -275,11 +274,12 @@ def test_train_means_equal_compute_class_means(radius):
 
 def _reference_train(dataset, config):
     """The training loop one sequence at a time: row-major logits, a
-    per-frame-row softmax, per-sequence gradient sums and, under
-    cost_sensitive, a full (truth, prediction, previous action) confusion
-    tensor counted per sequence from the logits in force before its
-    batch's step, with the learning state read off its diagonal and its
-    marginal over predictions."""
+    per-frame-row softmax, per-sequence gradient sums and a full (truth,
+    prediction, previous action) confusion tensor counted per sequence
+    from the logits in force before its batch's step, with the learning
+    state read off its diagonal and its marginal over predictions. Only
+    cost_sensitive steps the multipliers; the other modes hold them at
+    zero with a zero step."""
     stats = sd.compute_transition_stats(dataset)
     lam = np.zeros((dataset.num_classes, dataset.num_classes + 1))
     params = clf.ClassifierParams.zeros(
@@ -288,6 +288,7 @@ def _reference_train(dataset, config):
     rng = np.random.default_rng(config.rng_seed)
     n_seq = len(dataset.sequences)
     L = dataset.num_classes
+    gamma = config.gamma if config.loss_mode == "cost_sensitive" else 0.0
     telemetry = []
     for epoch in range(config.epochs):
         gain = None
@@ -308,8 +309,7 @@ def _reference_train(dataset, config):
                                    seq.prev_action), 1)
                 frame_w = np.ones(seq.num_frames)
                 if gain is not None:
-                    frame_w = cs.frame_weights(gain, seq.frame_labels,
-                                               seq.prev_action)
+                    frame_w = gain[seq.frame_labels, seq.prev_action]
                 probs = np.exp(logits - logits.max(axis=1, keepdims=True))
                 probs /= probs.sum(axis=1, keepdims=True)
                 rows = np.arange(seq.num_frames)
@@ -323,24 +323,17 @@ def _reference_train(dataset, config):
                 batch_frames += seq.num_frames
             params.weights -= config.learning_rate / batch_frames * grad_w
             params.bias -= config.learning_rate / batch_frames * grad_b
-        record = {"epoch": epoch, "loss": epoch_loss / dataset.total_frames}
-        if config.loss_mode == "cost_sensitive":
-            hits = counts[np.arange(L), np.arange(L)]
-            support = counts.sum(axis=1)
-            defined = support > 0
-            trans_acc = np.zeros((L, L + 1))
-            np.divide(hits.astype(np.float64), support.astype(np.float64),
-                      out=trans_acc, where=defined)
-            state = cs.LearningState(
-                trans_acc=trans_acc,
-                mean_trans_acc=float(trans_acc[defined].mean()),
-            )
-            updated = cs.update_multipliers(lam, state, stats, config.gamma,
-                                            config.epsilon)
-            record = cs.telemetry_record(epoch, state, stats, lam, updated,
-                                         config.epsilon)
-            record["loss"] = epoch_loss / dataset.total_frames
-            lam = updated
+        hits = counts[np.arange(L), np.arange(L)]
+        support = counts.sum(axis=1)
+        defined = support > 0
+        trans_acc = np.zeros((L, L + 1))
+        np.divide(hits.astype(np.float64), support.astype(np.float64),
+                  out=trans_acc, where=defined)
+        state_acc, state_mean = cs.learning_state(hits, stats)
+        assert np.array_equal(state_acc, trans_acc)
+        assert state_mean == float(trans_acc[defined].mean())
+        lam, record = cs.multiplier_step(lam, hits, stats, gamma, config.epsilon)
+        record.update(epoch=epoch, loss=epoch_loss / dataset.total_frames)
         telemetry.append(record)
     return params, telemetry
 
@@ -368,9 +361,9 @@ def test_train_matches_per_sequence_reference(loss_mode):
 
 
 @pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)
-def test_counting_runs_only_for_cost_sensitive(monkeypatch, loss_mode):
-    # one hit table and one learning state per cost_sensitive epoch,
-    # none under the other modes
+def test_one_learning_state_per_epoch_in_every_mode(monkeypatch, loss_mode):
+    # one hit table and one learning state per epoch, whatever the mode:
+    # every mode's telemetry records the learning state
     states = []
     real_state = cs.learning_state
 
@@ -380,10 +373,12 @@ def test_counting_runs_only_for_cost_sensitive(monkeypatch, loss_mode):
 
     monkeypatch.setattr(cs, "learning_state", counting_state)
     ds = _separable_dataset(seed=3)
-    clf.train(ds, clf.TrainConfig(epochs=4, batch_size=4, loss_mode=loss_mode))
-    want = 4 if loss_mode == "cost_sensitive" else 0
+    _, telemetry = clf.train(
+        ds, clf.TrainConfig(epochs=4, batch_size=4, loss_mode=loss_mode)
+    )
     L = ds.num_classes
-    assert states == [(L, L + 1)] * want
+    assert states == [(L, L + 1)] * 4
+    assert all("mean_trans_acc" in record for record in telemetry)
 
 
 def test_first_epoch_gain_uses_initial_multipliers():
@@ -526,22 +521,29 @@ def test_checkpoint_rejects_non_finite_and_negative_payload(tmp_path):
 _CHECKPOINT_DAMAGE = st.one_of(
     st.tuples(st.just("truncate"), st.integers(0, 10**6)),
     st.tuples(st.just("overwrite"), st.integers(0, 10**6), st.integers(0, 255)),
+    st.tuples(st.sampled_from(["delete", "directory"]), st.just(0)),
 )
 
 
 @settings(database=None, derandomize=True, deadline=None, max_examples=200)
 @given(damage=_CHECKPOINT_DAMAGE)
 def test_damaged_checkpoint_loads_or_fails_typed(tmp_path_factory, damage):
-    # any truncation or single-byte overwrite of a valid checkpoint either
-    # still loads or raises a typed error that names the file
+    # any truncation or single-byte overwrite of a valid checkpoint, or
+    # its deletion or replacement by a directory, either still loads or
+    # raises a typed error that names the file
+    kind, offset, *byte = damage
     path = tmp_path_factory.mktemp("ckpt") / "model.ckpt"
     clf.save_checkpoint(_checkpointable(2, 3, context_radius=1), path, epoch=4)
     raw = bytearray(path.read_bytes())
-    if damage[0] == "truncate":
-        raw = raw[: damage[1] % len(raw)]
-    else:
-        raw[damage[1] % len(raw)] = damage[2]
-    path.write_bytes(bytes(raw))
+    if kind == "truncate":
+        raw = raw[: offset % len(raw)]
+    elif kind == "overwrite":
+        raw[offset % len(raw)] = byte[0]
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    elif kind != "delete":
+        path.write_bytes(bytes(raw))
     try:
         clf.load_checkpoint(path)
     except (ParseError, RangeError) as exc:

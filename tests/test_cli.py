@@ -392,12 +392,21 @@ def test_train_writes_checkpoint_and_telemetry(tmp_path):
         assert {"lagrangian", "mean_trans_acc", "lambda_max", "loss"} <= set(record)
 
 
-def test_train_plain_ce_telemetry_omits_multiplier_fields(tmp_path):
+TELEMETRY_KEYS = {
+    "epoch", "loss", "lagrangian", "mean_trans_acc", "lambda_min",
+    "lambda_mean", "lambda_max", "violations",
+}
+
+
+@pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)
+def test_train_telemetry_fields_in_every_mode(tmp_path, loss_mode):
+    # every mode logs its learning state; only cost_sensitive moves the
+    # multipliers, which on this noisy data it does by the last epoch
     config = cli.load_config(
         write_config(
             tmp_path / "cfg.json",
-            dataset={"synthetic": small_synth()},
-            train={"epochs": 2, "loss_mode": "plain_ce"},
+            dataset={"synthetic": small_synth(noise_scale=1.5)},
+            train={"epochs": 3, "loss_mode": loss_mode},
             out=str(tmp_path / "runs"),
         )
     )
@@ -405,7 +414,13 @@ def test_train_plain_ce_telemetry_omits_multiplier_fields(tmp_path):
     assert code == 0
     with open(os.path.join(run_dir, "telemetry.jsonl")) as fh:
         records = [json.loads(line) for line in fh]
-    assert records and all(set(r) == {"epoch", "loss"} for r in records)
+    assert [r["epoch"] for r in records] == [0, 1, 2]
+    assert all(set(r) == TELEMETRY_KEYS for r in records)
+    if loss_mode == "cost_sensitive":
+        assert records[-1]["lambda_max"] > 0
+    else:
+        for key in ("lambda_min", "lambda_mean", "lambda_max"):
+            assert [r[key] for r in records] == [0.0, 0.0, 0.0]
 
 
 def test_train_zero_epochs_keeps_initialization(tmp_path):
@@ -1046,6 +1061,15 @@ def test_report_missing_threshold_named(tmp_path):
             "per_class_acc": "high",
             "counts": [1],
         },
+        {
+            "f1_at": {
+                "0.10": {"per_class": 1.0},
+                "0.25": {"per_class": 1.0, "global": 1.0},
+                "0.50": {"per_class": 1.0},
+            },
+            "per_class_acc": 1.0,
+            "counts": "abc",
+        },
         *UNREADABLE_JSON,
     ],
 )
@@ -1060,6 +1084,84 @@ def test_report_malformed_file_named(tmp_path, capsys, content):
         cli.cmd_report([path], stream=io.StringIO())
     assert cli.main(["report", path]) == 2
     assert capsys.readouterr().err.startswith(f"error: {path}")
+
+
+@pytest.fixture(scope="module")
+def real_report(tmp_path_factory):
+    """The bytes of a report.json that eval wrote."""
+    config, checkpoint = _train_small(tmp_path_factory.mktemp("real_report"))
+    run_dir = cli.cmd_eval(config, checkpoint)
+    return pathlib.Path(run_dir, "report.json").read_bytes()
+
+
+def _json_paths(node, path=()):
+    """The key path of every value below ``node``: object keys, list indices."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _json_paths(child, path + (key,))
+
+
+_REPORT_DAMAGE = st.one_of(
+    st.tuples(st.just("drop"), st.integers(0, 10**6)),
+    st.tuples(
+        st.just("replace"),
+        st.integers(0, 10**6),
+        # "abc" is as long as the report's 3-class counts list
+        st.sampled_from(["abc", "", True, False, None, 10**400, [], [1.5, 2.5]]),
+    ),
+    st.tuples(st.just("top"), st.sampled_from([[], [1, 2], "report", 7, None])),
+    st.tuples(st.just("not_utf8"), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(["delete", "directory"])),
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=300)
+@given(damage=_REPORT_DAMAGE)
+def test_damaged_report_compares_or_fails_named(tmp_path_factory, real_report, damage):
+    # a real report with a dropped key, a value replaced by another JSON
+    # type or a huge int, a top level that is not an object, a byte that
+    # is not UTF-8, or deleted or replaced by a directory: report either
+    # compares it against the intact copy or raises a ConfigError naming it
+    kind, *args = damage
+    root = tmp_path_factory.mktemp("report")
+    good, path = root / "good.json", root / "damaged.json"
+    good.write_bytes(real_report)
+    data = json.loads(real_report)
+    if kind in ("drop", "replace"):
+        # a dropped key is an object key; any value can be replaced
+        paths = [
+            p for p in _json_paths(data) if kind == "replace" or isinstance(p[-1], str)
+        ]
+        *parents, key = paths[args[0] % len(paths)]
+        node = data
+        for step in parents:
+            node = node[step]
+        if kind == "drop":
+            del node[key]
+        else:
+            node[key] = args[1]
+    elif kind == "top":
+        data = args[0]
+    if kind == "not_utf8":
+        raw = bytearray(real_report)
+        raw[args[0] % len(raw)] = 0xFF
+        path.write_bytes(bytes(raw))
+    elif kind == "directory":
+        path.mkdir()
+    elif kind != "delete":
+        path.write_text(json.dumps(data), encoding="utf-8")
+    try:
+        code = cli.cmd_report([str(good), str(path)], stream=io.StringIO())
+    except ConfigError as exc:
+        assert str(path) in str(exc)
+    else:
+        assert code == 0
 
 
 # -- main entry point --------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Learning state, gain weights, weighted cross-entropy, Lagrangian,
-multiplier updates."""
+"""Learning state, gain weights, weighted cross-entropy, and the
+multiplier step: Lagrangian, update and telemetry record."""
 
 import math
 
@@ -65,8 +65,8 @@ def _unit_weights(num_classes, prev_states=None):
 
 def _frame_grad(logits, y, u, weights):
     """One frame's training loss and logit gradient: the kernel with the
-    frame's weight from ``frame_weights``."""
-    w = cs.frame_weights(weights, np.array([y]), np.array([u]))
+    frame's weight read off the gain array, ``weights[y, u]``."""
+    w = weights[[y], [u]]
     loss, grad, _ = _kernels.softmax_xent_grad(
         np.asarray(logits, dtype=np.float64)[:, None], np.array([y]), w
     )
@@ -222,9 +222,9 @@ def test_perfect_classifier_diagonal_support():
     stats = sd.compute_transition_stats(ds)
     hits = _hits_of(ds, _perfect)
     assert np.array_equal(hits, stats.counts)
-    state = cs.learning_state(hits, stats)
-    assert np.all(state.trans_acc[stats.valid_mask] == 1.0)
-    assert state.mean_trans_acc == 1.0
+    trans_acc, mean = cs.learning_state(hits, stats)
+    assert np.all(trans_acc[stats.valid_mask] == 1.0)
+    assert mean == 1.0
 
 
 def test_constant_classifier():
@@ -233,9 +233,9 @@ def test_constant_classifier():
     hits = _hits_of(ds, lambda s: np.zeros(s.num_frames, np.int64))
     assert np.array_equal(hits[0], stats.counts[0])
     assert not hits[1:].any()
-    state = cs.learning_state(hits, stats)
-    assert np.all(state.trans_acc[0][stats.valid_mask[0]] == 1.0)
-    assert np.all(state.trans_acc[1:] == 0.0)
+    trans_acc, _ = cs.learning_state(hits, stats)
+    assert np.all(trans_acc[0][stats.valid_mask[0]] == 1.0)
+    assert np.all(trans_acc[1:] == 0.0)
 
 
 def test_counts_match_per_frame_oracle(monkeypatch):
@@ -275,12 +275,12 @@ def test_learning_state_four_frame_example():
         pred[wrong] = 1 - pred[wrong]
         return pred
 
-    state = cs.learning_state(_hits_of(ds, predict), stats)
-    assert state.trans_acc[1, 2] == 1.0
-    assert state.trans_acc[0, 2] == 1.0
-    assert state.trans_acc[1, 0] == 0.0
-    assert state.trans_acc[0, 1] == 0.0
-    assert state.mean_trans_acc == pytest.approx(0.5)
+    trans_acc, mean = cs.learning_state(_hits_of(ds, predict), stats)
+    assert trans_acc[1, 2] == 1.0
+    assert trans_acc[0, 2] == 1.0
+    assert trans_acc[1, 0] == 0.0
+    assert trans_acc[0, 1] == 0.0
+    assert mean == pytest.approx(0.5)
 
 
 def test_undefined_entries_flagged_not_nan():
@@ -290,10 +290,21 @@ def test_undefined_entries_flagged_not_nan():
         [sd.LabeledSequence.from_frames(feats, [0, 1, 0], 3)], 3
     )
     stats = sd.compute_transition_stats(ds)
-    state = cs.learning_state(_hits_of(ds, _perfect), stats)
+    trans_acc, _ = cs.learning_state(_hits_of(ds, _perfect), stats)
     assert not stats.valid_mask[2].any()
-    assert np.isfinite(state.trans_acc).all()
-    assert np.all(state.trans_acc[2] == 0.0)
+    assert np.isfinite(trans_acc).all()
+    assert np.all(trans_acc[2] == 0.0)
+
+
+def _step(lam, hits, stats, gamma, epsilon):
+    """The multipliers after one ``multiplier_step``."""
+    return cs.multiplier_step(lam, hits, stats, gamma, epsilon)[0]
+
+
+def _record(lam, hits, stats, epsilon, gamma=0.01):
+    """The telemetry record of one ``multiplier_step``; its Lagrangian
+    and learning state do not depend on the step size."""
+    return cs.multiplier_step(lam, hits, stats, gamma, epsilon)[1]
 
 
 def test_lagrangian_zero_lambda_is_accuracy_sum():
@@ -308,8 +319,7 @@ def test_lagrangian_zero_lambda_is_accuracy_sum():
     hits = _hits_of(ds, half)
     lam = np.zeros(hits.shape)
     expect = _class_acc_sum(hits, stats)
-    state = cs.learning_state(hits, stats)
-    assert cs.lagrangian_value(state, stats, lam, 0.9) == pytest.approx(
+    assert _record(lam, hits, stats, 0.9)["lagrangian"] == pytest.approx(
         expect, abs=1e-9
     )
 
@@ -320,14 +330,12 @@ def test_lagrangian_perfect_classifier_closed_form():
     hits = stats.counts.copy()
     rng = np.random.default_rng(3)
     lam = np.where(stats.valid_mask, rng.uniform(0, 1, stats.valid_mask.shape), 0.0)
-    state = cs.learning_state(hits, stats)
-    assert state.mean_trans_acc == 1.0
+    record = _record(lam, hits, stats, 0.9)
+    assert record["mean_trans_acc"] == 1.0
     active = int((stats.prior > 0).sum())
     scale = stats.transition / stats.prior[:, None]
     expect = active + 0.1 * (lam * scale)[stats.valid_mask].sum()
-    assert cs.lagrangian_value(state, stats, lam, 0.9) == pytest.approx(
-        expect, rel=1e-12
-    )
+    assert record["lagrangian"] == pytest.approx(expect, rel=1e-12)
 
 
 def test_lagrangian_term_by_term_oracle():
@@ -371,11 +379,9 @@ def test_lagrangian_term_by_term_oracle():
             if t_ik > 0:
                 tacc = c_iik / t_ik
                 expect += lam[i, k] * (tacc - 0.9 * mean) * (t_ik / pi)
-    state = cs.learning_state(hits, stats)
-    assert state.mean_trans_acc == pytest.approx(mean, rel=1e-12)
-    assert cs.lagrangian_value(state, stats, lam, 0.9) == pytest.approx(
-        expect, rel=1e-12
-    )
+    record = _record(lam, hits, stats, 0.9)
+    assert record["mean_trans_acc"] == pytest.approx(mean, rel=1e-12)
+    assert record["lagrangian"] == pytest.approx(expect, rel=1e-12)
 
 
 def _two_transition_setup():
@@ -384,43 +390,41 @@ def _two_transition_setup():
     trans_counts = np.array([[0, 0, 4], [4, 0, 0]], dtype=np.int64)
     stats = _stats_from_counts(trans_counts)
     hits = np.array([[0, 0, 3], [1, 0, 0]], dtype=np.int64)
-    return stats, hits, cs.learning_state(hits, stats)
+    return stats, hits
 
 
 def test_update_boundary_transition_unchanged():
-    stats, _, state = _two_transition_setup()
+    stats, hits = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.2
     lam[1, 0] = 0.2
-    after = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.5)
-    assert state.mean_trans_acc == pytest.approx(0.5)
+    after, record = cs.multiplier_step(lam, hits, stats, gamma=0.01, epsilon=0.5)
+    assert record["mean_trans_acc"] == pytest.approx(0.5)
     assert after[1, 0] == 0.2  # exactly on the tolerance line
     assert after[0, 2] < 0.2  # satisfied constraint decays
 
 
 def test_update_violated_constraint_raises_lambda():
-    stats, _, state = _two_transition_setup()
-    after = cs.update_multipliers(
-        np.zeros((2, 3)), state, stats, gamma=0.01, epsilon=0.9
-    )
+    stats, hits = _two_transition_setup()
+    after = _step(np.zeros((2, 3)), hits, stats, gamma=0.01, epsilon=0.9)
     # g = (1/4 - 0.9/2) * (T/pi) = -0.2 * 1 -> lambda = 0.002
     assert after[1, 0] == pytest.approx(0.01 * 0.2, rel=1e-12)
     assert after[1, 0] > 0
 
 
 def test_update_projection_clamps_to_zero():
-    stats, _, state = _two_transition_setup()
+    stats, hits = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.001
     # g = (3/4 - 1/4) * 1 = 1/2; step = 0.025 > 0.001
-    after = cs.update_multipliers(lam, state, stats, gamma=0.05, epsilon=0.5)
+    after = _step(lam, hits, stats, gamma=0.05, epsilon=0.5)
     assert after[0, 2] == 0.0
 
 
 def test_off_support_multipliers_are_masked():
     # a lambda that is nonzero on the transitions never observed: the
     # gain there is the inverse prior's, and the step returns 0 there
-    stats, _, state = _two_transition_setup()
+    stats, hits = _two_transition_setup()
     lam = np.full((2, 3), 0.4)
     off = ~stats.valid_mask
     assert off.any() and (stats.prior > 0).all()
@@ -428,7 +432,7 @@ def test_off_support_multipliers_are_masked():
     gain = cs.compute_gain(stats, lam, tau=0.6)
     np.testing.assert_array_equal(gain[off], inverse_prior[off])
     assert (gain[~off] > inverse_prior[~off]).all()
-    after = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.5)
+    after = _step(lam, hits, stats, gamma=0.01, epsilon=0.5)
     assert not after[off].any()
     assert (after[~off] > 0).all()
 
@@ -441,21 +445,21 @@ def test_update_support_and_nonnegativity():
         local = np.random.default_rng(seq.num_frames)
         return local.integers(0, ds.num_classes, seq.num_frames)
 
-    state = cs.learning_state(_hits_of(ds, noisy), stats)
+    hits = _hits_of(ds, noisy)
     lam = np.zeros(stats.counts.shape)
     for _ in range(30):
-        lam = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.9)
+        lam = _step(lam, hits, stats, gamma=0.01, epsilon=0.9)
         assert (lam >= 0).all()
         assert not lam[~stats.valid_mask].any()
 
 
 def test_monotone_constraint_response():
-    stats, _, state = _two_transition_setup()
+    stats, hits = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.05  # satisfied constraint, positive start
     under, over = [], []
     for _ in range(20):
-        lam = cs.update_multipliers(lam, state, stats, gamma=0.01, epsilon=0.9)
+        lam = _step(lam, hits, stats, gamma=0.01, epsilon=0.9)
         under.append(lam[1, 0])
         over.append(lam[0, 2])
     assert all(b > a for a, b in zip([0.0] + under[:-1], under))
@@ -466,16 +470,25 @@ def test_monotone_constraint_response():
 
 
 def test_telemetry_record_fields():
-    stats, hits, state = _two_transition_setup()
+    stats, hits = _two_transition_setup()
     before = np.zeros((2, 3))
-    after = cs.update_multipliers(before, state, stats, gamma=0.01, epsilon=0.9)
-    rec = cs.telemetry_record(3, state, stats, before, after, epsilon=0.9)
-    assert rec["epoch"] == 3
+    after, rec = cs.multiplier_step(before, hits, stats, gamma=0.01, epsilon=0.9)
+    assert set(rec) == {
+        "lagrangian", "mean_trans_acc", "lambda_min", "lambda_mean",
+        "lambda_max", "violations",
+    }
+    assert rec["lambda_max"] == after.max() > 0
     assert rec["mean_trans_acc"] == pytest.approx(0.5)
     assert rec["violations"] == 1  # only (1 <- 0) sits below 0.9 * mean
     assert rec["lambda_max"] >= rec["lambda_mean"] >= rec["lambda_min"] >= 0
     # pre-update lambdas are all zero, so the objective is the Acc sum
     assert rec["lagrangian"] == pytest.approx(_class_acc_sum(hits, stats))
+
+
+def _mostly_right(seq):
+    """The true label on about 60 % of the frames, class 0 elsewhere."""
+    local = np.random.default_rng(seq.num_frames)
+    return np.where(local.random(seq.num_frames) < 0.6, seq.frame_labels, 0)
 
 
 def test_violations_are_observed_transitions_below_the_line():
@@ -484,20 +497,30 @@ def test_violations_are_observed_transitions_below_the_line():
     ds = _dataset(num_classes=5, num_sequences=6, seed=2)
     stats = sd.compute_transition_stats(ds)
     assert ds.class_frame_counts[4] == 0 and stats.valid_mask.sum() < 15
-
-    def noisy(seq):
-        local = np.random.default_rng(seq.num_frames)
-        return np.where(local.random(seq.num_frames) < 0.6, seq.frame_labels, 0)
-
-    hits = _hits_of(ds, noisy)
-    state = cs.learning_state(hits, stats)
-    before = np.zeros(stats.counts.shape)
-    after = cs.update_multipliers(before, state, stats, gamma=0.01, epsilon=0.95)
-    rec = cs.telemetry_record(0, state, stats, before, after, epsilon=0.95)
+    hits = _hits_of(ds, _mostly_right)
+    rec = _record(np.zeros(stats.counts.shape), hits, stats, epsilon=0.95)
     want = 0
     for i, k in zip(*np.nonzero(stats.counts)):
-        want += hits[i, k] / stats.counts[i, k] < 0.95 * state.mean_trans_acc
+        want += hits[i, k] / stats.counts[i, k] < 0.95 * rec["mean_trans_acc"]
     assert 0 < rec["violations"] == want
+
+
+def test_zero_step_keeps_zero_multipliers_and_the_record():
+    # inverse_prior and plain_ce train at gamma = 0: a zero lambda stays
+    # bitwise zero (no -0.0), and the record's learning state, Lagrangian
+    # and violations are those that gamma > 0 reports from the same hits
+    ds = _dataset(num_classes=5, num_sequences=6, seed=2)
+    stats = sd.compute_transition_stats(ds)
+    hits = _hits_of(ds, _mostly_right)
+    lam = np.zeros(stats.counts.shape)
+    held, rec_zero = cs.multiplier_step(lam, hits, stats, gamma=0.0, epsilon=0.95)
+    stepped, rec = cs.multiplier_step(lam, hits, stats, gamma=0.5, epsilon=0.95)
+    assert held.tobytes() == lam.tobytes()
+    assert stepped.any() and rec_zero["violations"] > 0
+    for key in ("lagrangian", "mean_trans_acc", "violations"):
+        assert rec_zero[key] == rec[key]
+    for key in ("lambda_min", "lambda_mean", "lambda_max"):
+        assert rec_zero[key] == 0.0
 
 
 @st.composite
@@ -534,11 +557,10 @@ def test_multipliers_bounded_by_steps(run):
     mean_sum = 0.0
     for hits in tables:
         assert (hits <= stats.counts).all()
-        state = cs.learning_state(hits, stats)
-        lam = cs.update_multipliers(lam, state, stats, gamma, epsilon)
+        lam, record = cs.multiplier_step(lam, hits, stats, gamma, epsilon)
         assert (lam >= 0).all()
         assert not lam[~stats.valid_mask].any()
-        mean_sum += state.mean_trans_acc
+        mean_sum += record["mean_trans_acc"]
     support = stats.counts.sum(axis=1, keepdims=True)
     p_next = np.zeros(stats.counts.shape)
     np.divide(stats.counts, support, out=p_next, where=support > 0)
