@@ -213,7 +213,7 @@ def train(dataset, config: TrainConfig):
     config.validate()
     if not dataset.sequences:
         raise ConfigError("cannot train on an empty dataset")
-    stats = compute_transition_stats(dataset)
+    counts = compute_transition_stats(dataset)
     L = dataset.num_classes
     lam = np.zeros((L, L + 1))  # one multiplier per (class, previous action)
     params = ClassifierParams.zeros(
@@ -229,7 +229,7 @@ def train(dataset, config: TrainConfig):
     gamma = config.gamma if config.loss_mode == "cost_sensitive" else 0.0
     telemetry = []
     for epoch in range(config.epochs):
-        gain = costsens.compute_gain(stats, lam, tau)
+        gain = costsens.compute_gain(counts, lam, tau)
         frame_w = gain[store.labels, store.prev_action]
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
@@ -247,7 +247,7 @@ def train(dataset, config: TrainConfig):
             raise TrainingDivergedError(epoch, mean_loss)
         hits = np.bincount(cells[hit], minlength=L * (L + 1))
         lam, record = costsens.multiplier_step(
-            lam, hits.reshape(L, L + 1), stats, gamma, config.epsilon
+            lam, hits.reshape(L, L + 1), counts, gamma, config.epsilon
         )
         record.update(epoch=epoch, loss=mean_loss)
         telemetry.append(record)

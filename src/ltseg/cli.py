@@ -343,9 +343,12 @@ def _report_row(path, data):
         raise ConfigError(f"{path} is missing report field {exc}") from None
     except TypeError as exc:
         raise ConfigError(f"{path} has a malformed report field: {exc}") from None
-    if not isinstance(counts, list):
+    if not isinstance(counts, list) or not all(
+        isinstance(n, int) and not isinstance(n, bool) and n >= 0 for n in counts
+    ):
         raise ConfigError(
-            f"{path}: report field 'counts' must be a list, got {counts!r}"
+            f"{path}: report field 'counts' must be a list of non-negative "
+            f"integers, got {counts!r}"
         )
     row["classes"] = len(counts)
     for key, value in row.items():
@@ -409,20 +412,22 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(cmd):
+    def add_common(name, summary):
+        cmd = sub.add_parser(name, help=summary)
         cmd.add_argument("--config", metavar="PATH", help="experiment config JSON")
         cmd.add_argument("--seed", type=int, help="override the experiment seed")
         cmd.add_argument("--out", metavar="DIR", help="override the output root")
-        cmd.add_argument("--decode", choices=dec.DECODE_MODES)
-        cmd.add_argument("--loss", choices=clf.LOSS_MODES)
-        cmd.add_argument("--tau", type=float, help="gain tempering exponent")
-        cmd.add_argument("--epsilon", type=float, help="constraint tolerance")
-        cmd.add_argument("--gamma", type=float, help="multiplier step size")
+        return cmd
 
-    add_common(sub.add_parser("gen", help="write a synthetic dataset to disk"))
-    add_common(sub.add_parser("train", help="train a classifier"))
-    cmd = sub.add_parser("eval", help="score a checkpoint")
-    add_common(cmd)
+    # each subcommand takes only the flags of the config fields it reads
+    add_common("gen", "write a synthetic dataset to disk")
+    cmd = add_common("train", "train a classifier")
+    cmd.add_argument("--loss", choices=clf.LOSS_MODES)
+    cmd.add_argument("--tau", type=float, help="gain tempering exponent")
+    cmd.add_argument("--epsilon", type=float, help="constraint tolerance")
+    cmd.add_argument("--gamma", type=float, help="multiplier step size")
+    cmd = add_common("eval", "score a checkpoint")
+    cmd.add_argument("--decode", choices=dec.DECODE_MODES)
     cmd.add_argument("checkpoint", help="checkpoint file to evaluate")
     cmd = sub.add_parser("report", help="compare metric reports")
     cmd.add_argument("reports", nargs="+", help="report.json files, baseline first")
@@ -443,7 +448,7 @@ def _overrides_from_args(args) -> dict:
     return {
         key: getattr(args, name)
         for name, key in pairs
-        if getattr(args, name) is not None
+        if getattr(args, name, None) is not None
     }
 
 

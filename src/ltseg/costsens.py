@@ -19,7 +19,7 @@ zero multipliers stay zero, so every loss mode runs the same step.
 
 The multipliers ``lam`` are one float64 ``[L, L+1]`` array, one per
 (class, previous action): non-negative, and zero on the transitions
-that ``stats.valid_mask`` marks unobserved. ``classifier.train`` starts
+that the training set's ``counts`` never saw. ``classifier.train`` starts
 them at zero. The step size gamma, the tolerance epsilon and the
 exponent tau are range-checked once, in ``TrainConfig.validate``.
 """
@@ -31,37 +31,44 @@ DEFAULT_STEP_SIZE = 0.01
 DEFAULT_TAU = 0.3
 
 
-def learning_state(hits, stats):
+def _shares(counts):
+    """``(counts > 0, prior, T)``: T[i, k] is the share of all frames with
+    truth i and previous action k, and the class prior is its row sums."""
+    total = float(counts.sum())
+    return counts > 0, counts.sum(axis=1) / total, counts / total
+
+
+def learning_state(hits, counts):
     """``(trans_acc, mean)``: the accuracy of each (class, previous
     action) from ``hits``, its int64 ``[L, L+1]`` count of correct
     frames, and the unweighted mean over the observed transitions.
-    ``trans_acc`` is 0.0 on the unobserved ones (``stats.valid_mask``).
+    ``trans_acc`` is 0.0 on the unobserved ones (``counts == 0``).
 
-    The support of each transition is ``stats.counts``: ``train``
-    counts ``hits`` over one epoch's SGD pass, which predicts every frame
-    of the dataset exactly once, with the parameters in force just
-    before the step of the frame's batch.
+    ``counts``, from ``seqdata.compute_transition_stats``, is each
+    transition's support: ``train`` counts ``hits`` over one epoch's SGD
+    pass, which predicts every frame of the dataset exactly once, with
+    the parameters in force just before the step of the frame's batch.
     """
-    observed = stats.valid_mask
+    observed = counts > 0
     trans_acc = np.zeros(hits.shape)
-    np.divide(hits, stats.counts, out=trans_acc, where=observed)
+    np.divide(hits, counts, out=trans_acc, where=observed)
     mean = float(trans_acc[observed].mean()) if observed.any() else 0.0
     return trans_acc, mean
 
 
-def compute_gain(stats, lam, tau):
+def compute_gain(counts, lam, tau):
     """Tempered loss weights ``[L, L+1]``: ``((1 + lambda) / prior) ** tau``
     on observed transitions of classes with frames. Rows of zero-prior
     classes hold ``0 ** tau``; no training frame can index them."""
-    prior = stats.prior
+    observed, prior, _ = _shares(counts)
     gain = np.zeros_like(lam)
-    numer = 1.0 + stats.valid_mask * lam
+    numer = 1.0 + observed * lam
     np.divide(numer, prior[:, None], out=gain, where=(prior > 0)[:, None])
     # 0**0 == 1, so tau=0 yields exactly 1 everywhere, zero-prior rows included
     return gain ** float(tau)
 
 
-def multiplier_step(lam, hits, stats, gamma, epsilon):
+def multiplier_step(lam, hits, counts, gamma, epsilon):
     """One epoch's multiplier side, ``(updated, record)``, from the
     learning state of ``hits``.
 
@@ -75,14 +82,14 @@ def multiplier_step(lam, hits, stats, gamma, epsilon):
     terms), the mean transition accuracy, the min, mean and max of
     ``updated`` on the support, and the count of ``g < 0``.
     """
-    trans_acc, mean = learning_state(hits, stats)
-    prior = stats.prior
+    trans_acc, mean = learning_state(hits, counts)
+    observed, prior, transition = _shares(counts)
     scale = np.zeros(trans_acc.shape)
-    np.divide(stats.transition, prior[:, None], out=scale, where=(prior > 0)[:, None])
+    np.divide(transition, prior[:, None], out=scale, where=(prior > 0)[:, None])
     g = (trans_acc - epsilon * mean) * scale
     updated = np.maximum(0.0, lam - gamma * g)
-    updated[~stats.valid_mask] = 0.0
-    kept = updated[stats.valid_mask]
+    updated[~observed] = 0.0
+    kept = updated[observed]
     record = {
         "lagrangian": float((scale * trans_acc).sum() + (lam * g).sum()),
         "mean_trans_acc": mean,

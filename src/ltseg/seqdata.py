@@ -148,41 +148,9 @@ class Dataset:
         return int(self.class_frame_counts.sum())
 
 
-@dataclass(frozen=True, eq=False)
-class TransitionStats:
-    """Frame counts by (truth class, previous action), kept raw and
-    normalized on demand.
-
-    ``counts[i, k]`` is the number of frames with truth i and previous
-    action k; column ``num_classes`` is the 'start' state.
-    """
-
-    counts: np.ndarray
-    total: int
-
-    @property
-    def num_classes(self):
-        return self.counts.shape[0]
-
-    @property
-    def transition(self):
-        """T[i, k]: fraction of all frames with truth i, previous action k."""
-        return self.counts / float(self.total)
-
-    @property
-    def prior(self):
-        """Class prior over truth labels; rows of ``transition`` summed."""
-        return self.counts.sum(axis=1) / float(self.total)
-
-    @property
-    def valid_mask(self):
-        """True where the transition was ever observed."""
-        return self.counts > 0
-
-
-def compute_transition_stats(dataset) -> TransitionStats:
-    """Count (truth, previous action) pairs over every frame of the
-    dataset. The result depends only on the labels, not on any model."""
+def compute_transition_stats(dataset):
+    """Frame counts by (truth class, previous action), int64 ``[L, L+1]``
+    with column L 'start'; they depend only on the labels, not a model."""
     if not dataset.sequences:
         raise EmptySequenceError("cannot compute transition stats of an empty dataset")
     L = dataset.num_classes
@@ -190,7 +158,7 @@ def compute_transition_stats(dataset) -> TransitionStats:
     for seq in dataset.sequences:
         flat = seq.frame_labels * (L + 1) + seq.prev_action
         counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-    return TransitionStats(counts=counts, total=int(counts.sum()))
+    return counts
 
 
 def head_tail_split(class_frame_counts, threshold):
@@ -250,6 +218,15 @@ class SynthConfig:
                 raise ConfigError(
                     f"{name} must be in [1, {DRAW_LIMIT}), got {value}"
                 )
+        # the expected frame count; mean_segments and duration_mean are
+        # >= 1 here, so the clamp only keeps a huge int out of the floats
+        frames = min(self.num_sequences, DRAW_LIMIT) * self.mean_segments
+        if not frames * self.duration_mean < DRAW_LIMIT:
+            raise ConfigError(
+                f"num_sequences * mean_segments * duration_mean, the expected "
+                f"frame count, must be below {DRAW_LIMIT}, got {self.num_sequences}"
+                f" * {self.mean_segments} * {self.duration_mean}"
+            )
         if self.class_skew < 0 or self.transition_skew < 0:
             raise ConfigError("skew parameters must be >= 0")
         if self.duration_spread < 0:

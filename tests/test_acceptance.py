@@ -129,9 +129,9 @@ def test_criterion_02_confusion_oracle(monkeypatch):
     handed = []
     real_state = cs.learning_state
 
-    def capture_state(hits, stats):
-        handed.append((hits, stats))
-        return real_state(hits, stats)
+    def capture_state(hits, counts):
+        handed.append((hits, counts))
+        return real_state(hits, counts)
 
     monkeypatch.setattr(cs, "learning_state", capture_state)
     for trial in range(50):
@@ -171,11 +171,11 @@ def test_criterion_02_confusion_oracle(monkeypatch):
                             rng_seed=trial),
         )
         assert len(handed) == 1
-        got, stats = handed[0]
+        got, support = handed[0]
         classes = np.arange(num_classes)
         assert np.array_equal(got, tensor[classes, classes])
         # the learning state's support: every frame was predicted once
-        assert np.array_equal(tensor.sum(axis=1), stats.counts)
+        assert np.array_equal(tensor.sum(axis=1), support)
     assert time.perf_counter() - start < 10.0
 
 
@@ -206,12 +206,13 @@ def test_criterion_03_reductions():
     counts = rng.integers(0, 30, (num_classes, num_classes, num_classes + 1))
     classes = np.arange(num_classes)
     hits = counts[classes, classes]
-    stats = sd.TransitionStats(counts=counts.sum(axis=1), total=int(counts.sum()))
     lam = np.zeros(hits.shape)
-    _, record = cs.multiplier_step(lam, hits, stats, gamma=0.01, epsilon=0.9)
+    _, record = cs.multiplier_step(
+        lam, hits, counts.sum(axis=1), gamma=0.01, epsilon=0.9
+    )
     value = record["lagrangian"]
     # the sum of per-class accuracies over classes that have frames
-    support = stats.counts.sum(axis=1)
+    support = counts.sum(axis=(1, 2))
     present = support > 0
     want = (hits.sum(axis=1)[present] / support[present]).sum()
     assert value == pytest.approx(want, abs=1e-9)
@@ -228,14 +229,13 @@ def test_criterion_04_multiplier_dynamics():
     support[0, 1], hits[0, 1] = 40, 4  # Tacc 0.1, under-learned
     support[1, 0], hits[1, 0] = 40, 36  # Tacc 0.9, satisfied
     support[2, 2], hits[2, 2] = 20, 10  # Tacc 0.5, near the mean
-    stats = sd.TransitionStats(counts=support, total=int(support.sum()))
     lam = np.zeros((num_classes, prev))
     lam[1, 0] = 0.04  # must decay back to zero
 
-    valid = stats.valid_mask
+    valid = support > 0
     low_path, high_path = [], []
     for _ in range(20):  # the same hits every step: a frozen classifier
-        lam, _ = cs.multiplier_step(lam, hits, stats, gamma=0.01, epsilon=0.9)
+        lam, _ = cs.multiplier_step(lam, hits, support, gamma=0.01, epsilon=0.9)
         assert (lam >= 0).all()
         assert not lam[~valid].any()
         low_path.append(lam[0, 1])
@@ -300,9 +300,10 @@ def test_criterion_05_bayes_calibration():
     predicted = dec.decode_sequence(params, grid_seq, "argmax")
     # the Bayes rule on the true posteriors with inverse-prior gains: the
     # weights cancel the priors, so the boundary sits at x = 0
-    stats = sd.TransitionStats(counts=np.array([[8, 0, 0], [2, 0, 0]]), total=10)
-    gain = cs.compute_gain(stats, np.zeros((2, 3)), tau=1.0)
-    joint = stats.prior * np.exp(-0.5 * (grid[:, None] - mu) ** 2)
+    counts = np.array([[8, 0, 0], [2, 0, 0]])
+    gain = cs.compute_gain(counts, np.zeros((2, 3)), tau=1.0)
+    prior = counts.sum(axis=1) / counts.sum()
+    joint = prior * np.exp(-0.5 * (grid[:, None] - mu) ** 2)
     posterior = joint / joint.sum(axis=1, keepdims=True)
     analytic = np.array([bayes_optimal_decision(p, gain, 0) for p in posterior])
     assert np.array_equal(analytic, (grid > 0.0).astype(np.int64))

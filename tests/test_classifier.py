@@ -120,9 +120,9 @@ def test_training_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
     seq = _seq(rng.standard_normal((2, 3)), [0, 2, 1], 3)
     ds = sd.Dataset.build([seq], 3)
-    stats = sd.compute_transition_stats(ds)
-    lam = np.where(stats.valid_mask, rng.uniform(0, 1, (3, 4)), 0.0)
-    gain = cs.compute_gain(stats, lam, tau=0.6)
+    counts = sd.compute_transition_stats(ds)
+    lam = np.where(counts > 0, rng.uniform(0, 1, (3, 4)), 0.0)
+    gain = cs.compute_gain(counts, lam, tau=0.6)
     params = clf.ClassifierParams.zeros(3, 2, context_radius=1)
     params.weights[:] = rng.standard_normal(params.weights.shape)
     params.bias[:] = rng.standard_normal(3)
@@ -280,7 +280,7 @@ def _reference_train(dataset, config):
     state read off its diagonal and its marginal over predictions. Only
     cost_sensitive steps the multipliers; the other modes hold them at
     zero with a zero step."""
-    stats = sd.compute_transition_stats(dataset)
+    trans_counts = sd.compute_transition_stats(dataset)
     lam = np.zeros((dataset.num_classes, dataset.num_classes + 1))
     params = clf.ClassifierParams.zeros(
         dataset.num_classes, dataset.feature_dim, config.context_radius
@@ -293,7 +293,7 @@ def _reference_train(dataset, config):
     for epoch in range(config.epochs):
         gain = None
         if config.loss_mode != "plain_ce":
-            gain = cs.compute_gain(stats, lam, config.tau)
+            gain = cs.compute_gain(trans_counts, lam, config.tau)
         order = rng.permutation(n_seq)
         epoch_loss = 0.0
         counts = np.zeros((L, L, L + 1), np.int64)
@@ -329,10 +329,12 @@ def _reference_train(dataset, config):
         trans_acc = np.zeros((L, L + 1))
         np.divide(hits.astype(np.float64), support.astype(np.float64),
                   out=trans_acc, where=defined)
-        state_acc, state_mean = cs.learning_state(hits, stats)
+        state_acc, state_mean = cs.learning_state(hits, trans_counts)
         assert np.array_equal(state_acc, trans_acc)
         assert state_mean == float(trans_acc[defined].mean())
-        lam, record = cs.multiplier_step(lam, hits, stats, gamma, config.epsilon)
+        lam, record = cs.multiplier_step(
+            lam, hits, trans_counts, gamma, config.epsilon
+        )
         record.update(epoch=epoch, loss=epoch_loss / dataset.total_frames)
         telemetry.append(record)
     return params, telemetry

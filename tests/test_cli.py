@@ -355,6 +355,13 @@ def test_gen_unwritable_out_dir_exit_code(tmp_path):
         ("mean_segments", 1e300),
         ("duration_spread", 1e300),
         ("noise_scale", 1e300),
+        # each field below its own bound, but the expected frame count
+        # num_sequences * mean_segments * duration_mean reaches 2**31
+        pytest.param("num_sequences", 10**400, id="num_sequences-10**400"),
+        ("num_sequences", 2**31),
+        ("num_sequences", 2**31 // 18 + 1),
+        ("mean_segments", 2.0**31 - 1),
+        ("duration_mean", 2.0**30),
     ],
 )
 def test_gen_extreme_synthetic_values_exit_2(tmp_path, capsys, field, value):
@@ -1046,6 +1053,12 @@ def test_report_missing_threshold_named(tmp_path):
         cli.cmd_report([str(path)], stream=io.StringIO())
 
 
+def _report_with_counts(counts):
+    """A report that is well formed except, perhaps, for ``counts``."""
+    f1_at = {key: {"per_class": 1.0, "global": 1.0} for key in cli.REPORT_F1_KEYS}
+    return {"f1_at": f1_at, "per_class_acc": 1.0, "counts": counts}
+
+
 @pytest.mark.parametrize(
     "content",
     [
@@ -1070,6 +1083,12 @@ def test_report_missing_threshold_named(tmp_path):
             "per_class_acc": 1.0,
             "counts": "abc",
         },
+        # every count must be a non-negative int, never a bool
+        _report_with_counts(["abc", None, 1]),
+        _report_with_counts([1, True, 2]),
+        _report_with_counts([1, -1, 2]),
+        _report_with_counts([1, 2.0, 3]),
+        _report_with_counts([[1], 2, 3]),
         *UNREADABLE_JSON,
     ],
 )
@@ -1187,6 +1206,26 @@ def test_main_gen_train_eval_flow(tmp_path, capsys):
     ]
     assert len(checkpoints) == 1
     assert cli.main(["eval", "--config", path, checkpoints[0]]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--loss", "plain_ce"],
+        ["train", "--decode", "ncm"],
+        ["eval", "--tau", "0.5", "checkpoint.bin"],
+    ],
+    ids=["gen-loss", "train-decode", "eval-tau"],
+)
+def test_subcommand_refuses_flags_it_does_not_read(tmp_path, capsys, argv):
+    # gen reads neither the train section nor decode, train never reads
+    # decode and eval never reads the train section
+    path = write_config(tmp_path / "cfg.json", out=str(tmp_path / "runs"))
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv[:1], "--config", path, *argv[1:]])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

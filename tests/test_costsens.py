@@ -15,48 +15,47 @@ from ltseg import decode as dec
 from ltseg import seqdata as sd
 
 
-def _stats_from_counts(counts):
-    counts = np.asarray(counts, dtype=np.int64)
-    return sd.TransitionStats(counts=counts, total=int(counts.sum()))
-
-
-def _uniform_stats(num_classes, prev=3):
+def _uniform_counts(num_classes, prev=3):
     # every (class, prev) cell observed once: uniform prior, all valid
-    return _stats_from_counts(np.ones((num_classes, prev), np.int64))
+    return np.ones((num_classes, prev), np.int64)
+
+
+def _prior(counts):
+    """The class prior of transition counts: the share of all frames."""
+    return counts.sum(axis=1) / counts.sum()
 
 
 def test_gain_zero_multipliers_is_inverse_prior():
-    stats = _uniform_stats(2, prev=3)
-    assert np.all(cs.compute_gain(stats, np.zeros((2, 3)), tau=1.0) == 2.0)
+    counts = _uniform_counts(2, prev=3)
+    assert np.all(cs.compute_gain(counts, np.zeros((2, 3)), tau=1.0) == 2.0)
 
 
 def test_gain_direct_evaluation():
-    stats = _uniform_stats(4, prev=5)
+    counts = _uniform_counts(4, prev=5)
     lam = np.zeros((4, 5))
     lam[1, 2] = 0.5
-    gain = cs.compute_gain(stats, lam, tau=1.0)
+    gain = cs.compute_gain(counts, lam, tau=1.0)
     assert gain[1, 2] == pytest.approx((1 + 0.5) / 0.25)
     assert gain[0, 0] == pytest.approx(4.0)
-    half = cs.compute_gain(stats, lam, tau=0.5)
+    half = cs.compute_gain(counts, lam, tau=0.5)
     assert half[1, 2] == pytest.approx(6 ** 0.5)
     assert half[1, 2] == pytest.approx(2.449, abs=5e-4)
 
 
 def test_gain_tau_zero_is_all_ones():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=5, num_sequences=10, rng_seed=0))
-    stats = sd.compute_transition_stats(ds)
-    lam = np.where(stats.valid_mask, 0.7, 0.0)
-    assert np.all(cs.compute_gain(stats, lam, tau=0.0) == 1.0)
+    counts = sd.compute_transition_stats(ds)
+    lam = np.where(counts > 0, 0.7, 0.0)
+    assert np.all(cs.compute_gain(counts, lam, tau=0.0) == 1.0)
 
 
 def test_gain_inactive_classes_flagged():
     counts = np.zeros((3, 4), np.int64)
     counts[0, 3] = 2
-    counts[1, 0] = 2
-    stats = _stats_from_counts(counts)  # class 2 never occurs
-    gain = cs.compute_gain(stats, np.zeros((3, 4)), tau=1.0)
+    counts[1, 0] = 2  # class 2 never occurs
+    gain = cs.compute_gain(counts, np.zeros((3, 4)), tau=1.0)
     assert np.all(gain[2] == 0.0)
-    assert np.all(gain[:2][stats.valid_mask[:2]] == 2.0)
+    assert np.all(gain[:2][counts[:2] > 0] == 2.0)
 
 
 def _unit_weights(num_classes, prev_states=None):
@@ -117,8 +116,8 @@ def test_grad_symmetry_and_scaling():
 def test_grad_matches_finite_differences():
     rng = np.random.default_rng(2024)
     L = 5
-    stats = _uniform_stats(L, prev=L + 1)
-    weights = cs.compute_gain(stats, rng.uniform(0, 2, (L, L + 1)), tau=0.7)
+    counts = _uniform_counts(L, prev=L + 1)
+    weights = cs.compute_gain(counts, rng.uniform(0, 2, (L, L + 1)), tau=0.7)
     h = 1e-5
     worst = 0.0
     for _ in range(1000):
@@ -145,8 +144,8 @@ def test_grad_matches_finite_differences():
 def test_tau_zero_reduces_to_plain_ce():
     rng = np.random.default_rng(5)
     L = 6
-    stats = _uniform_stats(L, prev=L + 1)
-    weights = cs.compute_gain(stats, rng.uniform(0, 3, (L, L + 1)), tau=0.0)
+    counts = _uniform_counts(L, prev=L + 1)
+    weights = cs.compute_gain(counts, rng.uniform(0, 3, (L, L + 1)), tau=0.0)
     for _ in range(100):
         p = rng.dirichlet(np.ones(L))
         y = int(rng.integers(0, L))
@@ -157,8 +156,8 @@ def test_tau_zero_reduces_to_plain_ce():
 
 def test_uniform_prior_zero_lambda_scales_plain_ce():
     L = 4
-    stats = _uniform_stats(L, prev=L + 1)
-    weights = cs.compute_gain(stats, np.zeros((L, L + 1)), tau=1.0)
+    counts = _uniform_counts(L, prev=L + 1)
+    weights = cs.compute_gain(counts, np.zeros((L, L + 1)), tau=1.0)
     rng = np.random.default_rng(8)
     for _ in range(50):
         p = rng.dirichlet(np.ones(L))
@@ -185,9 +184,9 @@ def _hits_of(ds, predict):
     return hits
 
 
-def _class_acc_sum(hits, stats):
+def _class_acc_sum(hits, counts):
     """Sum of per-class accuracies over the classes that have frames."""
-    support = stats.counts.sum(axis=1)
+    support = counts.sum(axis=1)
     present = support > 0
     return (hits.sum(axis=1)[present] / support[present]).sum()
 
@@ -219,22 +218,22 @@ def _perfect(seq):
 
 def test_perfect_classifier_diagonal_support():
     ds = _dataset()
-    stats = sd.compute_transition_stats(ds)
+    counts = sd.compute_transition_stats(ds)
     hits = _hits_of(ds, _perfect)
-    assert np.array_equal(hits, stats.counts)
-    trans_acc, mean = cs.learning_state(hits, stats)
-    assert np.all(trans_acc[stats.valid_mask] == 1.0)
+    assert np.array_equal(hits, counts)
+    trans_acc, mean = cs.learning_state(hits, counts)
+    assert np.all(trans_acc[counts > 0] == 1.0)
     assert mean == 1.0
 
 
 def test_constant_classifier():
     ds = _dataset()
-    stats = sd.compute_transition_stats(ds)
+    counts = sd.compute_transition_stats(ds)
     hits = _hits_of(ds, lambda s: np.zeros(s.num_frames, np.int64))
-    assert np.array_equal(hits[0], stats.counts[0])
+    assert np.array_equal(hits[0], counts[0])
     assert not hits[1:].any()
-    trans_acc, _ = cs.learning_state(hits, stats)
-    assert np.all(trans_acc[0][stats.valid_mask[0]] == 1.0)
+    trans_acc, _ = cs.learning_state(hits, counts)
+    assert np.all(trans_acc[0][counts[0] > 0] == 1.0)
     assert np.all(trans_acc[1:] == 0.0)
 
 
@@ -247,9 +246,9 @@ def test_counts_match_per_frame_oracle(monkeypatch):
     handed = []
     real_state = cs.learning_state
 
-    def capture_state(hits, stats):
+    def capture_state(hits, counts):
         handed.append(hits)
-        return real_state(hits, stats)
+        return real_state(hits, counts)
 
     monkeypatch.setattr(cs, "learning_state", capture_state)
     monkeypatch.setattr(clf.ClassifierParams, "zeros", lambda *a, **k: params)
@@ -267,7 +266,7 @@ def test_learning_state_four_frame_example():
         sd.LabeledSequence.from_frames(feats, [0, 1], 2, seq_id="q"),
     ]
     ds = sd.Dataset.build(seqs, 2)
-    stats = sd.compute_transition_stats(ds)
+    counts = sd.compute_transition_stats(ds)
 
     def predict(seq):
         pred = seq.frame_labels.copy()
@@ -275,7 +274,7 @@ def test_learning_state_four_frame_example():
         pred[wrong] = 1 - pred[wrong]
         return pred
 
-    trans_acc, mean = cs.learning_state(_hits_of(ds, predict), stats)
+    trans_acc, mean = cs.learning_state(_hits_of(ds, predict), counts)
     assert trans_acc[1, 2] == 1.0
     assert trans_acc[0, 2] == 1.0
     assert trans_acc[1, 0] == 0.0
@@ -289,27 +288,27 @@ def test_undefined_entries_flagged_not_nan():
     ds = sd.Dataset.build(
         [sd.LabeledSequence.from_frames(feats, [0, 1, 0], 3)], 3
     )
-    stats = sd.compute_transition_stats(ds)
-    trans_acc, _ = cs.learning_state(_hits_of(ds, _perfect), stats)
-    assert not stats.valid_mask[2].any()
+    counts = sd.compute_transition_stats(ds)
+    trans_acc, _ = cs.learning_state(_hits_of(ds, _perfect), counts)
+    assert not counts[2].any()
     assert np.isfinite(trans_acc).all()
     assert np.all(trans_acc[2] == 0.0)
 
 
-def _step(lam, hits, stats, gamma, epsilon):
+def _step(lam, hits, counts, gamma, epsilon):
     """The multipliers after one ``multiplier_step``."""
-    return cs.multiplier_step(lam, hits, stats, gamma, epsilon)[0]
+    return cs.multiplier_step(lam, hits, counts, gamma, epsilon)[0]
 
 
-def _record(lam, hits, stats, epsilon, gamma=0.01):
+def _record(lam, hits, counts, epsilon, gamma=0.01):
     """The telemetry record of one ``multiplier_step``; its Lagrangian
     and learning state do not depend on the step size."""
-    return cs.multiplier_step(lam, hits, stats, gamma, epsilon)[1]
+    return cs.multiplier_step(lam, hits, counts, gamma, epsilon)[1]
 
 
 def test_lagrangian_zero_lambda_is_accuracy_sum():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=6, num_sequences=25, rng_seed=4))
-    stats = sd.compute_transition_stats(ds)
+    counts = sd.compute_transition_stats(ds)
 
     def half(seq):
         pred = seq.frame_labels.copy()
@@ -318,23 +317,24 @@ def test_lagrangian_zero_lambda_is_accuracy_sum():
 
     hits = _hits_of(ds, half)
     lam = np.zeros(hits.shape)
-    expect = _class_acc_sum(hits, stats)
-    assert _record(lam, hits, stats, 0.9)["lagrangian"] == pytest.approx(
+    expect = _class_acc_sum(hits, counts)
+    assert _record(lam, hits, counts, 0.9)["lagrangian"] == pytest.approx(
         expect, abs=1e-9
     )
 
 
 def test_lagrangian_perfect_classifier_closed_form():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=4, num_sequences=15, rng_seed=9))
-    stats = sd.compute_transition_stats(ds)
-    hits = stats.counts.copy()
+    counts = sd.compute_transition_stats(ds)
+    hits = counts.copy()
     rng = np.random.default_rng(3)
-    lam = np.where(stats.valid_mask, rng.uniform(0, 1, stats.valid_mask.shape), 0.0)
-    record = _record(lam, hits, stats, 0.9)
+    lam = np.where(counts > 0, rng.uniform(0, 1, counts.shape), 0.0)
+    record = _record(lam, hits, counts, 0.9)
     assert record["mean_trans_acc"] == 1.0
-    active = int((stats.prior > 0).sum())
-    scale = stats.transition / stats.prior[:, None]
-    expect = active + 0.1 * (lam * scale)[stats.valid_mask].sum()
+    prior = _prior(counts)
+    active = int((prior > 0).sum())
+    scale = counts / counts.sum() / prior[:, None]
+    expect = active + 0.1 * (lam * scale)[counts > 0].sum()
     assert record["lagrangian"] == pytest.approx(expect, rel=1e-12)
 
 
@@ -344,7 +344,6 @@ def test_lagrangian_term_by_term_oracle():
     trans_counts = np.array(
         [[0, 2, 0, 6], [4, 0, 0, 2], [0, 4, 0, 0]], dtype=np.int64
     )
-    stats = _stats_from_counts(trans_counts)
     counts = np.zeros((3, 3, 4), np.int64)
     counts[0, 0, 1] = 1
     counts[0, 2, 1] = 1
@@ -360,7 +359,7 @@ def test_lagrangian_term_by_term_oracle():
     hits = counts[np.arange(3), np.arange(3)]
 
     rng = np.random.default_rng(17)
-    lam = np.where(stats.valid_mask, rng.uniform(0.1, 1.5, (3, 4)), 0.0)
+    lam = np.where(trans_counts > 0, rng.uniform(0.1, 1.5, (3, 4)), 0.0)
 
     total_frames = counts.sum()
     # the tolerance line sits at 0.9 times the mean over observed
@@ -379,7 +378,7 @@ def test_lagrangian_term_by_term_oracle():
             if t_ik > 0:
                 tacc = c_iik / t_ik
                 expect += lam[i, k] * (tacc - 0.9 * mean) * (t_ik / pi)
-    record = _record(lam, hits, stats, 0.9)
+    record = _record(lam, hits, trans_counts, 0.9)
     assert record["mean_trans_acc"] == pytest.approx(mean, rel=1e-12)
     assert record["lagrangian"] == pytest.approx(expect, rel=1e-12)
 
@@ -388,78 +387,78 @@ def _two_transition_setup():
     # (0 <- start): 3 of 4 right; (1 <- 0): 1 of 4 right
     # mean = 1/2, so with eps = 0.5 the second sits exactly on the line
     trans_counts = np.array([[0, 0, 4], [4, 0, 0]], dtype=np.int64)
-    stats = _stats_from_counts(trans_counts)
     hits = np.array([[0, 0, 3], [1, 0, 0]], dtype=np.int64)
-    return stats, hits
+    return trans_counts, hits
 
 
 def test_update_boundary_transition_unchanged():
-    stats, hits = _two_transition_setup()
+    counts, hits = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.2
     lam[1, 0] = 0.2
-    after, record = cs.multiplier_step(lam, hits, stats, gamma=0.01, epsilon=0.5)
+    after, record = cs.multiplier_step(lam, hits, counts, gamma=0.01, epsilon=0.5)
     assert record["mean_trans_acc"] == pytest.approx(0.5)
     assert after[1, 0] == 0.2  # exactly on the tolerance line
     assert after[0, 2] < 0.2  # satisfied constraint decays
 
 
 def test_update_violated_constraint_raises_lambda():
-    stats, hits = _two_transition_setup()
-    after = _step(np.zeros((2, 3)), hits, stats, gamma=0.01, epsilon=0.9)
+    counts, hits = _two_transition_setup()
+    after = _step(np.zeros((2, 3)), hits, counts, gamma=0.01, epsilon=0.9)
     # g = (1/4 - 0.9/2) * (T/pi) = -0.2 * 1 -> lambda = 0.002
     assert after[1, 0] == pytest.approx(0.01 * 0.2, rel=1e-12)
     assert after[1, 0] > 0
 
 
 def test_update_projection_clamps_to_zero():
-    stats, hits = _two_transition_setup()
+    counts, hits = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.001
     # g = (3/4 - 1/4) * 1 = 1/2; step = 0.025 > 0.001
-    after = _step(lam, hits, stats, gamma=0.05, epsilon=0.5)
+    after = _step(lam, hits, counts, gamma=0.05, epsilon=0.5)
     assert after[0, 2] == 0.0
 
 
 def test_off_support_multipliers_are_masked():
     # a lambda that is nonzero on the transitions never observed: the
     # gain there is the inverse prior's, and the step returns 0 there
-    stats, hits = _two_transition_setup()
+    counts, hits = _two_transition_setup()
     lam = np.full((2, 3), 0.4)
-    off = ~stats.valid_mask
-    assert off.any() and (stats.prior > 0).all()
-    inverse_prior = np.broadcast_to((1.0 / stats.prior[:, None]) ** 0.6, lam.shape)
-    gain = cs.compute_gain(stats, lam, tau=0.6)
+    off = counts == 0
+    prior = _prior(counts)
+    assert off.any() and (prior > 0).all()
+    inverse_prior = np.broadcast_to((1.0 / prior[:, None]) ** 0.6, lam.shape)
+    gain = cs.compute_gain(counts, lam, tau=0.6)
     np.testing.assert_array_equal(gain[off], inverse_prior[off])
     assert (gain[~off] > inverse_prior[~off]).all()
-    after = _step(lam, hits, stats, gamma=0.01, epsilon=0.5)
+    after = _step(lam, hits, counts, gamma=0.01, epsilon=0.5)
     assert not after[off].any()
     assert (after[~off] > 0).all()
 
 
 def test_update_support_and_nonnegativity():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=5, num_sequences=20, rng_seed=6))
-    stats = sd.compute_transition_stats(ds)
+    counts = sd.compute_transition_stats(ds)
 
     def noisy(seq):
         local = np.random.default_rng(seq.num_frames)
         return local.integers(0, ds.num_classes, seq.num_frames)
 
     hits = _hits_of(ds, noisy)
-    lam = np.zeros(stats.counts.shape)
+    lam = np.zeros(counts.shape)
     for _ in range(30):
-        lam = _step(lam, hits, stats, gamma=0.01, epsilon=0.9)
+        lam = _step(lam, hits, counts, gamma=0.01, epsilon=0.9)
         assert (lam >= 0).all()
-        assert not lam[~stats.valid_mask].any()
+        assert not lam[counts == 0].any()
 
 
 def test_monotone_constraint_response():
-    stats, hits = _two_transition_setup()
+    counts, hits = _two_transition_setup()
     lam = np.zeros((2, 3))
     lam[0, 2] = 0.05  # satisfied constraint, positive start
     under, over = [], []
     for _ in range(20):
-        lam = _step(lam, hits, stats, gamma=0.01, epsilon=0.9)
+        lam = _step(lam, hits, counts, gamma=0.01, epsilon=0.9)
         under.append(lam[1, 0])
         over.append(lam[0, 2])
     assert all(b > a for a, b in zip([0.0] + under[:-1], under))
@@ -470,9 +469,9 @@ def test_monotone_constraint_response():
 
 
 def test_telemetry_record_fields():
-    stats, hits = _two_transition_setup()
+    counts, hits = _two_transition_setup()
     before = np.zeros((2, 3))
-    after, rec = cs.multiplier_step(before, hits, stats, gamma=0.01, epsilon=0.9)
+    after, rec = cs.multiplier_step(before, hits, counts, gamma=0.01, epsilon=0.9)
     assert set(rec) == {
         "lagrangian", "mean_trans_acc", "lambda_min", "lambda_mean",
         "lambda_max", "violations",
@@ -482,7 +481,7 @@ def test_telemetry_record_fields():
     assert rec["violations"] == 1  # only (1 <- 0) sits below 0.9 * mean
     assert rec["lambda_max"] >= rec["lambda_mean"] >= rec["lambda_min"] >= 0
     # pre-update lambdas are all zero, so the objective is the Acc sum
-    assert rec["lagrangian"] == pytest.approx(_class_acc_sum(hits, stats))
+    assert rec["lagrangian"] == pytest.approx(_class_acc_sum(hits, counts))
 
 
 def _mostly_right(seq):
@@ -495,13 +494,13 @@ def test_violations_are_observed_transitions_below_the_line():
     # class 4 never occurs and most (class, prev) pairs are unobserved:
     # the count must match an explicit oracle on observed transitions only
     ds = _dataset(num_classes=5, num_sequences=6, seed=2)
-    stats = sd.compute_transition_stats(ds)
-    assert ds.class_frame_counts[4] == 0 and stats.valid_mask.sum() < 15
+    counts = sd.compute_transition_stats(ds)
+    assert ds.class_frame_counts[4] == 0 and np.count_nonzero(counts) < 15
     hits = _hits_of(ds, _mostly_right)
-    rec = _record(np.zeros(stats.counts.shape), hits, stats, epsilon=0.95)
+    rec = _record(np.zeros(counts.shape), hits, counts, epsilon=0.95)
     want = 0
-    for i, k in zip(*np.nonzero(stats.counts)):
-        want += hits[i, k] / stats.counts[i, k] < 0.95 * rec["mean_trans_acc"]
+    for i, k in zip(*np.nonzero(counts)):
+        want += hits[i, k] / counts[i, k] < 0.95 * rec["mean_trans_acc"]
     assert 0 < rec["violations"] == want
 
 
@@ -510,11 +509,11 @@ def test_zero_step_keeps_zero_multipliers_and_the_record():
     # bitwise zero (no -0.0), and the record's learning state, Lagrangian
     # and violations are those that gamma > 0 reports from the same hits
     ds = _dataset(num_classes=5, num_sequences=6, seed=2)
-    stats = sd.compute_transition_stats(ds)
+    counts = sd.compute_transition_stats(ds)
     hits = _hits_of(ds, _mostly_right)
-    lam = np.zeros(stats.counts.shape)
-    held, rec_zero = cs.multiplier_step(lam, hits, stats, gamma=0.0, epsilon=0.95)
-    stepped, rec = cs.multiplier_step(lam, hits, stats, gamma=0.5, epsilon=0.95)
+    lam = np.zeros(counts.shape)
+    held, rec_zero = cs.multiplier_step(lam, hits, counts, gamma=0.0, epsilon=0.95)
+    stepped, rec = cs.multiplier_step(lam, hits, counts, gamma=0.5, epsilon=0.95)
     assert held.tobytes() == lam.tobytes()
     assert stepped.any() and rec_zero["violations"] > 0
     for key in ("lagrangian", "mean_trans_acc", "violations"):
@@ -542,7 +541,7 @@ def multiplier_runs(draw):
     ]
     gamma = draw(st.floats(1e-3, 10))
     epsilon = draw(st.floats(1e-3, 1))
-    return _stats_from_counts(counts), tables, gamma, epsilon
+    return counts, tables, gamma, epsilon
 
 
 @settings(database=None, derandomize=True, deadline=None)
@@ -552,17 +551,17 @@ def test_multipliers_bounded_by_steps(run):
     # from zero leave lambda[i, k] at most gamma * epsilon * P(k|i) times
     # the sum of the means, and so at most E * gamma * epsilon * P(k|i);
     # every step also keeps lambda >= 0 and zero off the support
-    stats, tables, gamma, epsilon = run
-    lam = np.zeros(stats.counts.shape)
+    counts, tables, gamma, epsilon = run
+    lam = np.zeros(counts.shape)
     mean_sum = 0.0
     for hits in tables:
-        assert (hits <= stats.counts).all()
-        lam, record = cs.multiplier_step(lam, hits, stats, gamma, epsilon)
+        assert (hits <= counts).all()
+        lam, record = cs.multiplier_step(lam, hits, counts, gamma, epsilon)
         assert (lam >= 0).all()
-        assert not lam[~stats.valid_mask].any()
+        assert not lam[counts == 0].any()
         mean_sum += record["mean_trans_acc"]
-    support = stats.counts.sum(axis=1, keepdims=True)
-    p_next = np.zeros(stats.counts.shape)
-    np.divide(stats.counts, support, out=p_next, where=support > 0)
+    support = counts.sum(axis=1, keepdims=True)
+    p_next = np.zeros(counts.shape)
+    np.divide(counts, support, out=p_next, where=support > 0)
     assert (lam <= gamma * epsilon * p_next * mean_sum * (1 + 1e-12)).all()
     assert mean_sum <= len(tables)

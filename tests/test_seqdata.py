@@ -176,6 +176,24 @@ def test_generator_extreme_values_named(field, value):
         sd.generate_synthetic(cfg)
 
 
+def test_generator_expected_frame_count_bounded():
+    # each field is below its own bound, but validate refuses, before any
+    # draw, an expected frame count that reaches DRAW_LIMIT
+    at_limit = sd.SynthConfig(
+        num_sequences=2**10, mean_segments=2.0**10, duration_mean=2.0**11
+    )
+    for bad in (
+        at_limit,
+        dataclasses.replace(at_limit, num_sequences=10**400),
+        sd.SynthConfig(num_sequences=sd.DRAW_LIMIT, mean_segments=1.0,
+                       duration_mean=1.0),
+    ):
+        with pytest.raises(ConfigError, match=r"num_sequences \* mean_segments"):
+            bad.validate()
+    below = dataclasses.replace(at_limit, duration_mean=2.0**11 - 1)
+    assert below.validate() is below
+
+
 def _small_or_extreme(low, high, extreme):
     return st.floats(low, high) | st.sampled_from(extreme)
 
@@ -229,34 +247,33 @@ def test_generator_refuses_by_field_or_keeps_invariants(cfg):
 def test_transition_stats_hand_enumeration():
     # frames [A, A, B]: prev actions are (start, start, A)
     ds = sd.Dataset.build([_make_seq([0, 0, 1], num_classes=2)], 2)
-    st = sd.compute_transition_stats(ds)
-    assert st.transition[0, 2] == pytest.approx(2 / 3)
-    assert st.transition[1, 0] == pytest.approx(1 / 3)
-    assert st.counts.sum() == 3
-    assert np.count_nonzero(st.counts) == 2
-    assert np.allclose(st.prior, [2 / 3, 1 / 3])
-    assert st.valid_mask[0, 2] and st.valid_mask[1, 0]
+    counts = sd.compute_transition_stats(ds)
+    assert counts.dtype == np.int64
+    np.testing.assert_array_equal(counts, [[0, 0, 2], [1, 0, 0]])
 
 
 def test_transition_stats_single_segment_sequences():
+    # every frame of a one-segment sequence follows 'start', column L
     seqs = [_make_seq([2] * 5, num_classes=3, seed=i) for i in range(4)]
-    st = sd.compute_transition_stats(sd.Dataset.build(seqs, 3))
-    assert st.transition[2, 3] == 1.0
-    assert st.prior[2] == 1.0
+    counts = sd.compute_transition_stats(sd.Dataset.build(seqs, 3))
+    assert counts.shape == (3, 4)
+    assert counts[2, 3] == 20
+    assert counts.sum() == 20
 
 
 def test_transition_stats_properties():
     ds = sd.generate_synthetic(sd.SynthConfig(num_classes=6, num_sequences=40, rng_seed=5))
-    st = sd.compute_transition_stats(ds)
-    assert abs(st.transition.sum() - 1.0) <= 1e-9
-    assert np.allclose(st.prior, st.transition.sum(axis=1))
-    assert np.array_equal(st.valid_mask, st.transition > 0)
-    # adjacent segments differ, so no class follows itself
-    L = st.num_classes
-    assert st.transition[np.arange(L), np.arange(L)].max() == 0.0
-    assert np.allclose(
-        st.prior, ds.class_frame_counts / ds.total_frames
+    counts = sd.compute_transition_stats(ds)
+    L = ds.num_classes
+    assert counts.shape == (L, L + 1) and counts.dtype == np.int64
+    # each sequence's first segment follows 'start'
+    firsts = np.bincount(
+        [seq.frame_labels[0] for seq in ds.sequences], minlength=L
     )
+    assert np.array_equal(counts[:, L] > 0, firsts > 0)
+    # adjacent segments differ, so no class follows itself
+    assert not counts[np.arange(L), np.arange(L)].any()
+    np.testing.assert_array_equal(counts.sum(axis=1), ds.class_frame_counts)
 
 
 def test_head_tail_split():
