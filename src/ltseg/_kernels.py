@@ -7,35 +7,36 @@ PROB_FLOOR = 1e-12
 
 
 def window_store(feature_list, radius):
-    """Windowed view over every sequence of ``feature_list`` at once.
+    """Windowed views over every sequence of ``feature_list``, one buffer.
 
     Each ``[D, T]`` feature matrix is copied once, frame-major and at
     the inputs' ``np.result_type`` (float32 stays float32), into one
-    ``[N + 2*radius*S, D]`` store, padded with ``radius`` replicated
-    edge frames on both sides of every sequence.
-    The result is a read-only ``as_strided`` view of shape
-    ``[N + 2*radius*S - 2*radius, D*(2*radius+1)]``: row ``r`` is the
-    window around store row ``r + radius``, laid out like
-    ``window_stack``'s rows. Frame ``t`` of sequence ``s`` is row
-    ``t + sum(T_k + 2*radius for k < s)``; the ``2*radius`` rows between
-    two sequences straddle both and belong to neither.
+    ``[N + 2*radius*S, D]`` buffer, padded with ``radius`` replicated
+    edge frames on both sides of every sequence. Returns one read-only
+    view per sequence, ``[T, D*(2*radius+1)]``, each a slice of one
+    ``as_strided`` view of that buffer and laid out like
+    ``window_stack``'s rows: row ``t`` is the window around the
+    sequence's frame ``t``.
     """
     dim = feature_list[0].shape[0]
     total = sum(f.shape[1] + 2 * radius for f in feature_list)
     store = np.empty((total, dim), np.result_type(*{f.dtype for f in feature_list}))
+    spans = []
     row = 0
     for feats in feature_list:
         frames = feats.shape[1]
         store[row : row + radius] = feats[:, 0]
         store[row + radius : row + radius + frames] = feats.T
         store[row + radius + frames : row + 2 * radius + frames] = feats[:, -1]
+        spans.append((row, row + frames))
         row += frames + 2 * radius
-    return np.lib.stride_tricks.as_strided(
+    windows = np.lib.stride_tricks.as_strided(
         store,
         shape=(total - 2 * radius, dim * (2 * radius + 1)),
         strides=(dim * store.itemsize, store.itemsize),
         writeable=False,
     )
+    return [windows[lo:hi] for lo, hi in spans]
 
 
 def window_stack(features, radius):
@@ -45,10 +46,10 @@ def window_stack(features, radius):
     window offsets ordered -radius..+radius and edge frames replicated:
     the one-sequence ``window_store``, widened exactly to float64.
     """
-    return window_store([np.asarray(features)], radius).astype(np.float64)
+    return window_store([np.asarray(features)], radius)[0].astype(np.float64)
 
 
-def softmax_xent_grad(logits, labels, weights):
+def softmax_xent_grad(logits, labels, weights, out=None):
     """Weighted softmax cross-entropy over a batch of frames, class-major.
 
     ``logits`` is [L, n], one column per frame. Returns
@@ -58,25 +59,28 @@ def softmax_xent_grad(logits, labels, weights):
     and ``hit[t] = argmax(logits[:, t]) == labels[t]`` (ties to the
     smallest id), read off the column max where the sum shows it unique.
     Softmax is computed with column-max subtraction; the reductions run
-    across the L rows.
+    across the L rows. ``dlogits`` is written into ``out``, a float64
+    [L, n] array other than ``logits``, when one is given, and is a new
+    array otherwise.
     """
-    logits = np.ascontiguousarray(logits, dtype=np.float64)  # so ravel() views
+    # C order, so the column sums run in one order whatever the input layout
+    logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
+    at_label = (labels, np.arange(logits.shape[1]))  # [y_t, t]
     col_max = logits.max(axis=0)
-    probs = logits - col_max
+    probs = np.subtract(logits, col_max, out=out)
     np.exp(probs, out=probs)
     total = probs.sum(axis=0)
     probs /= total
-    at_label = labels * logits.shape[1] + np.arange(logits.shape[1])  # flat [y_t, t]
-    hit = logits.ravel()[at_label] == col_max
+    hit = logits[at_label] == col_max
     tied = ~(total < 2.0)  # a tie adds exp(0) == 1.0 twice; NaN falls back too
     if tied.any():
         hit[tied] = np.argmax(logits[:, tied], axis=0) == labels[tied]
-    p_true = probs.ravel()[at_label]
+    p_true = probs[at_label]
     loss_sum = float(np.dot(weights, -np.log(np.maximum(p_true, PROB_FLOOR))))
     probs *= weights
-    probs.ravel()[at_label] -= weights
+    probs[at_label] -= weights
     return loss_sum, probs, hit
 
 

@@ -11,13 +11,17 @@ own column max, and the epoch counts those hits per (class, previous
 action) pair. Every frame sits in exactly one batch per epoch, so that
 and the pair's frame count are all the learning state needs.
 
-Training reads every window from one ``FrameStore`` built once per
-``train`` call: the training set's features, frame-major at their own
-precision and padded per sequence, behind a strided view whose rows are
-the stacked windows (1/(2w+1) of their bytes), which also give the class
-means. Each SGD step gathers its batch's rows into one matrix, widened
-exactly to float64, and runs class-major (logits ``[L, n]``), so training
-never holds a full ``[N, L]`` logits matrix or an ``[N, D*(2w+1)]`` copy.
+Training windows the training set once with ``_kernels.window_store``:
+its features, frame-major at their own precision and padded per
+sequence, behind one strided view per sequence whose rows are the
+stacked windows (1/(2w+1) of their bytes), which also give the class
+means. The SGD step allocates no batch-sized matrix: each batch's views
+are concatenated straight into one float64 ``[n_max, D*(2w+1)]`` buffer
+(an exact widening), and its class-major logits and their gradient go
+into two ``[L, n_max]`` buffers, all three made once per ``train`` call
+for the largest batch (the ``batch_size`` longest sequences). So
+training never holds a full ``[N, L]`` logits matrix, an
+``[N, D*(2w+1)]`` copy or a per-frame array over the training set.
 
 ``_class_major_logits`` is the one logits expression: the SGD step and
 eval (``ClassifierParams.predict_windows``) both use it.
@@ -121,68 +125,25 @@ class TrainConfig:
         return self
 
 
-@dataclass(frozen=True, eq=False)
-class FrameStore:
-    """A training set's windows, labels and previous actions, frame-major.
-
-    ``windows`` is the read-only ``_kernels.window_store`` view over the
-    dataset's sequences in order; ``rows[f]`` is the view row holding
-    frame f's window, and sequence s owns frames
-    ``starts[s]:starts[s + 1]``.
-    """
-
-    windows: np.ndarray
-    labels: np.ndarray
-    prev_action: np.ndarray
-    rows: np.ndarray
-    starts: np.ndarray
-
-    @classmethod
-    def build(cls, dataset, context_radius):
-        seqs = dataset.sequences
-        lengths = np.array([seq.num_frames for seq in seqs], dtype=np.int64)
-        # every earlier sequence puts 2w padding rows ahead of a frame
-        padding = 2 * context_radius * np.repeat(np.arange(len(seqs)), lengths)
-        return cls(
-            windows=_kernels.window_store(
-                [seq.features for seq in seqs], context_radius
-            ),
-            labels=np.concatenate([seq.frame_labels for seq in seqs]),
-            prev_action=np.concatenate([seq.prev_action for seq in seqs]),
-            rows=np.arange(lengths.sum()) + padding,
-            starts=np.concatenate(([0], np.cumsum(lengths))),
-        )
-
-    @property
-    def num_frames(self):
-        return self.labels.shape[0]
-
-    def frames_of(self, sequence_ids):
-        """Frame indices of the given sequences, concatenated in order."""
-        starts = self.starts[sequence_ids]
-        lengths = self.starts[np.add(sequence_ids, 1)] - starts
-        shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
-        return shift + np.arange(shift.size)
-
-    def gather(self, frames):
-        """The given frames' windows, ``[n, D*(2w+1)]``, widened to float64."""
-        return self.windows[self.rows[frames]].astype(np.float64)
-
-
-def _class_major_logits(params, phi):
-    """Logits ``[L, n]`` of windows ``[n, D*(2w+1)]``, one column a frame."""
-    logits = params.weights @ phi.T
+def _class_major_logits(params, phi, out=None):
+    """Logits ``[L, n]`` of windows ``[n, D*(2w+1)]``, one column a frame,
+    written into ``out`` when one is given."""
+    logits = np.matmul(params.weights, phi.T, out=out)
     logits += params.bias[:, None]
     return logits
 
 
-def batch_gradient(params, phi, labels, weights):
+def batch_gradient(params, phi, labels, weights, logits=None, dlogits=None):
     """``(loss_sum, grad_weights, grad_bias, hit)`` of the weighted
     cross-entropy of windows ``phi``, summed over the batch's frames;
     ``hit`` marks the frames whose argmax under ``params`` (ties to the
-    smallest class id) is their label."""
-    logits = _class_major_logits(params, phi)
-    loss_sum, dlogits, hit = _kernels.softmax_xent_grad(logits, labels, weights)
+    smallest class id) is their label. ``logits`` and ``dlogits``, when
+    given, are two float64 C-contiguous ``[L, n]`` buffers that receive
+    the class-major logits and their gradient."""
+    logits = _class_major_logits(params, phi, out=logits)
+    loss_sum, dlogits, hit = _kernels.softmax_xent_grad(
+        logits, labels, weights, out=dlogits
+    )
     return loss_sum, dlogits @ phi, dlogits.sum(axis=1), hit
 
 
@@ -199,19 +160,24 @@ def train(dataset, config: TrainConfig):
     keeps the multipliers at zero, and plain_ce is inverse_prior at
     tau = 0, whose gain is exactly 1.
 
-    The training set is windowed once into a ``FrameStore`` (N + 2wS
-    padded frames of D values, at the features' precision). Each epoch
-    reads all N frame weights off the gain array at once. A step
-    gathers its batch of sequences into one float64 ``[n, D*(2w+1)]``
-    matrix (an exact widening), computes class-major logits ``[L, n]``,
-    and makes one ``softmax_xent_grad`` call and one gradient GEMM
-    (``batch_gradient``), whose softmax also gives the hits. The
-    store's rows give ``params.train_means`` too.
+    The training set is windowed once by ``_kernels.window_store``
+    (N + 2wS padded frames of D values, at the features' precision,
+    behind one view per sequence). A step concatenates its batch's
+    views straight into one float64 ``[n, D*(2w+1)]`` buffer (an exact
+    widening), reads its frame weights off the gain array at its frames'
+    (class, previous action) cells, and makes one ``softmax_xent_grad``
+    call and one gradient GEMM (``batch_gradient``) with the class-major
+    logits and their gradient in two ``[L, n]`` buffers; the softmax
+    also gives the hits, counted per cell by one ``bincount``. The
+    three buffers are made once, for the largest batch, the
+    ``batch_size`` longest sequences. The views give
+    ``params.train_means`` too.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
     config.validate()
-    if not dataset.sequences:
+    seqs = dataset.sequences
+    if not seqs:
         raise ConfigError("cannot train on an empty dataset")
     counts = compute_transition_stats(dataset)
     L = dataset.num_classes
@@ -220,39 +186,50 @@ def train(dataset, config: TrainConfig):
         dataset.num_classes, dataset.feature_dim, config.context_radius
     )
     rng = np.random.default_rng(config.rng_seed)
-    store = FrameStore.build(dataset, config.context_radius)
-    # flat (class, previous action) cell of every frame, column L 'start'
-    cells = store.labels * (L + 1) + store.prev_action
-    hit = np.empty(store.num_frames, dtype=bool)
-    n_seq = len(dataset.sequences)
+    windows = _kernels.window_store(
+        [seq.features for seq in seqs], config.context_radius
+    )
+    lengths = np.array([seq.num_frames for seq in seqs])
+    # the step buffers hold the largest batch, flat so every batch's
+    # [L, n] prefix is C-contiguous
+    n_max = int(np.sort(lengths)[-config.batch_size :].sum())
+    phi_buf = np.empty((n_max, params.weights.shape[1]))
+    logits_buf = np.empty(L * n_max)
+    dlogits_buf = np.empty(L * n_max)
     tau = 0.0 if config.loss_mode == "plain_ce" else config.tau
     gamma = config.gamma if config.loss_mode == "cost_sensitive" else 0.0
     telemetry = []
     for epoch in range(config.epochs):
-        gain = costsens.compute_gain(counts, lam, tau)
-        frame_w = gain[store.labels, store.prev_action]
-        order = rng.permutation(n_seq)
+        gain = costsens.compute_gain(counts, lam, tau).ravel()
+        hits = np.zeros(L * (L + 1), dtype=np.int64)
+        order = rng.permutation(len(seqs))
         epoch_loss = 0.0
-        for lo in range(0, n_seq, config.batch_size):
-            frames = store.frames_of(order[lo : lo + config.batch_size])
-            loss_sum, grad_w, grad_b, hit[frames] = batch_gradient(
-                params, store.gather(frames), store.labels[frames], frame_w[frames]
+        for lo in range(0, len(seqs), config.batch_size):
+            ids = order[lo : lo + config.batch_size]
+            n = int(lengths[ids].sum())
+            phi = np.concatenate([windows[s] for s in ids], out=phi_buf[:n])
+            labels = np.concatenate([seqs[s].frame_labels for s in ids])
+            # flat (class, previous action) cells, column L 'start'
+            cells = labels * (L + 1)
+            cells += np.concatenate([seqs[s].prev_action for s in ids])
+            loss_sum, grad_w, grad_b, hit = batch_gradient(
+                params, phi, labels, gain[cells],
+                logits_buf[: L * n].reshape(L, n), dlogits_buf[: L * n].reshape(L, n),
             )
-            scale = config.learning_rate / frames.size
+            scale = config.learning_rate / n
             params.weights -= scale * grad_w
             params.bias -= scale * grad_b
             epoch_loss += loss_sum
-        mean_loss = epoch_loss / store.num_frames
+            hits += np.bincount(cells[hit], minlength=hits.size)
+        mean_loss = epoch_loss / dataset.total_frames
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
-        hits = np.bincount(cells[hit], minlength=L * (L + 1))
         lam, record = costsens.multiplier_step(
             lam, hits.reshape(L, L + 1), counts, gamma, config.epsilon
         )
         record.update(epoch=epoch, loss=mean_loss)
         telemetry.append(record)
-    spans = zip(store.rows[store.starts[:-1]], store.rows[store.starts[1:] - 1] + 1)
-    params.train_means = class_means_of(dataset, (store.windows[a:b] for a, b in spans))
+    params.train_means = class_means_of(dataset, windows)
     return params, telemetry
 
 

@@ -80,14 +80,17 @@ def test_criterion_01_weighted_ce_gradient():
     assert worst < 1e-6
 
     # full pipeline on a 3-frame sequence, through the step train runs:
-    # frame store -> class-major logits -> weighted CE -> parameter grads
+    # window views -> float64 batch buffer -> class-major logits and
+    # their gradient in [L, n] buffers -> weighted CE -> parameter grads
     rng = np.random.default_rng(202)
     features = rng.normal(size=(2, 3)).astype(np.float32)
     seq = sd.LabeledSequence.from_frames(features, [0, 2, 1], 3, seq_id="fd")
-    store = clf.FrameStore.build(sd.Dataset.build([seq], 3), 1)
-    phi = store.gather(np.arange(3))
+    phi = np.concatenate(
+        _kernels.window_store([seq.features], 1), out=np.empty((3, 6))
+    )
+    buffers = np.empty((3, 3)), np.empty((3, 3))
     _, tempered = random_gains(rng, 3)
-    weights = tempered[store.labels, store.prev_action]
+    weights = tempered[seq.frame_labels, seq.prev_action]
     params = clf.ClassifierParams(
         weights=rng.normal(scale=0.5, size=(3, 6)),
         bias=rng.normal(scale=0.1, size=3),
@@ -95,9 +98,11 @@ def test_criterion_01_weighted_ce_gradient():
     )
 
     def pipeline_loss(p):
-        return clf.batch_gradient(p, phi, store.labels, weights)[0]
+        return clf.batch_gradient(p, phi, seq.frame_labels, weights, *buffers)[0]
 
-    _, grad_w, grad_b, _ = clf.batch_gradient(params, phi, store.labels, weights)
+    _, grad_w, grad_b, _ = clf.batch_gradient(
+        params, phi, seq.frame_labels, weights, *buffers
+    )
     step = 1e-6
     worst = 0.0
     scale = max(np.abs(grad_w).max(), np.abs(grad_b).max(), 1.0)

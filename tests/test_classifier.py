@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -137,10 +138,13 @@ def test_training_gradient_matches_finite_differences():
             out += gain[y, u] * -log_p[y]
         return out / 3
 
-    store = clf.FrameStore.build(ds, 1)
-    w = gain[store.labels, store.prev_action]
-    _, grad_w, grad_b, _ = clf.batch_gradient(params, store.gather(np.arange(3)),
-                                              store.labels, w)
+    # the step train runs: the views widened into a float64 buffer, the
+    # logits and their gradient written into two [L, n] buffers
+    phi = np.concatenate(_kernels.window_store([seq.features], 1),
+                         out=np.empty((3, 6)))
+    w = gain[seq.frame_labels, seq.prev_action]
+    _, grad_w, grad_b, _ = clf.batch_gradient(params, phi, seq.frame_labels, w,
+                                              np.empty((3, 3)), np.empty((3, 3)))
     grad_w /= 3
     grad_b /= 3
 
@@ -220,32 +224,32 @@ def _mixed_length_dataset(num_classes=4, feature_dim=3, seed=0):
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 5])
 def test_frame_store_rows_equal_window_stack(radius):
+    # train's frame store: window_store's one view per sequence
     ds = _mixed_length_dataset(seed=radius)
-    store = clf.FrameStore.build(ds, radius)
+    views = _kernels.window_store([seq.features for seq in ds.sequences], radius)
     n_seq = len(ds.sequences)
-    assert store.windows.shape == (
-        ds.total_frames + 2 * radius * (n_seq - 1),
-        ds.feature_dim * (2 * radius + 1),
-    )
-    assert not store.windows.flags.writeable
-    # the padded buffer behind the view holds the float32 features as
-    # they are, D * (N + 2wS) values; each gather widens to float64
-    buffer = store.windows
-    while getattr(buffer, "base", None) is not None:
-        buffer = buffer.base
+    assert len(views) == n_seq
+    # the padded buffer behind the views holds the float32 features as
+    # they are, D * (N + 2wS) values; each batch widens to float64
+    buffers = set()
+    for view, seq in zip(views, ds.sequences):
+        assert view.shape == (seq.num_frames, ds.feature_dim * (2 * radius + 1))
+        assert not view.flags.writeable
+        np.testing.assert_array_equal(view, _kernels.window_stack(seq.features, radius))
+        buffer = view
+        while getattr(buffer, "base", None) is not None:
+            buffer = buffer.base
+        buffers.add(id(buffer))
+    assert len(buffers) == 1
     assert buffer.dtype == np.float32
     assert buffer.size == ds.feature_dim * (ds.total_frames + 2 * radius * n_seq)
-    for s, seq in enumerate(ds.sequences):
-        frames = store.frames_of([s])
-        assert store.gather(frames).dtype == np.float64
-        np.testing.assert_array_equal(
-            store.gather(frames), _kernels.window_stack(seq.features, radius)
-        )
-        np.testing.assert_array_equal(store.labels[frames], seq.frame_labels)
-        np.testing.assert_array_equal(store.prev_action[frames], seq.prev_action)
     batch = [5, 0, 3]
+    rows = sum(ds.sequences[s].num_frames for s in batch)
+    phi = np.concatenate([views[s] for s in batch],
+                         out=np.empty((rows, views[0].shape[1])))
+    assert phi.dtype == np.float64
     np.testing.assert_array_equal(
-        store.gather(store.frames_of(batch)),
+        phi,
         np.concatenate(
             [_kernels.window_stack(ds.sequences[s].features, radius) for s in batch]
         ),
@@ -350,16 +354,60 @@ def test_train_matches_per_sequence_reference(loss_mode):
     cfg = clf.TrainConfig(epochs=2, learning_rate=0.4, batch_size=5,
                           context_radius=2, tau=1.0, gamma=0.5,
                           loss_mode=loss_mode, rng_seed=3)
+    _assert_train_matches_reference(ds, cfg)
+
+
+def _assert_train_matches_reference(ds, cfg):
     params, telemetry = clf.train(ds, cfg)
     want_params, want_telemetry = _reference_train(ds, cfg)
     np.testing.assert_allclose(params.weights, want_params.weights, rtol=0, atol=1e-12)
     np.testing.assert_allclose(params.bias, want_params.bias, rtol=0, atol=1e-12)
-    assert len(telemetry) == len(want_telemetry) == 2
+    assert len(telemetry) == len(want_telemetry) == cfg.epochs
     for got, want in zip(telemetry, want_telemetry):
         # the loss sums the same terms in another order; the rest comes
         # from identical hit counts and must match exactly
         assert got.pop("loss") == pytest.approx(want.pop("loss"), rel=1e-12)
         assert got == want
+
+
+@pytest.mark.parametrize("batch_size", [7, 50])
+@pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)
+def test_one_batch_of_every_sequence_matches_reference(loss_mode, batch_size):
+    # batch_size >= the 7 sequences: every step is the one largest batch,
+    # which fills train's step buffers exactly, 1-frame sequences at
+    # radius 2 included
+    ds = _mixed_length_dataset(seed=8)
+    cfg = clf.TrainConfig(epochs=3, learning_rate=0.4, batch_size=batch_size,
+                          context_radius=2, tau=1.0, gamma=0.5,
+                          loss_mode=loss_mode, rng_seed=3)
+    _assert_train_matches_reference(ds, cfg)
+
+
+def test_train_memory_is_windows_plus_step_buffers():
+    # feature_dim 2 and ~200-frame sequences: the float32 window buffer
+    # costs 8 bytes a frame, as much as one int64 array a frame, so any
+    # per-frame array over the training set breaks the bound
+    ds = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=200,
+                       mean_segments=5.0, duration_mean=40.0, rng_seed=0)
+    )
+    cfg = clf.TrainConfig(epochs=2, batch_size=4, context_radius=1)
+    S, N, D, L = len(ds.sequences), ds.total_frames, ds.feature_dim, ds.num_classes
+    w = cfg.context_radius
+    n_max = sum(sorted(seq.num_frames for seq in ds.sequences)[-cfg.batch_size:])
+    windows = 4 * D * (N + 2 * w * S)  # the padded float32 buffer
+    # one float64 [n_max, D(2w+1)] batch and two float64 [L, n_max] buffers
+    step = 8 * n_max * D * (2 * w + 1) + 2 * 8 * L * n_max
+    # a view and list slots per sequence; the step's per-frame vectors
+    # (labels, cells, weights, hits, softmax column reductions); the rest
+    slack = 512 * S + 128 * n_max + 64 * 1024
+    tracemalloc.start()
+    try:
+        clf.train(ds, cfg)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < windows + step + slack, (peak, windows, step, slack)
 
 
 @pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)

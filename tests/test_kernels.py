@@ -49,13 +49,12 @@ def test_window_store_and_stack_keep_float64_precision(radius):
     assert got.tobytes() == window_oracle(fine, radius).tobytes()
     # float32 and float64 sequences in one store: every value is kept
     coarse = rng.normal(size=(3, 4)).astype(np.float32)
-    store = _kernels.window_store([coarse, fine, coarse[:, :1]], radius)
-    assert store.dtype == np.float64
-    rows = np.r_[0:4, 4 + 2 * radius : 11 + 2 * radius, 11 + 4 * radius]
-    want = np.concatenate(
-        [window_oracle(f, radius) for f in (coarse, fine, coarse[:, :1])]
-    )
-    assert store[rows].tobytes() == want.tobytes()
+    seqs = [coarse, fine, coarse[:, :1]]
+    views = _kernels.window_store(seqs, radius)
+    assert len(views) == len(seqs)
+    for view, features in zip(views, seqs):
+        assert view.dtype == np.float64
+        assert view.tobytes() == window_oracle(features, radius).tobytes()
 
 
 # -- softmax_xent_grad -------------------------------------------------------
@@ -75,6 +74,20 @@ def xent_oracle(logits, labels, weights):
     return loss_sum, grad
 
 
+def xent_both_ways(logits, labels, weights):
+    """``softmax_xent_grad`` without and with a caller's buffer: the
+    buffered call returns that buffer, overwritten whole, and both calls
+    agree byte for byte."""
+    want = _kernels.softmax_xent_grad(logits, labels, weights)
+    out = np.full(np.shape(logits), np.nan)
+    loss, grad, hit = _kernels.softmax_xent_grad(logits, labels, weights, out=out)
+    assert grad is out
+    assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
+    assert grad.tobytes() == want[1].tobytes()
+    assert hit.tobytes() == want[2].tobytes()
+    return want
+
+
 def test_softmax_xent_oracle():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -84,7 +97,7 @@ def test_softmax_xent_oracle():
         labels = rng.integers(0, classes, frames)
         weights = rng.uniform(0.1, 3.0, frames)
         # the kernel is class-major: one column per frame
-        loss, grad, _ = _kernels.softmax_xent_grad(logits.T, labels, weights)
+        loss, grad, _ = xent_both_ways(logits.T, labels, weights)
         assert grad.shape == (classes, frames)
         want_loss, want_grad = xent_oracle(logits, labels, weights)
         assert loss == pytest.approx(want_loss, rel=1e-12, abs=1e-12)
@@ -147,7 +160,7 @@ def tied_logits(draw):
 def test_softmax_xent_hit_is_argmax(case):
     # the hit read off the column max equals the argmax's, ties included
     logits, labels = case
-    _, _, hit = _kernels.softmax_xent_grad(logits, labels, np.ones(labels.size))
+    _, _, hit = xent_both_ways(logits, labels, np.ones(labels.size))
     assert hit.dtype == bool
     np.testing.assert_array_equal(hit, np.argmax(logits, axis=0) == labels)
 
