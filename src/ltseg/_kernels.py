@@ -1,5 +1,5 @@
-"""Numeric hot loops: window stacking, weighted softmax cross-entropy
-and edit distance, all in numpy."""
+"""Numeric hot loops: the windowed feature store, weighted softmax
+cross-entropy and edit distance, all in numpy."""
 
 import numpy as np
 
@@ -14,9 +14,9 @@ def window_store(feature_list, radius):
     ``[N + 2*radius*S, D]`` buffer, padded with ``radius`` replicated
     edge frames on both sides of every sequence. Returns one read-only
     view per sequence, ``[T, D*(2*radius+1)]``, each a slice of one
-    ``as_strided`` view of that buffer and laid out like
-    ``window_stack``'s rows: row ``t`` is the window around the
-    sequence's frame ``t``.
+    ``as_strided`` view of that buffer: row ``t`` is the window around
+    the sequence's frame ``t``, offsets -radius..+radius with the
+    feature index minor. Training and eval both window through here.
     """
     dim = feature_list[0].shape[0]
     total = sum(f.shape[1] + 2 * radius for f in feature_list)
@@ -37,16 +37,6 @@ def window_store(feature_list, radius):
         writeable=False,
     )
     return [windows[lo:hi] for lo, hi in spans]
-
-
-def window_stack(features, radius):
-    """Stack a temporal context window around every frame.
-
-    ``features`` is [D, T]; the result is [T, D*(2*radius+1)] float64 with
-    window offsets ordered -radius..+radius and edge frames replicated:
-    the one-sequence ``window_store``, widened exactly to float64.
-    """
-    return window_store([np.asarray(features)], radius)[0].astype(np.float64)
 
 
 def softmax_xent_grad(logits, labels, weights, out=None):

@@ -23,8 +23,9 @@ for the largest batch (the ``batch_size`` longest sequences). So
 training never holds a full ``[N, L]`` logits matrix, an
 ``[N, D*(2w+1)]`` copy or a per-frame array over the training set.
 
-``_class_major_logits`` is the one logits expression: the SGD step and
-eval (``ClassifierParams.predict_windows``) both use it.
+``window_store`` is the one window builder and ``_class_major_logits``
+the one logits expression: the SGD step and eval (``predict_windows`` on
+``decode.windowed_extractor``'s per-sequence store) both use them.
 """
 
 import json
@@ -43,7 +44,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .seqdata import compute_transition_stats, read_bytes, read_json
+from .seqdata import DRAW_LIMIT, compute_transition_stats, read_bytes, read_json
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
 
@@ -179,16 +180,19 @@ def train(dataset, config: TrainConfig):
     seqs = dataset.sequences
     if not seqs:
         raise ConfigError("cannot train on an empty dataset")
+    L, D, w = dataset.num_classes, dataset.feature_dim, config.context_radius
+    # the weights and window padding; the N * D features are loaded already
+    sizes = (L * D * (2 * w + 1), 2 * w * len(seqs) * D)
+    if max(sizes) >= DRAW_LIMIT:
+        raise ConfigError(
+            f"context_radius {w} gives {sizes[0]} weights and {sizes[1]} padding "
+            f"entries; each must be below {DRAW_LIMIT}"
+        )
     counts = compute_transition_stats(dataset)
-    L = dataset.num_classes
     lam = np.zeros((L, L + 1))  # one multiplier per (class, previous action)
-    params = ClassifierParams.zeros(
-        dataset.num_classes, dataset.feature_dim, config.context_radius
-    )
+    params = ClassifierParams.zeros(L, D, w)
     rng = np.random.default_rng(config.rng_seed)
-    windows = _kernels.window_store(
-        [seq.features for seq in seqs], config.context_radius
-    )
+    windows = _kernels.window_store([seq.features for seq in seqs], w)
     lengths = np.array([seq.num_frames for seq in seqs])
     # the step buffers hold the largest batch, flat so every batch's
     # [L, n] prefix is C-contiguous

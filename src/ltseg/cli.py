@@ -54,14 +54,13 @@ _TOP_KEYS = frozenset(
 @dataclasses.dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs: a dataset source (exactly one of
-    synthetic or manifest), training knobs, decoder choice, the head/tail
-    split, and output placement. Eval scores F1 at
+    synthetic or manifest), training knobs, the head/tail split, and
+    output placement. Eval scores every decoder, and F1 at
     ``metrics.DEFAULT_IOU_THRESHOLDS``, the paper's IoU thresholds."""
 
     synthetic: sd.SynthConfig = None
     manifest: str = None
     train: clf.TrainConfig = dataclasses.field(default_factory=clf.TrainConfig)
-    decode_mode: str = "sncm"
     head_threshold: int = None
     feature_format: str = "binary"
     out_dir: str = "runs"
@@ -75,10 +74,6 @@ class ExperimentConfig:
             )
         if self.manifest is not None and not os.path.exists(self.manifest):
             raise ConfigError(f"manifest {self.manifest!r} does not exist")
-        if self.decode_mode not in dec.DECODE_MODES:
-            raise ConfigError(
-                f"decode mode {self.decode_mode!r} not one of {dec.DECODE_MODES}"
-            )
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out must be a path, got {self.out_dir!r}")
         if self.feature_format not in ("binary", "csv"):
@@ -109,6 +104,11 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
     if not isinstance(data, dict):
         raise ConfigError("config top level must be a JSON object")
     _check_keys(data, _TOP_KEYS, "config")
+    if data.get("decode", "sncm") != "sncm":  # older configs name sncm
+        raise ConfigError(
+            f"decode {data['decode']!r} is not a choice: report.json is sncm's, "
+            "and eval writes report_argmax.json and report_ncm.json beside it"
+        )
 
     seed = overrides.pop("seed", data.get("seed", 0))
     require_int("seed", seed)
@@ -155,7 +155,6 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
         synthetic=synthetic,
         manifest=manifest,
         train=train,
-        decode_mode=overrides.pop("decode", data.get("decode", "sncm")),
         head_threshold=data.get("head_threshold"),
         feature_format=data.get("feature_format", "binary"),
         out_dir=overrides.pop("out", data.get("out", "runs")),
@@ -186,7 +185,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
     return {
         "dataset": source,
         "train": {name: getattr(config.train, name) for name in sorted(_TRAIN_KEYS)},
-        "decode": config.decode_mode,
         "head_threshold": config.head_threshold,
         "feature_format": config.feature_format,
         "out": config.out_dir,
@@ -281,9 +279,9 @@ def _write_report(run_dir, name, report):
 
 def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     """Decode the config's dataset with a trained checkpoint and write
-    JSON + CSV metric reports of every decoder: ``report_argmax`` and
-    ``report_ncm``, plus ``report`` from the decoder that ``decode``
-    names. Reads only; never touches its inputs.
+    JSON + CSV metric reports of every decoder: ``report`` from segment
+    NCM (sncm), the paper's decoder, plus ``report_argmax`` and
+    ``report_ncm``. Reads only; never touches its inputs.
 
     The NCM class means and the head/tail split come from the training
     split's means and frame counts stored in the checkpoint; the scored
@@ -308,8 +306,8 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     head = None
     if config.head_threshold is not None:
         head, _ = sd.head_tail_split(means.support, config.head_threshold)
-    # each sequence's windows are stacked once; the classifier's argmax
-    # and the NCM votes on them make up every decoder
+    # each sequence is windowed once; the classifier's argmax and the
+    # NCM votes on its windows make up every decoder
     extract = dec.windowed_extractor(params.context_radius)
     decoded = {mode: [] for mode in dec.DECODE_MODES}
     for sequence in dataset.sequences:
@@ -322,10 +320,7 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     truths = [sequence.frame_labels for sequence in dataset.sequences]
     for mode, predictions in decoded.items():
         report = mx.evaluate(predictions, truths, dataset.num_classes, head=head)
-        if mode == config.decode_mode:
-            _write_report(run_dir, "report", report)
-        if mode != "sncm":
-            _write_report(run_dir, f"report_{mode}", report)
+        _write_report(run_dir, "report" if mode == "sncm" else f"report_{mode}", report)
     return run_dir
 
 
@@ -427,7 +422,6 @@ def build_parser() -> argparse.ArgumentParser:
     cmd.add_argument("--epsilon", type=float, help="constraint tolerance")
     cmd.add_argument("--gamma", type=float, help="multiplier step size")
     cmd = add_common("eval", "score a checkpoint")
-    cmd.add_argument("--decode", choices=dec.DECODE_MODES)
     cmd.add_argument("checkpoint", help="checkpoint file to evaluate")
     cmd = sub.add_parser("report", help="compare metric reports")
     cmd.add_argument("reports", nargs="+", help="report.json files, baseline first")
@@ -439,7 +433,6 @@ def _overrides_from_args(args) -> dict:
     pairs = (
         ("seed", "seed"),
         ("out", "out"),
-        ("decode", "decode"),
         ("loss", "loss_mode"),
         ("tau", "tau"),
         ("epsilon", "epsilon"),

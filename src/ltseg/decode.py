@@ -39,11 +39,12 @@ class ClassMeans:
 
 
 def windowed_extractor(context_radius):
-    """Representation used by the linear backbone: the stacked feature
-    window itself."""
+    """Representation used by the linear backbone: the sequence's
+    ``_kernels.window_store`` view, widened exactly to float64."""
 
     def extract(sequence):
-        return _kernels.window_stack(sequence.features, context_radius)
+        windows = _kernels.window_store([sequence.features], context_radius)[0]
+        return windows.astype(np.float64)
 
     return extract
 

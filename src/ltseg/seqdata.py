@@ -27,9 +27,9 @@ from .errors import (
 
 START = "start"
 
-# segments per sequence and frames per segment are drawn below this
-# bound; no recording comes near it, and larger draws overflow numpy's
-# Poisson sampler and the frame index
+# segments per sequence, frames per segment and the entries of an array
+# that a config sizes stay below this bound; no recording comes near it,
+# and larger draws overflow numpy's Poisson sampler and the frame index
 DRAW_LIMIT = 2**31
 
 
@@ -129,6 +129,11 @@ class Dataset:
                     f"sequence {seq.seq_id or '<unnamed>'} has feature dim "
                     f"{seq.feature_dim}, expected {dim}"
                 )
+            if seq.prev_action[0] != num_classes:  # 'start' is index L
+                raise ConfigError(
+                    f"sequence {seq.seq_id or '<unnamed>'} was built for "
+                    f"{int(seq.prev_action[0])} classes, the dataset has {num_classes}"
+                )
             if seq.frame_labels.max() >= num_classes:
                 raise RangeError(
                     f"sequence {seq.seq_id or '<unnamed>'}: label "
@@ -211,6 +216,12 @@ class SynthConfig:
             raise ConfigError(
                 f"feature_dim and num_sequences must be positive, got "
                 f"{self.feature_dim} and {self.num_sequences}"
+            )
+        L, D = self.num_classes, self.feature_dim
+        if max(L * D, (L + 1) * L) >= DRAW_LIMIT:
+            raise ConfigError(
+                f"num_classes {L} and feature_dim {D} size the class means, L * D, "
+                f"and the successor table, (L + 1) * L; each must be below {DRAW_LIMIT}"
             )
         for name in ("mean_segments", "duration_mean"):
             value = getattr(self, name)

@@ -3,6 +3,7 @@
 import json
 import math
 import tracemalloc
+import types
 import warnings
 
 import numpy as np
@@ -36,18 +37,26 @@ def _separable_dataset(seed=12):
 
 def _probs(params, seq):
     """Posteriors [L, T] from the classifier's class-major logits."""
-    phi = _kernels.window_stack(seq.features, params.context_radius)
+    phi = dec.windowed_extractor(params.context_radius)(seq)
     logits = clf._class_major_logits(params, phi)
     z = np.exp(logits - logits.max(axis=0))
     return z / z.sum(axis=0)
 
 
+def _frame_window(seq, radius, t):
+    """Oracle: frame t's clipped window, float64, one frame alone."""
+    idx = np.clip(np.arange(t - radius, t + radius + 1), 0, seq.num_frames - 1)
+    return seq.features[:, idx].T.astype(np.float64).ravel()
+
+
+def _window_oracle(seq, radius):
+    """Oracle: every frame's window, one frame at a time, [T, D*(2w+1)]."""
+    return np.array([_frame_window(seq, radius, t) for t in range(seq.num_frames)])
+
+
 def _frame_logits(params, seq, t):
     """Oracle: frame t's logits from its clipped window, one frame alone."""
-    w = params.context_radius
-    idx = np.clip(np.arange(t - w, t + w + 1), 0, seq.num_frames - 1)
-    phi = seq.features[:, idx].T.astype(np.float64).ravel()
-    return params.weights @ phi + params.bias
+    return params.weights @ _frame_window(seq, params.context_radius, t) + params.bias
 
 
 def test_forward_zero_params_uniform():
@@ -107,7 +116,7 @@ def test_single_step_descends():
     params = clf.ClassifierParams.zeros(2, 2, context_radius=0)
     rng = np.random.default_rng(3)
     params.weights[:] = rng.standard_normal(params.weights.shape)
-    phi = _kernels.window_stack(seq.features, 0)
+    phi = dec.windowed_extractor(0)(seq)
     ones = np.ones(1)
     before, grad_w, grad_b, _ = clf.batch_gradient(params, phi, seq.frame_labels,
                                                    ones)
@@ -224,7 +233,8 @@ def _mixed_length_dataset(num_classes=4, feature_dim=3, seed=0):
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 5])
 def test_frame_store_rows_equal_window_stack(radius):
-    # train's frame store: window_store's one view per sequence
+    # train's frame store: window_store's one view per sequence (the name,
+    # after the deleted FrameStore and window_stack, keeps the test ids)
     ds = _mixed_length_dataset(seed=radius)
     views = _kernels.window_store([seq.features for seq in ds.sequences], radius)
     n_seq = len(ds.sequences)
@@ -235,7 +245,10 @@ def test_frame_store_rows_equal_window_stack(radius):
     for view, seq in zip(views, ds.sequences):
         assert view.shape == (seq.num_frames, ds.feature_dim * (2 * radius + 1))
         assert not view.flags.writeable
-        np.testing.assert_array_equal(view, _kernels.window_stack(seq.features, radius))
+        want = _window_oracle(seq, radius)
+        np.testing.assert_array_equal(view, want)
+        # eval's windows: the one-sequence store, widened exactly to float64
+        assert dec.windowed_extractor(radius)(seq).tobytes() == want.tobytes()
         buffer = view
         while getattr(buffer, "base", None) is not None:
             buffer = buffer.base
@@ -250,10 +263,44 @@ def test_frame_store_rows_equal_window_stack(radius):
     assert phi.dtype == np.float64
     np.testing.assert_array_equal(
         phi,
-        np.concatenate(
-            [_kernels.window_stack(ds.sequences[s].features, radius) for s in batch]
-        ),
+        np.concatenate([_window_oracle(ds.sequences[s], radius) for s in batch]),
     )
+
+
+class _PastTheBound(Exception):
+    pass
+
+
+def test_radius_bound_counts_only_what_the_radius_adds(monkeypatch):
+    # a stand-in dataset of 2**20 + 1 loaded frames of 2048 values, more
+    # than 2**31 entries: they are in memory already, so no radius is
+    # refused for them. train stops right after its bound, at the
+    # transition counts, so nothing is allocated
+    def stop(dataset):
+        raise _PastTheBound
+
+    monkeypatch.setattr(clf, "compute_transition_stats", stop)
+
+    def dataset(num_classes, num_sequences):
+        return types.SimpleNamespace(
+            num_classes=num_classes, feature_dim=2048, total_frames=2**20 + 1,
+            sequences=[None] * num_sequences,
+        )
+
+    def train(ds, radius):
+        clf.train(ds, clf.TrainConfig(context_radius=radius))
+
+    assert dataset(48, 4).total_frames * 2048 >= sd.DRAW_LIMIT
+    # the weights, 48 * 2048 * (2w + 1), reach 2**31 at w = 10923; the
+    # padding, 2w * 1000 * 2048, at w = 525
+    for ds, radius in ((dataset(48, 4), 0), (dataset(48, 4), 1),
+                       (dataset(48, 4), 10_922), (dataset(2, 1000), 524)):
+        with pytest.raises(_PastTheBound):
+            train(ds, radius)
+    for ds, radius in ((dataset(48, 4), 10_923), (dataset(2, 1000), 525),
+                       (dataset(2, 1), 10**12)):
+        with pytest.raises(ConfigError, match=f"context_radius {radius} "):
+            train(ds, radius)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2])
@@ -307,7 +354,7 @@ def _reference_train(dataset, config):
             batch_frames = 0
             for idx in order[lo : lo + config.batch_size]:
                 seq = dataset.sequences[idx]
-                phi = _kernels.window_stack(seq.features, config.context_radius)
+                phi = dec.windowed_extractor(config.context_radius)(seq)
                 logits = phi @ params.weights.T + params.bias
                 np.add.at(counts, (seq.frame_labels, np.argmax(logits, axis=1),
                                    seq.prev_action), 1)

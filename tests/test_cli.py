@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: config handling, gen/train/eval/report."""
 
 import glob
+import importlib.util
 import io
 import json
 import os
@@ -8,6 +9,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import types
 import warnings
 
 import numpy as np
@@ -70,7 +72,7 @@ def tree_bytes(root):
 def test_default_config_is_synthetic():
     config = cli.load_config(None)
     assert config.synthetic is not None and config.manifest is None
-    assert config.decode_mode == "sncm"
+    assert "decode" not in cli.config_to_dict(config)
     assert config.train.rng_seed == config.seed == 0
 
 
@@ -105,7 +107,7 @@ _TRAIN_VALUES = {
 }
 _TOP_VALUES = {
     "train": st.fixed_dictionaries({}, optional=_TRAIN_VALUES),
-    "decode": st.sampled_from(dec.DECODE_MODES),
+    "decode": st.just("sncm"),
     "head_threshold": st.none() | st.integers(1, 1000),
     "feature_format": st.sampled_from(["binary", "csv"]),
     "out": st.text(max_size=8),
@@ -132,6 +134,21 @@ def test_config_round_trip_property(tmp_path_factory, data):
     assert cli.config_from_dict(cli.config_to_dict(config)) == config
     echoed = json.loads(json.dumps(cli.config_to_dict(config)))
     assert cli.config_from_dict(echoed) == config
+
+
+def test_decode_key_takes_only_sncm(tmp_path, capsys):
+    # report.json is always sncm's; a config may still name sncm, which is
+    # not echoed, and the other decoders are refused with their reports
+    config = cli.config_from_dict({"decode": "sncm"})
+    assert config == cli.load_config(None)
+    assert "decode" not in cli.config_to_dict(config)
+    for mode in ("argmax", "ncm"):
+        with pytest.raises(ConfigError, match="report_argmax.json and report_ncm.json"):
+            cli.config_from_dict({"decode": mode})
+        path = write_config(tmp_path / "cfg.json", decode=mode, out=str(tmp_path / "runs"))
+        assert cli.main(["eval", "--config", path, "checkpoint.bin"]) == 2
+        assert f"decode {mode!r}" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
 
 
 def test_flag_overrides_reach_subconfigs(tmp_path):
@@ -362,6 +379,10 @@ def test_gen_unwritable_out_dir_exit_code(tmp_path):
         ("num_sequences", 2**31 // 18 + 1),
         ("mean_segments", 2.0**31 - 1),
         ("duration_mean", 2.0**30),
+        # the class means [L, D] or the successor table [L+1, L] would
+        # hold 2**31 entries or more
+        ("num_classes", 10**12),
+        ("feature_dim", 10**12),
     ],
 )
 def test_gen_extreme_synthetic_values_exit_2(tmp_path, capsys, field, value):
@@ -377,6 +398,20 @@ def test_gen_extreme_synthetic_values_exit_2(tmp_path, capsys, field, value):
 
 
 # -- train -------------------------------------------------------------------
+
+
+def test_train_refuses_context_radius_past_draw_limit(tmp_path, capsys):
+    # the weights [L, D*(2w+1)] and the window padding [2wS, D] would
+    # hold 2**31 entries or more; refused before either is allocated
+    path = write_config(
+        tmp_path / "cfg.json",
+        dataset={"synthetic": small_synth()},
+        train={"context_radius": 10**12},
+        out=str(tmp_path / "runs"),
+    )
+    assert cli.main(["train", "--config", path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "context_radius" in err
 
 
 def test_train_writes_checkpoint_and_telemetry(tmp_path):
@@ -584,20 +619,16 @@ def test_eval_reports_read_back_through_report(tmp_path, capsys):
 
 
 def test_eval_writes_every_decoders_report(tmp_path):
-    # every decode mode writes all three reports; decode picks report's
-    # source, which for argmax and ncm is that mode's own report; the
-    # noisy data keeps the decoders' reports apart
+    # one eval writes all three reports, report.json from sncm; the noisy
+    # data keeps the decoders' reports pairwise apart
     config, checkpoint = _train_small(tmp_path, noise_scale=1.2, mean_scale=0.8)
-    for mode in dec.DECODE_MODES:
-        config = cli.config_from_dict({**cli.config_to_dict(config), "decode": mode})
-        run_dir = cli.cmd_eval(config, checkpoint)
-        reports = {}
+    run_dir = cli.cmd_eval(config, checkpoint)
+    for ext in ("json", "csv"):
+        texts = set()
         for name in ("report", "report_ncm", "report_argmax"):
-            with open(os.path.join(run_dir, f"{name}.json"), "rb") as fh:
-                reports[name] = fh.read()
-        assert len(set(reports.values())) == (3 if mode == "sncm" else 2)
-        if mode != "sncm":
-            assert reports["report"] == reports[f"report_{mode}"]
+            with open(os.path.join(run_dir, f"{name}.{ext}"), "rb") as fh:
+                texts.add(fh.read())
+        assert len(texts) == 3
 
 
 def test_eval_underlearned_tail_gap(tmp_path):
@@ -614,7 +645,6 @@ def test_eval_underlearned_tail_gap(tmp_path):
                 )
             },
             train={"epochs": 2, "learning_rate": 0.1, "loss_mode": "plain_ce"},
-            decode="argmax",
             out=str(tmp_path / "runs"),
             head_threshold=60,
         )
@@ -622,7 +652,7 @@ def test_eval_underlearned_tail_gap(tmp_path):
     run_dir, code = cli.cmd_train(config)
     assert code == 0
     out = cli.cmd_eval(config, os.path.join(run_dir, "checkpoint.bin"))
-    with open(os.path.join(out, "report.json")) as fh:
+    with open(os.path.join(out, "report_argmax.json")) as fh:
         report = json.load(fh)
     assert report["global_acc"] > report["per_class_acc"]
     assert "head" in report["group"] and "tail" in report["group"]
@@ -677,7 +707,9 @@ def test_eval_never_mutates_inputs(tmp_path):
         assert fh.read() == checkpoint_before
 
 
-@pytest.mark.parametrize("decode", dec.DECODE_MODES)
+# the config carries the compat key "sncm"; the one-value parametrization
+# keeps the case's id from when argmax and ncm were decode values too
+@pytest.mark.parametrize("decode", ["sncm"])
 def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch, decode):
     config, checkpoint = _train_small(tmp_path, noise_scale=1.2, mean_scale=0.8)
     config = cli.config_from_dict({**cli.config_to_dict(config), "decode": decode})
@@ -689,7 +721,7 @@ def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch, decode):
     truths = [sequence.frame_labels for sequence in dataset.sequences]
     want = {}
     for name, mode in (
-        ("report", decode),
+        ("report", "sncm"),
         ("report_ncm", "ncm"),
         ("report_argmax", "argmax"),
     ):
@@ -706,19 +738,20 @@ def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch, decode):
         calls.append(1)
         return ncm_predict(*args)
 
-    stacked = []
-    window_stack = _kernels.window_stack
+    stores = []
+    window_store = _kernels.window_store
 
-    def counted_stack(*args):
-        stacked.append(1)
-        return window_stack(*args)
+    def counted_store(feature_list, radius):
+        stores.append(len(feature_list))
+        return window_store(feature_list, radius)
 
     monkeypatch.setattr(dec, "ncm_predict", counted)
-    monkeypatch.setattr(_kernels, "window_stack", counted_stack)
+    monkeypatch.setattr(_kernels, "window_store", counted_store)
     run_dir = cli.cmd_eval(config, checkpoint)
     assert len(calls) == len(dataset.sequences)
-    # one window per sequence feeds the means, NCM and the classifier
-    assert len(stacked) == len(dataset.sequences)
+    # each sequence is windowed once, and its windows feed NCM and the
+    # classifier
+    assert stores == [1] * len(dataset.sequences)
     for name, report in want.items():
         with open(os.path.join(run_dir, f"{name}.json")) as fh:
             assert json.load(fh) == report
@@ -736,7 +769,8 @@ def _rotate_labels(dataset_dir):
         path.write_text("".join(rotate[token] + "\n" for token in tokens))
 
 
-@pytest.mark.parametrize("decode", dec.DECODE_MODES)
+# the compat key "sncm", parametrized to keep the case id (see above)
+@pytest.mark.parametrize("decode", ["sncm"])
 def test_eval_predictions_ignore_eval_labels(tmp_path, monkeypatch, decode):
     # eval decodes with the training split's class means and takes the
     # head set from its frame counts, so relabelling the scored split may
@@ -792,6 +826,87 @@ def test_eval_predictions_ignore_eval_labels(tmp_path, monkeypatch, decode):
     assert heads == [want_head] * len(heads)
     relabelled_counts = cli._resolve_dataset(config_for(relabelled)).class_frame_counts
     assert sd.head_tail_split(relabelled_counts, 20)[0] != want_head
+
+
+def _only_run_dir(out_dir):
+    (run,) = os.listdir(out_dir)
+    return os.path.join(out_dir, run)
+
+
+def _perfbench_run():
+    """perfbench/run.py as a module, loaded by path beside its tracer."""
+    bench = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+    sys.path.insert(0, str(bench))
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    return module
+
+
+def test_benchmark_step5_equals_eval_report(tmp_path, capsys):
+    # perfbench/run.py's protocol in small: gen, train and test manifests
+    # over gen's files, train and eval through main with configs shaped
+    # like run_repeat's (the "decode" key included), then the benchmark's
+    # own step 5, score_quality, whose five scores are report.json's
+    gen = write_config(
+        tmp_path / "gen.json",
+        dataset={"synthetic": small_synth(num_sequences=8, num_classes=4,
+                                          class_skew=1.5, noise_scale=1.2,
+                                          mean_scale=0.8)},
+        feature_format="binary",
+        seed=3,
+    )
+    assert cli.main(["gen", "--config", gen, "--out", str(tmp_path / "gen")]) == 0
+    dataset_dir = os.path.join(_only_run_dir(tmp_path / "gen"), "dataset")
+    with open(os.path.join(dataset_dir, "manifest.json"), encoding="utf-8") as fh:
+        manifest = json.load(fh)
+    entries = manifest["sequences"]
+    manifests = []
+    for name, part in (("train", entries[:6]), ("test", entries[6:])):
+        manifests.append(os.path.join(dataset_dir, f"manifest_{name}.json"))
+        write_config(manifests[-1], **dict(manifest, sequences=part))
+    threshold = int(sd.load_dataset(manifests[0]).class_frame_counts.max())
+    configs = [
+        write_config(
+            tmp_path / f"{split}.json",
+            dataset={"manifest": path},
+            train={"epochs": 4, "loss_mode": "cost_sensitive"},
+            decode="sncm",
+            head_threshold=threshold,
+            seed=3,
+        )
+        for split, path in zip(("train", "test"), manifests)
+    ]
+    train_out, eval_out = str(tmp_path / "train"), str(tmp_path / "eval")
+    assert cli.main(["train", "--config", configs[0], "--out", train_out]) == 0
+    checkpoint = os.path.join(_only_run_dir(train_out), "checkpoint.bin")
+    assert cli.main(["eval", "--config", configs[1], "--out", eval_out, checkpoint]) == 0
+    capsys.readouterr()
+
+    run = _perfbench_run()
+    quality, sizes = run.score_quality(
+        types.SimpleNamespace(head_threshold=threshold), checkpoint, *manifests
+    )
+    assert sizes["head_classes"] and sizes["tail_classes"]
+    eval_dir = _only_run_dir(eval_out)
+    with open(os.path.join(eval_dir, "report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    written = {
+        "per_class_acc": report["per_class_acc"],
+        "edit_score": report["edit_score"],
+        "f1_25_per_class": report["f1_at"]["0.25"]["per_class"],
+        "tail_per_class_acc": report["group"]["tail"]["per_class_acc"],
+        "tail_f1_25": report["group"]["tail"]["per_class_f1_25"],
+    }
+    assert set(quality) == set(written) == set(run.QUALITY_METRICS)
+    # report.json carries two decimals
+    for name, score in quality.items():
+        assert round(score, 2) == written[name], name
+    with open(os.path.join(eval_dir, "config.json"), encoding="utf-8") as fh:
+        assert "decode" not in json.load(fh)
 
 
 def test_eval_checkpoint_without_class_means_exits_2(tmp_path, capsys):
@@ -1214,12 +1329,13 @@ def test_main_gen_train_eval_flow(tmp_path, capsys):
         ["gen", "--loss", "plain_ce"],
         ["train", "--decode", "ncm"],
         ["eval", "--tau", "0.5", "checkpoint.bin"],
+        ["eval", "--decode", "sncm", "checkpoint.bin"],
     ],
-    ids=["gen-loss", "train-decode", "eval-tau"],
+    ids=["gen-loss", "train-decode", "eval-tau", "eval-decode"],
 )
 def test_subcommand_refuses_flags_it_does_not_read(tmp_path, capsys, argv):
-    # gen reads neither the train section nor decode, train never reads
-    # decode and eval never reads the train section
+    # gen never reads the train section, eval never reads it either, and
+    # no subcommand picks a decoder: eval scores all three
     path = write_config(tmp_path / "cfg.json", out=str(tmp_path / "runs"))
     with pytest.raises(SystemExit) as exc:
         cli.main([*argv[:1], "--config", path, *argv[1:]])

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from ltseg import _kernels
 
 
-# -- window_stack ------------------------------------------------------------
+# -- window_store ------------------------------------------------------------
 
 
 def window_oracle(features, radius):
@@ -26,14 +26,21 @@ def window_oracle(features, radius):
     return out
 
 
+# named, like the next test, for the deleted window_stack; the name keeps
+# the test ids stable
 @pytest.mark.parametrize("radius", [0, 1, 2, 5])
 def test_window_stack_oracle(radius):
+    # window_store's stacked windows: each sequence alone, then all four
+    # lengths in one store
     rng = np.random.default_rng(radius)
-    for frames in (1, 2, 7, 30):
-        features = rng.normal(size=(3, frames)).astype(np.float32)
-        got = _kernels.window_stack(features, radius)
-        # f32 input widens exactly, so equality is exact
-        assert got.dtype == np.float64
+    seqs = [rng.normal(size=(3, frames)).astype(np.float32) for frames in (1, 2, 7, 30)]
+    for features in seqs:
+        (got,) = _kernels.window_store([features], radius)
+        # the store keeps float32, and the oracle widens it exactly
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, window_oracle(features, radius))
+    views = _kernels.window_store(seqs, radius)
+    for got, features in zip(views, seqs, strict=True):
         np.testing.assert_array_equal(got, window_oracle(features, radius))
 
 
@@ -44,7 +51,7 @@ def test_window_store_and_stack_keep_float64_precision(radius):
     rng = np.random.default_rng(10 + radius)
     fine = 1.0 + 2.0**-40 * rng.integers(1, 1000, size=(3, 7))
     assert not np.array_equal(fine.astype(np.float32), fine)
-    got = _kernels.window_stack(fine, radius)
+    (got,) = _kernels.window_store([fine], radius)
     assert got.dtype == np.float64
     assert got.tobytes() == window_oracle(fine, radius).tobytes()
     # float32 and float64 sequences in one store: every value is kept

@@ -244,6 +244,17 @@ def test_generator_refuses_by_field_or_keeps_invariants(cfg):
         assert (labels[1:] != labels[:-1]).all()  # adjacent segments differ
 
 
+def test_build_refuses_sequence_of_another_class_count():
+    # built for 3 classes, its first frames follow 'start' at index 3,
+    # which a 4-class dataset would count as class 3
+    seq = sd.LabeledSequence.from_frames(
+        np.zeros((3, 3)), [0, 0, 1], num_classes=3, seq_id="seq_x"
+    )
+    with pytest.raises(ConfigError, match="seq_x was built for 3 classes.* has 4"):
+        sd.Dataset.build([_make_seq([0, 1], num_classes=4), seq], 4)
+    assert sd.Dataset.build([seq], 3).num_classes == 3
+
+
 def test_transition_stats_hand_enumeration():
     # frames [A, A, B]: prev actions are (start, start, A)
     ds = sd.Dataset.build([_make_seq([0, 0, 1], num_classes=2)], 2)
