@@ -1,4 +1,4 @@
-"""Numeric hot loops: the windowed feature store, weighted softmax
+"""Numeric hot loops: windowed views of padded frames, weighted softmax
 cross-entropy and edit distance, all in numpy."""
 
 import numpy as np
@@ -6,37 +6,33 @@ import numpy as np
 PROB_FLOOR = 1e-12
 
 
-def window_store(feature_list, radius):
-    """Windowed views over every sequence of ``feature_list``, one buffer.
+def window_store(padded, radius):
+    """Windowed views of sequences laid out frame-major and padded.
 
-    Each ``[D, T]`` feature matrix is copied once, frame-major and at
-    the inputs' ``np.result_type`` (float32 stays float32), into one
-    ``[N + 2*radius*S, D]`` buffer, padded with ``radius`` replicated
-    edge frames on both sides of every sequence. Returns one read-only
-    view per sequence, ``[T, D*(2*radius+1)]``, each a slice of one
-    ``as_strided`` view of that buffer: row ``t`` is the window around
-    the sequence's frame ``t``, offsets -radius..+radius with the
-    feature index minor. Training and eval both window through here.
+    ``padded`` yields ``(frames, pad)`` pairs, ``frames`` ``[T + 2*pad, D]``
+    with ``pad`` replicated edge frames on each side of the sequence's
+    ``T``. Returns one read-only view per sequence, ``[T, D*(2*radius+1)]``:
+    row ``t`` is the window around frame ``t``, offsets -radius..+radius
+    with the feature index minor. Where ``pad`` covers ``radius`` the view
+    is strided over C-contiguous ``frames`` themselves, no copy; a smaller
+    pad is first re-padded into a copy. Either way the view keeps the
+    frames' dtype (float32 stays float32). Training and eval both window
+    through here.
     """
-    dim = feature_list[0].shape[0]
-    total = sum(f.shape[1] + 2 * radius for f in feature_list)
-    store = np.empty((total, dim), np.result_type(*{f.dtype for f in feature_list}))
-    spans = []
-    row = 0
-    for feats in feature_list:
-        frames = feats.shape[1]
-        store[row : row + radius] = feats[:, 0]
-        store[row + radius : row + radius + frames] = feats.T
-        store[row + radius + frames : row + 2 * radius + frames] = feats[:, -1]
-        spans.append((row, row + frames))
-        row += frames + 2 * radius
-    windows = np.lib.stride_tricks.as_strided(
-        store,
-        shape=(total - 2 * radius, dim * (2 * radius + 1)),
-        strides=(dim * store.itemsize, store.itemsize),
-        writeable=False,
-    )
-    return [windows[lo:hi] for lo, hi in spans]
+    views = []
+    for frames, pad in padded:
+        frames = np.ascontiguousarray(frames)
+        if pad < radius:
+            grow = radius - pad
+            frames, pad = np.pad(frames, ((grow, grow), (0, 0)), mode="edge"), radius
+        dim = frames.shape[1]
+        views.append(np.lib.stride_tricks.as_strided(
+            frames[pad - radius :],
+            shape=(frames.shape[0] - 2 * pad, dim * (2 * radius + 1)),
+            strides=(dim * frames.itemsize, frames.itemsize),
+            writeable=False,
+        ))
+    return views
 
 
 def softmax_xent_grad(logits, labels, weights, out=None):
@@ -57,20 +53,21 @@ def softmax_xent_grad(logits, labels, weights, out=None):
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    at_label = (labels, np.arange(logits.shape[1]))  # [y_t, t]
+    n = logits.shape[1]
+    at_label = labels * n + np.arange(n)  # flat C-order index of [y_t, t]
     col_max = logits.max(axis=0)
     probs = np.subtract(logits, col_max, out=out)
     np.exp(probs, out=probs)
     total = probs.sum(axis=0)
     probs /= total
-    hit = logits[at_label] == col_max
+    hit = logits.take(at_label) == col_max
     tied = ~(total < 2.0)  # a tie adds exp(0) == 1.0 twice; NaN falls back too
     if tied.any():
         hit[tied] = np.argmax(logits[:, tied], axis=0) == labels[tied]
-    p_true = probs[at_label]
+    p_true = probs.take(at_label)
     loss_sum = float(np.dot(weights, -np.log(np.maximum(p_true, PROB_FLOOR))))
     probs *= weights
-    probs[at_label] -= weights
+    probs.put(at_label, probs.take(at_label) - weights)
     return loss_sum, probs, hit
 
 

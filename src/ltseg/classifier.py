@@ -11,21 +11,24 @@ own column max, and the epoch counts those hits per (class, previous
 action) pair. Every frame sits in exactly one batch per epoch, so that
 and the pair's frame count are all the learning state needs.
 
-Training windows the training set once with ``_kernels.window_store``:
-its features, frame-major at their own precision and padded per
-sequence, behind one strided view per sequence whose rows are the
-stacked windows (1/(2w+1) of their bytes), which also give the class
-means. The SGD step allocates no batch-sized matrix: each batch's views
-are concatenated straight into one float64 ``[n_max, D*(2w+1)]`` buffer
-(an exact widening), and its class-major logits and their gradient go
-into two ``[L, n_max]`` buffers, all three made once per ``train`` call
-for the largest batch (the ``batch_size`` longest sequences). So
-training never holds a full ``[N, L]`` logits matrix, an
-``[N, D*(2w+1)]`` copy or a per-frame array over the training set.
+Training windows each sequence with ``_kernels.window_store``: a
+strided view over the sequence's own float32 frames, which are held
+once, frame-major and padded with ``p`` edge frames (``LabeledSequence``),
+so the rows are the stacked windows at no extra bytes when ``p`` covers
+the radius, as for a dataset laid out at it (``cmd_train`` lays it out
+so); a sequence padded less is re-padded into a copy. The views also
+give the class means. The SGD step allocates no batch-sized matrix:
+each batch's views are concatenated straight into one float64
+``[n_max, D*(2w+1)]`` buffer (an exact widening), and its class-major
+logits and their gradient go into two ``[L, n_max]`` buffers, all three
+made once per ``train`` call for the largest batch (the ``batch_size``
+longest sequences). So training holds the features once, and never a
+full ``[N, L]`` logits matrix, an ``[N, D*(2w+1)]`` copy or a per-frame
+array over the training set.
 
 ``window_store`` is the one window builder and ``_class_major_logits``
 the one logits expression: the SGD step and eval (``predict_windows`` on
-``decode.windowed_extractor``'s per-sequence store) both use them.
+``decode.windowed_extractor``'s per-sequence view) both use them.
 """
 
 import json
@@ -44,7 +47,7 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .seqdata import DRAW_LIMIT, compute_transition_stats, read_bytes, read_json
+from .seqdata import check_radius, compute_transition_stats, read_bytes, read_json
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
 
@@ -161,18 +164,18 @@ def train(dataset, config: TrainConfig):
     keeps the multipliers at zero, and plain_ce is inverse_prior at
     tau = 0, whose gain is exactly 1.
 
-    The training set is windowed once by ``_kernels.window_store``
-    (N + 2wS padded frames of D values, at the features' precision,
-    behind one view per sequence). A step concatenates its batch's
-    views straight into one float64 ``[n, D*(2w+1)]`` buffer (an exact
-    widening), reads its frame weights off the gain array at its frames'
-    (class, previous action) cells, and makes one ``softmax_xent_grad``
-    call and one gradient GEMM (``batch_gradient``) with the class-major
-    logits and their gradient in two ``[L, n]`` buffers; the softmax
-    also gives the hits, counted per cell by one ``bincount``. The
-    three buffers are made once, for the largest batch, the
-    ``batch_size`` longest sequences. The views give
-    ``params.train_means`` too.
+    Each sequence is windowed by ``_kernels.window_store``: a view over
+    its own padded frames when they carry at least w edge frames on each
+    side (a dataset laid out at w), a re-padded copy otherwise. A step
+    concatenates its batch's views straight into one float64
+    ``[n, D*(2w+1)]`` buffer (an exact widening), reads its frame
+    weights off the gain array at its frames' (class, previous action)
+    cells, and makes one ``softmax_xent_grad`` call and one gradient
+    GEMM (``batch_gradient``) with the class-major logits and their
+    gradient in two ``[L, n]`` buffers; the softmax also gives the
+    hits, counted per cell by one ``bincount``. The three buffers are
+    made once, for the largest batch, the ``batch_size`` longest
+    sequences. The views give ``params.train_means`` too.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
@@ -181,18 +184,12 @@ def train(dataset, config: TrainConfig):
     if not seqs:
         raise ConfigError("cannot train on an empty dataset")
     L, D, w = dataset.num_classes, dataset.feature_dim, config.context_radius
-    # the weights and window padding; the N * D features are loaded already
-    sizes = (L * D * (2 * w + 1), 2 * w * len(seqs) * D)
-    if max(sizes) >= DRAW_LIMIT:
-        raise ConfigError(
-            f"context_radius {w} gives {sizes[0]} weights and {sizes[1]} padding "
-            f"entries; each must be below {DRAW_LIMIT}"
-        )
+    check_radius(w, L, D, len(seqs))  # the N * D features are loaded already
     counts = compute_transition_stats(dataset)
     lam = np.zeros((L, L + 1))  # one multiplier per (class, previous action)
     params = ClassifierParams.zeros(L, D, w)
     rng = np.random.default_rng(config.rng_seed)
-    windows = _kernels.window_store([seq.features for seq in seqs], w)
+    windows = _kernels.window_store([(seq.frames, seq.pad) for seq in seqs], w)
     lengths = np.array([seq.num_frames for seq in seqs])
     # the step buffers hold the largest batch, flat so every batch's
     # [L, n] prefix is C-contiguous

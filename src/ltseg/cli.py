@@ -217,10 +217,12 @@ def _write_json(path, data):
         handle.write("\n")
 
 
-def _resolve_dataset(config: ExperimentConfig) -> sd.Dataset:
+def _resolve_dataset(config: ExperimentConfig, pad=0) -> sd.Dataset:
+    """The config's dataset, laid out padded by ``pad`` frames, the
+    context radius it is windowed at."""
     if config.synthetic is not None:
-        return sd.generate_synthetic(config.synthetic)
-    return sd.load_dataset(config.manifest)
+        return sd.generate_synthetic(config.synthetic, pad)
+    return sd.load_dataset(config.manifest, pad)
 
 
 def cmd_gen(config: ExperimentConfig, stream=None) -> str:
@@ -251,7 +253,10 @@ def cmd_train(config: ExperimentConfig, stream=None):
     """Train per config, write checkpoint + telemetry JSON-lines; the
     checkpoint also holds the training split's class means for eval.
     Returns (run_dir, exit_code); divergence reports and exits nonzero."""
-    dataset = _resolve_dataset(config)
+    # check and lay out first: a config or radius that is refused, alone
+    # or against the dataset, leaves no run directory
+    config.validate()
+    dataset = _resolve_dataset(config, config.train.context_radius)
     run_dir = make_run_dir(config)
     _write_json(os.path.join(run_dir, "config.json"), config_to_dict(config))
     try:
@@ -288,7 +293,7 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     dataset's labels are read only to score the predictions.
     """
     params, _ = clf.load_checkpoint(checkpoint_path)
-    dataset = _resolve_dataset(config)
+    dataset = _resolve_dataset(config, params.context_radius)
     if params.num_classes != dataset.num_classes:
         raise ConfigError(
             f"checkpoint has {params.num_classes} classes, "

@@ -43,7 +43,8 @@ def windowed_extractor(context_radius):
     ``_kernels.window_store`` view, widened exactly to float64."""
 
     def extract(sequence):
-        windows = _kernels.window_store([sequence.features], context_radius)[0]
+        pair = (sequence.frames, sequence.pad)
+        windows = _kernels.window_store([pair], context_radius)[0]
         return windows.astype(np.float64)
 
     return extract

@@ -13,6 +13,7 @@ import io
 import json
 import os
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,15 +47,24 @@ def segmentation_from_frames(frame_labels):
     return starts, ends, labels[starts]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LabeledSequence:
-    """One sequence: features [D x T], a label per frame and the previous
-    action per frame."""
+    """One sequence: its features, a label per frame and the previous
+    action per frame. The features are held once, frame-major, as
+    ``frames``, float32 ``[T + 2p, D]`` with ``pad`` (p) replicated edge
+    frames on each side, so ``_kernels.window_store`` windows them in
+    place at any context radius up to p; ``features`` is their [D x T]
+    view."""
 
-    features: np.ndarray
+    frames: np.ndarray
     frame_labels: np.ndarray
     prev_action: np.ndarray
     seq_id: str = ""
+    pad: int = 0
+
+    @property
+    def features(self):
+        return self.frames[self.pad : self.frames.shape[0] - self.pad].T
 
     @property
     def num_frames(self):
@@ -62,13 +72,15 @@ class LabeledSequence:
 
     @property
     def feature_dim(self):
-        return self.features.shape[0]
+        return self.frames.shape[1]
 
     @classmethod
-    def from_frames(cls, features, frame_labels, num_classes, seq_id=""):
-        """Build a sequence from raw arrays, deriving the previous actions
-        from the run-length encoding, and checking every invariant."""
-        feats = np.asarray(features, dtype=np.float32)
+    def from_frames(cls, features, frame_labels, num_classes, seq_id="", pad=0):
+        """Build a sequence from features [D x T] and raw labels, deriving
+        the previous actions from the run-length encoding, and checking
+        every invariant. The features are copied once, as float32, into
+        the layout padded by ``pad`` frames."""
+        feats = np.asarray(features)
         labels = np.asarray(frame_labels, dtype=np.int64)
         name = f"sequence {seq_id or '<unnamed>'}"
         if labels.ndim != 1 or labels.size == 0:
@@ -80,8 +92,13 @@ class LabeledSequence:
             )
         if feats.shape[0] <= 0:
             raise ConfigError("feature dimension must be positive")
-        if not np.isfinite(feats).all():
+        frames = np.empty((labels.size + 2 * pad, feats.shape[0]), np.float32)
+        with np.errstate(over="ignore", invalid="ignore"):
+            frames[pad : pad + labels.size] = feats.T
+        if not np.isfinite(frames[pad : pad + labels.size]).all():
             raise RangeError(f"{name} has non-finite features")
+        frames[:pad] = frames[pad]
+        frames[pad + labels.size :] = frames[pad + labels.size - 1]
         if labels.min() < 0 or labels.max() >= num_classes:
             bad = int(labels.max() if labels.max() >= num_classes else labels.min())
             raise RangeError(f"{name}: label {bad} outside [0, {num_classes})")
@@ -90,10 +107,7 @@ class LabeledSequence:
         starts, ends, runs = segmentation_from_frames(labels)
         prev = np.repeat(np.concatenate(([num_classes], runs[:-1])), ends - starts + 1)
         return cls(
-            features=np.ascontiguousarray(feats),
-            frame_labels=labels,
-            prev_action=prev,
-            seq_id=seq_id,
+            frames=frames, frame_labels=labels, prev_action=prev, seq_id=seq_id, pad=pad
         )
 
 
@@ -164,6 +178,18 @@ def compute_transition_stats(dataset):
         flat = seq.frame_labels * (L + 1) + seq.prev_action
         counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
     return counts
+
+
+def check_radius(radius, num_classes, dim, num_sequences):
+    """Refuse a context radius that sizes the classifier weights,
+    ``L * D(2w+1)`` entries, or the window padding, ``2wS * D``, at
+    ``DRAW_LIMIT`` or more, before either is allocated."""
+    sizes = (num_classes * dim * (2 * radius + 1), 2 * radius * num_sequences * dim)
+    if max(sizes) >= DRAW_LIMIT:
+        raise ConfigError(
+            f"context_radius {radius} gives {sizes[0]} weights and {sizes[1]} padding "
+            f"entries; each must be below {DRAW_LIMIT}"
+        )
 
 
 def head_tail_split(class_frame_counts, threshold):
@@ -289,25 +315,21 @@ def _chain_rows(config, rng):
     return np.cumsum(weights / mass, axis=1)
 
 
-def _as_float32(values, name, scale, where):
-    """``values`` as float32; a value outside float32's range is a
-    ConfigError naming the emitter scale that drew it."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = np.asarray(values).astype(np.float32)
-    if not np.isfinite(out).all():
-        raise ConfigError(f"{name} {scale} puts {where} outside the float32 range")
-    return out
-
-
-def generate_synthetic(config: SynthConfig) -> Dataset:
-    """Draw a synthetic dataset; bit-identical for equal configs."""
+def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
+    """Draw a synthetic dataset, each sequence laid out padded by ``pad``
+    frames; bit-identical for equal configs, whatever the pad."""
     config.validate()
     L, D = config.num_classes, config.feature_dim
+    check_radius(pad, L, D, config.num_sequences)
     rng = np.random.default_rng(config.rng_seed)
 
     with np.errstate(over="ignore"):
         means = rng.standard_normal((L, D)) * config.mean_scale
-    _as_float32(means, "mean_scale", config.mean_scale, "the class means")
+        if not np.isfinite(means.astype(np.float32)).all():
+            raise ConfigError(
+                f"mean_scale {config.mean_scale} puts the class means outside "
+                "the float32 range"
+            )
     cum_rows = _chain_rows(config, rng)
 
     dur_mean = float(config.duration_mean)
@@ -326,21 +348,19 @@ def generate_synthetic(config: SynthConfig) -> Dataset:
                 f"{seq_id}, not below {DRAW_LIMIT}"
             )
         frame_labels = np.repeat(labels, durations.astype(np.int64))
-        feats = means[frame_labels].T.copy()
+        feats = means[frame_labels]  # [T, D]; the noise is drawn [D, T]
         if config.noise_scale > 0:
             with np.errstate(over="ignore", invalid="ignore"):
-                feats += config.noise_scale * rng.standard_normal(feats.shape)
-        sequences.append(
-            LabeledSequence.from_frames(
-                _as_float32(
-                    feats, "noise_scale", config.noise_scale,
-                    f"the features of {seq_id}",
-                ),
-                frame_labels,
-                num_classes=L,
-                seq_id=seq_id,
+                feats += config.noise_scale * rng.standard_normal(feats.shape[::-1]).T
+        try:
+            sequences.append(
+                LabeledSequence.from_frames(feats.T, frame_labels, L, seq_id, pad)
             )
-        )
+        except RangeError:  # the labels are valid, so the features overflowed
+            raise ConfigError(
+                f"noise_scale {config.noise_scale} puts the features of {seq_id} "
+                "outside the float32 range"
+            ) from None
     return Dataset.build(sequences, num_classes=L)
 
 
@@ -377,7 +397,7 @@ def _read_features_binary(path):
             f"{path}: expected {dim * num_frames} feature values "
             f"({dim} x {num_frames}), found {payload.size}"
         )
-    return np.ascontiguousarray(payload.reshape(num_frames, dim).T)
+    return payload.reshape(num_frames, dim)
 
 
 def _write_features_csv(path, features):
@@ -394,7 +414,7 @@ def _read_features_csv(path):
         table = np.loadtxt(text, delimiter=",", dtype=np.float32, ndmin=2)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from exc
-    return np.ascontiguousarray(table.T)
+    return table
 
 
 def save_dataset(dataset, path, feature_format="binary"):
@@ -496,26 +516,27 @@ def _read_classes(path, num_classes, manifest_path):
 
 
 def _read_labels(path, id_of, classes_path):
-    ids = []
-    for lineno, raw in enumerate(_open_utf8(path), start=1):
-        token = raw.strip()
-        if not token:
-            continue
-        if token not in id_of:
-            raise ParseError(
-                f"{path}:{lineno}: class name {token!r} is not in {classes_path}"
-            )
-        ids.append(id_of[token])
-    if not ids:
+    """The class ids of a label file's lines; ``id_of`` maps "" to -1,
+    so blank lines are dropped, and an unknown name raises naming it."""
+    tokens = list(map(str.strip, _open_utf8(path).getvalue().split("\n")))
+    ids = np.fromiter(map(id_of.get, tokens, repeat(-2)), np.int64, len(tokens))
+    if (ids == -2).any():
+        line = int(np.argmax(ids == -2))
+        raise ParseError(
+            f"{path}:{line + 1}: class name {tokens[line]!r} is not in {classes_path}"
+        )
+    ids = ids[ids >= 0]
+    if not ids.size:
         raise ParseError(f"{path}: no frames")
-    return np.array(ids, dtype=np.int64)
+    return ids
 
 
 _MANIFEST_ENTRY_KEYS = ("id", "labels", "features")
 
 
-def load_dataset(path) -> Dataset:
-    """Read a dataset directory (or its manifest.json) back into memory."""
+def load_dataset(path, pad=0) -> Dataset:
+    """Read a dataset directory (or its manifest.json) back into memory,
+    each sequence laid out padded by ``pad`` frames."""
     manifest_path = path
     if os.path.isdir(path):
         manifest_path = os.path.join(path, "manifest.json")
@@ -559,9 +580,11 @@ def load_dataset(path) -> Dataset:
             f"{manifest_path}: non-positive dimensions "
             f"L={num_classes}, D={feature_dim}"
         )
+    check_radius(pad, num_classes, feature_dim, len(entries))
     classes_path = os.path.join(root, "classes.txt")
     names = _read_classes(classes_path, num_classes, manifest_path)
     id_of = {name: i for i, name in enumerate(names)}
+    id_of[""] = -1  # a blank line
     sequences = []
     for index, entry in enumerate(entries):
         label_path = os.path.join(root, entry["labels"])
@@ -572,17 +595,15 @@ def load_dataset(path) -> Dataset:
             feats = (_read_features_csv if csv else _read_features_binary)(feat_path)
         except (OSError, ParseError) as exc:  # also name the manifest entry
             raise ParseError(f"{manifest_path}: sequence entry {index}: {exc}") from exc
-        if feats.shape != (feature_dim, labels.size):
+        if feats.shape != (labels.size, feature_dim):  # frame-major
             raise ParseError(
-                f"{feat_path}: {feats.shape[0]} x {feats.shape[1]} features, but "
+                f"{feat_path}: {feats.shape[1]} x {feats.shape[0]} features, but "
                 f"{manifest_path} entry {index} expects feature_dim {feature_dim} "
                 f"x the {labels.size} label lines of {label_path}"
             )
         if not np.isfinite(feats).all():
             raise RangeError(f"{feat_path}: non-finite feature values")
         sequences.append(
-            LabeledSequence.from_frames(
-                feats, labels, num_classes=num_classes, seq_id=entry["id"]
-            )
+            LabeledSequence.from_frames(feats.T, labels, num_classes, entry["id"], pad)
         )
     return Dataset.build(sequences, num_classes=num_classes, class_names=names)

@@ -86,7 +86,7 @@ def test_criterion_01_weighted_ce_gradient():
     features = rng.normal(size=(2, 3)).astype(np.float32)
     seq = sd.LabeledSequence.from_frames(features, [0, 2, 1], 3, seq_id="fd")
     phi = np.concatenate(
-        _kernels.window_store([seq.features], 1), out=np.empty((3, 6))
+        _kernels.window_store([(seq.frames, seq.pad)], 1), out=np.empty((3, 6))
     )
     buffers = np.empty((3, 3)), np.empty((3, 3))
     _, tempered = random_gains(rng, 3)

@@ -414,6 +414,27 @@ def test_train_refuses_context_radius_past_draw_limit(tmp_path, capsys):
     assert err.startswith("error:") and "context_radius" in err
 
 
+@pytest.mark.parametrize("source", ["synthetic", "manifest"])
+def test_refused_train_leaves_no_run_directory(tmp_path, capsys, source):
+    # train checks its config, and the radius against the dataset, before
+    # it makes the run directory, as gen does
+    dataset = {"synthetic": small_synth()}
+    if source == "manifest":
+        gen = write_config(tmp_path / "gen.json", dataset=dataset,
+                           out=str(tmp_path / "gen"))
+        gen_dir = cli.cmd_gen(cli.load_config(gen), stream=io.StringIO())
+        dataset = {"manifest": os.path.join(gen_dir, "dataset", "manifest.json")}
+    path = write_config(
+        tmp_path / "cfg.json",
+        dataset=dataset,
+        train={"context_radius": 10**12},
+        out=str(tmp_path / "runs"),
+    )
+    assert cli.main(["train", "--config", path]) == 2
+    assert "context_radius" in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "runs")
+
+
 def test_train_writes_checkpoint_and_telemetry(tmp_path):
     config = cli.load_config(
         write_config(

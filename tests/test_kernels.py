@@ -26,42 +26,73 @@ def window_oracle(features, radius):
     return out
 
 
-# named, like the next test, for the deleted window_stack; the name keeps
-# the test ids stable
+def unpadded(features):
+    """``features`` [D, T] as ``window_store`` takes them with no padding:
+    frame-major, a transposed view and not C-contiguous."""
+    return features.T, 0
+
+
 @pytest.mark.parametrize("radius", [0, 1, 2, 5])
-def test_window_stack_oracle(radius):
-    # window_store's stacked windows: each sequence alone, then all four
-    # lengths in one store
+def test_window_store_oracle(radius):
+    # window_store's stacked windows of unpadded frames: each sequence
+    # alone, then all four lengths in one call
     rng = np.random.default_rng(radius)
     seqs = [rng.normal(size=(3, frames)).astype(np.float32) for frames in (1, 2, 7, 30)]
     for features in seqs:
-        (got,) = _kernels.window_store([features], radius)
-        # the store keeps float32, and the oracle widens it exactly
+        (got,) = _kernels.window_store([unpadded(features)], radius)
+        # the view keeps float32, and the oracle widens it exactly
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got, window_oracle(features, radius))
-    views = _kernels.window_store(seqs, radius)
+    views = _kernels.window_store(map(unpadded, seqs), radius)
     for got, features in zip(views, seqs, strict=True):
         np.testing.assert_array_equal(got, window_oracle(features, radius))
 
 
+# named for the deleted window_stack; the name keeps the test ids stable
 @pytest.mark.parametrize("radius", [0, 1, 2])
 def test_window_store_and_stack_keep_float64_precision(radius):
-    # 1 + 2**-40 rounds to 1.0 in float32: a store allocated float32
+    # 1 + 2**-40 rounds to 1.0 in float32: a view cast to float32
     # whatever its input would lose every fine part below
     rng = np.random.default_rng(10 + radius)
     fine = 1.0 + 2.0**-40 * rng.integers(1, 1000, size=(3, 7))
     assert not np.array_equal(fine.astype(np.float32), fine)
-    (got,) = _kernels.window_store([fine], radius)
+    (got,) = _kernels.window_store([unpadded(fine)], radius)
     assert got.dtype == np.float64
     assert got.tobytes() == window_oracle(fine, radius).tobytes()
-    # float32 and float64 sequences in one store: every value is kept
+    # float32 and float64 sequences in one call: each keeps its precision
     coarse = rng.normal(size=(3, 4)).astype(np.float32)
     seqs = [coarse, fine, coarse[:, :1]]
-    views = _kernels.window_store(seqs, radius)
+    views = _kernels.window_store(map(unpadded, seqs), radius)
     assert len(views) == len(seqs)
     for view, features in zip(views, seqs):
-        assert view.dtype == np.float64
-        assert view.tobytes() == window_oracle(features, radius).tobytes()
+        assert view.dtype == features.dtype
+        want = window_oracle(features, radius).astype(features.dtype)
+        assert view.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("pad", [0, 1, 3])
+def test_window_views_share_the_padded_frames(dtype, pad):
+    # frames laid out as LabeledSequence holds them: frame-major, with
+    # `pad` copies of the edge frame on each side. Up to the pad each
+    # view is strided over its own sequence's frames; above it, over a
+    # re-padded copy. At every radius the view is the oracle's windows,
+    # at the frames' dtype (normal draws do not fit float32)
+    rng = np.random.default_rng(20 + pad)
+    seqs = [rng.normal(size=(3, frames)).astype(dtype) for frames in (1, 2, 9)]
+    layouts = [
+        np.ascontiguousarray(np.concatenate([f[:, :1]] * pad + [f] + [f[:, -1:]] * pad,
+                                            axis=1).T)
+        for f in seqs
+    ]
+    for radius in range(pad + 3):
+        views = _kernels.window_store([(frames, pad) for frames in layouts], radius)
+        for view, features, frames in zip(views, seqs, layouts, strict=True):
+            assert view.dtype == dtype and not view.flags.writeable
+            np.testing.assert_array_equal(view, window_oracle(features, radius))
+            own = frames[pad : frames.shape[0] - pad].T  # the features, [D, T]
+            assert np.array_equal(own, features)
+            assert np.shares_memory(view, own) == (radius <= pad)
 
 
 # -- softmax_xent_grad -------------------------------------------------------

@@ -319,6 +319,26 @@ def test_save_load_round_trip(tmp_path, fmt):
     _datasets_equal(ds, sd.load_dataset(str(tmp_path / "ds")))
 
 
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path, fmt):
+    # the generator and the loader lay each sequence out frame-major with
+    # `pad` copies of its edge frames on each side; its features, and so
+    # the draw and the written files, are those of pad 0
+    cfg = sd.SynthConfig(num_classes=4, feature_dim=5, num_sequences=6, rng_seed=2)
+    plain = sd.generate_synthetic(cfg)
+    padded = sd.generate_synthetic(cfg, pad=2)
+    _datasets_equal(plain, padded)
+    sd.save_dataset(padded, tmp_path / "ds", feature_format=fmt)
+    loaded = sd.load_dataset(str(tmp_path / "ds"), pad=3)
+    _datasets_equal(plain, loaded)
+    for ds, pad in ((plain, 0), (padded, 2), (loaded, 3)):
+        for seq in ds.sequences:
+            assert seq.pad == pad and seq.frames.dtype == np.float32
+            assert seq.frames.flags.c_contiguous
+            rows = np.clip(np.arange(-pad, seq.num_frames + pad), 0, seq.num_frames - 1)
+            assert seq.frames.tobytes() == seq.features.T[rows].tobytes()
+
+
 def test_ground_truth_line_per_frame(tmp_path):
     ds = sd.Dataset.build([_make_seq([0, 0, 1, 1, 0, 2], num_classes=3)], 3)
     sd.save_dataset(ds, tmp_path / "ds")
