@@ -35,7 +35,23 @@ def window_store(padded, radius):
     return views
 
 
-def softmax_xent_grad(logits, labels, weights, out=None):
+class XentScratch:
+    """``softmax_xent_grad``'s work arrays for up to ``frames`` frames of
+    ``classes`` classes, made once: the bool marks, flat so each call's
+    ``[L, n]`` prefix is C-contiguous, and per-frame vectors, of which a
+    call takes the first ``n`` entries. ``column`` holds one value per
+    column in turn: its max, its sum, then the label's probability."""
+
+    def __init__(self, classes, frames):
+        self.marks = np.empty(classes * frames, dtype=bool)
+        self.frame = np.arange(frames)
+        self.at_label = np.empty(frames, dtype=np.int64)
+        self.column = np.empty(frames)
+        self.hit = np.empty(frames, dtype=bool)
+        self.tied = np.empty(frames, dtype=bool)
+
+
+def softmax_xent_grad(logits, labels, weights, out=None, scratch=None):
     """Weighted softmax cross-entropy over a batch of frames, class-major.
 
     ``logits`` is [L, n], one column per frame. Returns
@@ -43,31 +59,51 @@ def softmax_xent_grad(logits, labels, weights, out=None):
     ``loss_t = weights[t] * -log(max(p[labels[t], t], PROB_FLOOR))``,
     ``dlogits[:, t] = weights[t] * (softmax(logits[:, t]) - onehot(labels[t]))``
     and ``hit[t] = argmax(logits[:, t]) == labels[t]`` (ties to the
-    smallest id), read off the column max where the sum shows it unique.
-    Softmax is computed with column-max subtraction; the reductions run
-    across the L rows. ``dlogits`` is written into ``out``, a float64
-    [L, n] array other than ``logits``, when one is given, and is a new
-    array otherwise.
+    smallest id). Softmax is computed with column-max subtraction; the
+    reductions run across the L rows. ``dlogits`` is written into
+    ``out``, a float64 C-contiguous [L, n] array that is ``logits``
+    itself or does not overlap it, when one is given, and is a new array
+    otherwise. ``scratch`` is an ``XentScratch`` for at least L classes
+    and n frames (a new one when not given), and ``hit`` lives in it.
+
+    The hits are read before ``exp``, off ``d = logits - col_max``: for
+    finite x and m, ``x - m == 0`` holds exactly when ``x == m``, so
+    ``d == 0`` marks the entries equal to their column's max, and the
+    label hits iff it is marked. (``exp(d) == 1.0`` would not do: it
+    also holds for d in (-2**-54, 0).) Each mark adds exactly
+    ``exp(0) == 1.0`` to the column's sum, so a sum below 2.0 means one
+    mark; any other column (ties, as at the zero-initialised first step)
+    takes its first mark, the smallest tied id. A column holding NaN or
+    +inf has no mark, so its hit can differ from the argmax's; its loss
+    is NaN, which ``train`` raises on before it reads any hit.
     """
     # C order, so the column sums run in one order whatever the input layout
     logits = np.ascontiguousarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     weights = np.asarray(weights, dtype=np.float64)
-    n = logits.shape[1]
-    at_label = labels * n + np.arange(n)  # flat C-order index of [y_t, t]
-    col_max = logits.max(axis=0)
-    probs = np.subtract(logits, col_max, out=out)
+    classes, n = logits.shape
+    if scratch is None:
+        scratch = XentScratch(classes, n)
+    # flat C-order index of [y_t, t]
+    at_label = np.multiply(labels, n, out=scratch.at_label[:n])
+    at_label += scratch.frame[:n]
+    column = scratch.column[:n]
+    probs = np.subtract(logits, logits.max(axis=0, out=column), out=out)
+    marks = np.equal(probs, 0.0, out=scratch.marks[: classes * n].reshape(classes, n))
+    hit = marks.take(at_label, out=scratch.hit[:n])
     np.exp(probs, out=probs)
-    total = probs.sum(axis=0)
+    total = probs.sum(axis=0, out=column)
     probs /= total
-    hit = logits.take(at_label) == col_max
-    tied = ~(total < 2.0)  # a tie adds exp(0) == 1.0 twice; NaN falls back too
+    tied = np.less(total, 2.0, out=scratch.tied[:n])
+    np.logical_not(tied, out=tied)  # two marks add 2.0; NaN falls back too
     if tied.any():
-        hit[tied] = np.argmax(logits[:, tied], axis=0) == labels[tied]
-    p_true = probs.take(at_label)
-    loss_sum = float(np.dot(weights, -np.log(np.maximum(p_true, PROB_FLOOR))))
+        hit[tied] = np.argmax(marks[:, tied], axis=0) == labels[tied]
+    p_true = probs.take(at_label, out=column)
+    np.log(np.maximum(p_true, PROB_FLOOR, out=p_true), out=p_true)
+    loss_sum = float(np.dot(weights, np.negative(p_true, out=p_true)))
     probs *= weights
-    probs.put(at_label, probs.take(at_label) - weights)
+    np.subtract(probs.take(at_label, out=column), weights, out=column)
+    probs.put(at_label, column)
     return loss_sum, probs, hit
 
 

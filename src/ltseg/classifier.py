@@ -19,10 +19,12 @@ the radius, as for a dataset laid out at it (``cmd_train`` lays it out
 so); a sequence padded less is re-padded into a copy. The views also
 give the class means. The SGD step allocates no batch-sized matrix:
 each batch's views are concatenated straight into one float64
-``[n_max, D*(2w+1)]`` buffer (an exact widening), and its class-major
-logits and their gradient go into two ``[L, n_max]`` buffers, all three
-made once per ``train`` call for the largest batch (the ``batch_size``
-longest sequences). So training holds the features once, and never a
+``[n_max, D*(2w+1)]`` buffer (an exact widening), its class-major logits
+and then, in place, their gradient into one float64 ``[L, n_max]``
+buffer, and the softmax's marks of each column's max into one bool
+``[L, n_max]`` buffer; these and the step's per-frame vectors are made
+once per ``train`` call, for the largest batch its epochs form
+(``n_max`` frames). So training holds the features once, and never a
 full ``[N, L]`` logits matrix, an ``[N, D*(2w+1)]`` copy or a per-frame
 array over the training set.
 
@@ -137,18 +139,31 @@ def _class_major_logits(params, phi, out=None):
     return logits
 
 
-def batch_gradient(params, phi, labels, weights, logits=None, dlogits=None):
+def batch_gradient(params, phi, labels, weights, logits=None, scratch=None):
     """``(loss_sum, grad_weights, grad_bias, hit)`` of the weighted
     cross-entropy of windows ``phi``, summed over the batch's frames;
     ``hit`` marks the frames whose argmax under ``params`` (ties to the
-    smallest class id) is their label. ``logits`` and ``dlogits``, when
-    given, are two float64 C-contiguous ``[L, n]`` buffers that receive
-    the class-major logits and their gradient."""
+    smallest class id) is their label. ``logits``, when given, is a
+    float64 C-contiguous ``[L, n]`` buffer that receives the class-major
+    logits and then, in place, their gradient; ``scratch`` is
+    ``softmax_xent_grad``'s."""
     logits = _class_major_logits(params, phi, out=logits)
     loss_sum, dlogits, hit = _kernels.softmax_xent_grad(
-        logits, labels, weights, out=dlogits
+        logits, labels, weights, out=logits, scratch=scratch
     )
     return loss_sum, dlogits @ phi, dlogits.sum(axis=1), hit
+
+
+def _largest_batch(lengths, config):
+    """Frames in the largest batch that ``train``'s epochs form: their
+    permutations replayed on a generator seeded like ``train``'s."""
+    rng = np.random.default_rng(config.rng_seed)
+    starts = np.arange(0, lengths.size, config.batch_size)
+    return max(
+        (int(np.add.reduceat(lengths[rng.permutation(lengths.size)], starts).max())
+         for _ in range(config.epochs)),
+        default=0,
+    )
 
 
 def train(dataset, config: TrainConfig):
@@ -171,11 +186,14 @@ def train(dataset, config: TrainConfig):
     ``[n, D*(2w+1)]`` buffer (an exact widening), reads its frame
     weights off the gain array at its frames' (class, previous action)
     cells, and makes one ``softmax_xent_grad`` call and one gradient
-    GEMM (``batch_gradient``) with the class-major logits and their
-    gradient in two ``[L, n]`` buffers; the softmax also gives the
-    hits, counted per cell by one ``bincount``. The three buffers are
-    made once, for the largest batch, the ``batch_size`` longest
-    sequences. The views give ``params.train_means`` too.
+    GEMM (``batch_gradient``) with the class-major logits and, in place,
+    their gradient in one ``[L, n]`` buffer; the softmax also gives the
+    hits, from its ``d == 0`` marks in a bool ``[L, n]`` buffer, counted
+    per cell by one ``bincount``. These buffers and the step's per-frame
+    vectors are made once, for the largest batch the epochs form, which
+    a generator seeded like the training one finds first by replaying
+    the permutations in O(S) memory. The views give
+    ``params.train_means`` too.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
@@ -191,12 +209,14 @@ def train(dataset, config: TrainConfig):
     rng = np.random.default_rng(config.rng_seed)
     windows = _kernels.window_store([(seq.frames, seq.pad) for seq in seqs], w)
     lengths = np.array([seq.num_frames for seq in seqs])
-    # the step buffers hold the largest batch, flat so every batch's
-    # [L, n] prefix is C-contiguous
-    n_max = int(np.sort(lengths)[-config.batch_size :].sum())
+    # the step buffers hold the largest batch, the logits flat so every
+    # batch's [L, n] prefix is C-contiguous
+    n_max = _largest_batch(lengths, config)
     phi_buf = np.empty((n_max, params.weights.shape[1]))
     logits_buf = np.empty(L * n_max)
-    dlogits_buf = np.empty(L * n_max)
+    scratch = _kernels.XentScratch(L, n_max)
+    labels_buf, prev_buf, cells_buf = np.empty((3, n_max), dtype=np.int64)
+    weights_buf = np.empty(n_max)
     tau = 0.0 if config.loss_mode == "plain_ce" else config.tau
     gamma = config.gamma if config.loss_mode == "cost_sensitive" else 0.0
     telemetry = []
@@ -209,13 +229,15 @@ def train(dataset, config: TrainConfig):
             ids = order[lo : lo + config.batch_size]
             n = int(lengths[ids].sum())
             phi = np.concatenate([windows[s] for s in ids], out=phi_buf[:n])
-            labels = np.concatenate([seqs[s].frame_labels for s in ids])
+            labels = np.concatenate([seqs[s].frame_labels for s in ids],
+                                    out=labels_buf[:n])
             # flat (class, previous action) cells, column L 'start'
-            cells = labels * (L + 1)
-            cells += np.concatenate([seqs[s].prev_action for s in ids])
+            cells = np.multiply(labels, L + 1, out=cells_buf[:n])
+            cells += np.concatenate([seqs[s].prev_action for s in ids],
+                                    out=prev_buf[:n])
             loss_sum, grad_w, grad_b, hit = batch_gradient(
-                params, phi, labels, gain[cells],
-                logits_buf[: L * n].reshape(L, n), dlogits_buf[: L * n].reshape(L, n),
+                params, phi, labels, gain.take(cells, out=weights_buf[:n]),
+                logits_buf[: L * n].reshape(L, n), scratch,
             )
             scale = config.learning_rate / n
             params.weights -= scale * grad_w

@@ -601,9 +601,10 @@ def load_dataset(path, pad=0) -> Dataset:
                 f"{manifest_path} entry {index} expects feature_dim {feature_dim} "
                 f"x the {labels.size} label lines of {label_path}"
             )
-        if not np.isfinite(feats).all():
-            raise RangeError(f"{feat_path}: non-finite feature values")
-        sequences.append(
-            LabeledSequence.from_frames(feats.T, labels, num_classes, entry["id"], pad)
-        )
+        try:
+            sequences.append(LabeledSequence.from_frames(
+                feats.T, labels, num_classes, entry["id"], pad
+            ))
+        except RangeError:  # the labels are valid, so the features are not finite
+            raise RangeError(f"{feat_path}: non-finite feature values") from None
     return Dataset.build(sequences, num_classes=num_classes, class_names=names)

@@ -81,14 +81,15 @@ def test_criterion_01_weighted_ce_gradient():
 
     # full pipeline on a 3-frame sequence, through the step train runs:
     # window views -> float64 batch buffer -> class-major logits and
-    # their gradient in [L, n] buffers -> weighted CE -> parameter grads
+    # in place their gradient in one [L, n] buffer -> weighted CE ->
+    # parameter grads
     rng = np.random.default_rng(202)
     features = rng.normal(size=(2, 3)).astype(np.float32)
     seq = sd.LabeledSequence.from_frames(features, [0, 2, 1], 3, seq_id="fd")
     phi = np.concatenate(
         _kernels.window_store([(seq.frames, seq.pad)], 1), out=np.empty((3, 6))
     )
-    buffers = np.empty((3, 3)), np.empty((3, 3))
+    buffers = np.empty((3, 3)), _kernels.XentScratch(3, 3)
     _, tempered = random_gains(rng, 3)
     weights = tempered[seq.frame_labels, seq.prev_action]
     params = clf.ClassifierParams(

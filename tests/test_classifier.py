@@ -148,12 +148,13 @@ def test_training_gradient_matches_finite_differences():
         return out / 3
 
     # the step train runs: the views widened into a float64 buffer, the
-    # logits and their gradient written into two [L, n] buffers
+    # logits and in place their gradient written into one [L, n] buffer
     phi = np.concatenate(_kernels.window_store([(seq.frames, seq.pad)], 1),
                          out=np.empty((3, 6)))
     w = gain[seq.frame_labels, seq.prev_action]
-    _, grad_w, grad_b, _ = clf.batch_gradient(params, phi, seq.frame_labels, w,
-                                              np.empty((3, 3)), np.empty((3, 3)))
+    _, grad_w, grad_b, _ = clf.batch_gradient(
+        params, phi, seq.frame_labels, w, np.empty((3, 3)), _kernels.XentScratch(3, 3)
+    )
     grad_w /= 3
     grad_b /= 3
 
@@ -455,11 +456,23 @@ def test_train_memory_is_windows_plus_step_buffers():
     )
     S, D, L = len(ds.sequences), ds.feature_dim, ds.num_classes
     w = cfg.context_radius
-    n_max = sum(sorted(seq.num_frames for seq in ds.sequences)[-cfg.batch_size:])
-    # one float64 [n_max, D(2w+1)] batch and two float64 [L, n_max] buffers
-    step = 8 * n_max * D * (2 * w + 1) + 2 * 8 * L * n_max
+    lengths = np.array([seq.num_frames for seq in ds.sequences])
+    # the largest batch the epochs form, from a twin of train's generator;
+    # the batch_size longest sequences are never one batch here
+    twin = np.random.default_rng(cfg.rng_seed)
+    n = max(
+        lengths[twin.permutation(S)][lo : lo + cfg.batch_size].sum()
+        for _ in range(cfg.epochs)
+        for lo in range(0, S, cfg.batch_size)
+    )
+    n_max = lengths[np.argsort(lengths)[-cfg.batch_size :]].sum()
+    assert n < n_max
+    # one float64 [n, D(2w+1)] batch, one float64 [L, n] buffer for the
+    # logits and in place their gradient, and one bool [L, n] of marks
+    step = 8 * n * D * (2 * w + 1) + 8 * L * n + L * n
     # a view and list slots per sequence; the step's per-frame vectors
-    # (labels, cells, weights, hits, softmax column reductions); the rest
+    # (labels, cells, weights, hits, softmax column reductions), counted
+    # for the batch_size longest sequences; the rest
     slack = 512 * S + 128 * n_max + 64 * 1024
     tracemalloc.start()
     try:

@@ -728,12 +728,10 @@ def test_eval_never_mutates_inputs(tmp_path):
         assert fh.read() == checkpoint_before
 
 
-# the config carries the compat key "sncm"; the one-value parametrization
-# keeps the case's id from when argmax and ncm were decode values too
-@pytest.mark.parametrize("decode", ["sncm"])
-def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch, decode):
+# the config carries the compat key "sncm"
+def test_eval_sncm_runs_ncm_once_per_sequence(tmp_path, monkeypatch):
     config, checkpoint = _train_small(tmp_path, noise_scale=1.2, mean_scale=0.8)
-    config = cli.config_from_dict({**cli.config_to_dict(config), "decode": decode})
+    config = cli.config_from_dict({**cli.config_to_dict(config), "decode": "sncm"})
     params, _ = clf.load_checkpoint(checkpoint)
     dataset = cli._resolve_dataset(config)
     means = dec.compute_class_means(
@@ -790,9 +788,8 @@ def _rotate_labels(dataset_dir):
         path.write_text("".join(rotate[token] + "\n" for token in tokens))
 
 
-# the compat key "sncm", parametrized to keep the case id (see above)
-@pytest.mark.parametrize("decode", ["sncm"])
-def test_eval_predictions_ignore_eval_labels(tmp_path, monkeypatch, decode):
+# the config carries the compat key "sncm"
+def test_eval_predictions_ignore_eval_labels(tmp_path, monkeypatch):
     # eval decodes with the training split's class means and takes the
     # head set from its frame counts, so relabelling the scored split may
     # change the scores but never the predictions or the head set
@@ -817,7 +814,7 @@ def test_eval_predictions_ignore_eval_labels(tmp_path, monkeypatch, decode):
                 tmp_path / "cfg.json",
                 dataset={"manifest": str(root / "manifest.json")},
                 train={"epochs": 4, "learning_rate": 0.5},
-                decode=decode,
+                decode="sncm",
                 head_threshold=20,
                 out=str(tmp_path / "runs"),
             )

@@ -48,9 +48,8 @@ def test_window_store_oracle(radius):
         np.testing.assert_array_equal(got, window_oracle(features, radius))
 
 
-# named for the deleted window_stack; the name keeps the test ids stable
 @pytest.mark.parametrize("radius", [0, 1, 2])
-def test_window_store_and_stack_keep_float64_precision(radius):
+def test_window_store_keeps_float64_precision(radius):
     # 1 + 2**-40 rounds to 1.0 in float32: a view cast to float32
     # whatever its input would lose every fine part below
     rng = np.random.default_rng(10 + radius)
@@ -113,16 +112,22 @@ def xent_oracle(logits, labels, weights):
 
 
 def xent_both_ways(logits, labels, weights):
-    """``softmax_xent_grad`` without and with a caller's buffer: the
-    buffered call returns that buffer, overwritten whole, and both calls
-    agree byte for byte."""
+    """``softmax_xent_grad`` without a caller's buffer, with one, and in
+    place (``out`` a copy of ``logits``, passed as both): each buffered
+    call returns that buffer, overwritten whole, and all three calls
+    agree byte for byte in loss, gradient and hit."""
     want = _kernels.softmax_xent_grad(logits, labels, weights)
     out = np.full(np.shape(logits), np.nan)
-    loss, grad, hit = _kernels.softmax_xent_grad(logits, labels, weights, out=out)
-    assert grad is out
-    assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
-    assert grad.tobytes() == want[1].tobytes()
-    assert hit.tobytes() == want[2].tobytes()
+    inplace = np.array(logits, dtype=np.float64, order="C")
+    for got, buffer in (
+        (_kernels.softmax_xent_grad(logits, labels, weights, out=out), out),
+        (_kernels.softmax_xent_grad(inplace, labels, weights, out=inplace), inplace),
+    ):
+        loss, grad, hit = got
+        assert grad is buffer
+        assert np.float64(loss).tobytes() == np.float64(want[0]).tobytes()
+        assert grad.tobytes() == want[1].tobytes()
+        assert hit.tobytes() == want[2].tobytes()
     return want
 
 
@@ -146,7 +151,7 @@ def test_softmax_xent_nan_propagates():
     logits = np.array([[0.5, np.nan], [1.0, 0.0]]).T
     labels = np.array([0, 1])
     weights = np.ones(2)
-    loss, grad, _ = _kernels.softmax_xent_grad(logits, labels, weights)
+    loss, grad, _ = xent_both_ways(logits, labels, weights)
     # the probability floor must not hide a NaN posterior
     assert not np.isfinite(loss)
 
@@ -155,7 +160,7 @@ def test_softmax_xent_extreme_logits_no_overflow():
     logits = np.array([[1000.0, -1000.0], [-1000.0, 1000.0]]).T
     labels = np.array([1, 1])
     weights = np.ones(2)
-    loss, grad, _ = _kernels.softmax_xent_grad(logits, labels, weights)
+    loss, grad, _ = xent_both_ways(logits, labels, weights)
     assert np.isfinite(loss) and loss > 0
     assert np.isfinite(grad).all()
 
@@ -201,6 +206,20 @@ def test_softmax_xent_hit_is_argmax(case):
     _, _, hit = xent_both_ways(logits, labels, np.ones(labels.size))
     assert hit.dtype == bool
     np.testing.assert_array_equal(hit, np.argmax(logits, axis=0) == labels)
+
+
+def test_softmax_xent_hit_tells_near_ties_apart():
+    # below 0.5 in magnitude a logit one float under its column's max sits
+    # within 2**-54 of it, so exp(d) rounds to 1.0 for both, yet only the
+    # max has d == 0: the label one float under the max does not hit
+    tops = np.array([1e-3, 0.3, -1e-3])
+    under = np.nextafter(tops, -np.inf)
+    logits = np.vstack([np.concatenate([tops, under]), np.concatenate([under, tops])])
+    logits = np.hstack([logits, logits])
+    labels = np.repeat([0, 1], 2 * tops.size)
+    _, _, hit = xent_both_ways(logits, labels, np.ones(labels.size))
+    np.testing.assert_array_equal(hit, np.argmax(logits, axis=0) == labels)
+    assert hit.sum() == 2 * tops.size
 
 
 def test_softmax_xent_hit_at_zero_logits():
