@@ -7,31 +7,27 @@ PROB_FLOOR = 1e-12
 
 
 def window_store(padded, radius):
-    """Windowed views of sequences laid out frame-major and padded.
-
-    ``padded`` yields ``(frames, pad)`` pairs, ``frames`` ``[T + 2*pad, D]``
-    with ``pad`` replicated edge frames on each side of the sequence's
-    ``T``. Returns one read-only view per sequence, ``[T, D*(2*radius+1)]``:
-    row ``t`` is the window around frame ``t``, offsets -radius..+radius
-    with the feature index minor. Where ``pad`` covers ``radius`` the view
-    is strided over C-contiguous ``frames`` themselves, no copy; a smaller
-    pad is first re-padded into a copy. Either way the view keeps the
-    frames' dtype (float32 stays float32). Training and eval both window
-    through here.
-    """
+    """One read-only window view per ``(frames, pad)`` pair, for training
+    and eval: ``frames`` ``[T + 2*pad, D]`` hold ``pad`` replicated edge
+    frames on each side, and row ``t`` of the ``[T, D*(2*radius+1)]``
+    view is the window around frame ``t``, offsets -radius..+radius,
+    feature index minor. Where ``pad`` covers ``radius`` the view is an
+    ``ndarray`` over the bytes of C-contiguous ``frames``, no copy; a
+    smaller pad is re-padded into a copy first. It keeps their dtype."""
     views = []
     for frames, pad in padded:
         frames = np.ascontiguousarray(frames)
         if pad < radius:
             grow = radius - pad
             frames, pad = np.pad(frames, ((grow, grow), (0, 0)), mode="edge"), radius
-        dim = frames.shape[1]
-        views.append(np.lib.stride_tricks.as_strided(
-            frames[pad - radius :],
-            shape=(frames.shape[0] - 2 * pad, dim * (2 * radius + 1)),
-            strides=(dim * frames.itemsize, frames.itemsize),
-            writeable=False,
-        ))
+        dim, size = frames.shape[1], frames.itemsize
+        view = np.ndarray(
+            (frames.shape[0] - 2 * pad, dim * (2 * radius + 1)), frames.dtype,
+            buffer=frames, offset=(pad - radius) * dim * size,
+            strides=(dim * size, size),
+        )
+        view.flags.writeable = False
+        views.append(view)
     return views
 
 
@@ -67,15 +63,14 @@ def softmax_xent_grad(logits, labels, weights, out=None, scratch=None):
     and n frames (a new one when not given), and ``hit`` lives in it.
 
     The hits are read before ``exp``, off ``d = logits - col_max``: for
-    finite x and m, ``x - m == 0`` holds exactly when ``x == m``, so
-    ``d == 0`` marks the entries equal to their column's max, and the
-    label hits iff it is marked. (``exp(d) == 1.0`` would not do: it
-    also holds for d in (-2**-54, 0).) Each mark adds exactly
-    ``exp(0) == 1.0`` to the column's sum, so a sum below 2.0 means one
-    mark; any other column (ties, as at the zero-initialised first step)
-    takes its first mark, the smallest tied id. A column holding NaN or
-    +inf has no mark, so its hit can differ from the argmax's; its loss
-    is NaN, which ``train`` raises on before it reads any hit.
+    finite x and m, ``x - m == 0`` holds exactly when ``x == m`` (which
+    ``exp(d) == 1.0`` would not tell: it holds for d in (-2**-54, 0)), so
+    the label hits iff ``d == 0`` marks it. Each mark adds exactly 1.0 to
+    the column's sum, so a sum below 2.0 means one mark; when any column
+    ties, as at the zero-initialised first step, every column takes its
+    first mark, the smallest tied id, found row by row. A column holding
+    NaN or +inf has no mark, so its hit can differ from the argmax's; its
+    loss is NaN, which ``train`` raises on before it reads any hit.
     """
     # C order, so the column sums run in one order whatever the input layout
     logits = np.ascontiguousarray(logits, dtype=np.float64)
@@ -96,14 +91,17 @@ def softmax_xent_grad(logits, labels, weights, out=None, scratch=None):
     probs /= total
     tied = np.less(total, 2.0, out=scratch.tied[:n])
     np.logical_not(tied, out=tied)  # two marks add 2.0; NaN falls back too
-    if tied.any():
-        hit[tied] = np.argmax(marks[:, tied], axis=0) == labels[tied]
     p_true = probs.take(at_label, out=column)
     np.log(np.maximum(p_true, PROB_FLOOR, out=p_true), out=p_true)
     loss_sum = float(np.dot(weights, np.negative(p_true, out=p_true)))
     probs *= weights
     np.subtract(probs.take(at_label, out=column), weights, out=column)
     probs.put(at_label, column)
+    if tied.any():  # each column's first mark, row by row into the free at_label
+        at_label.fill(0)  # a column with no mark reads 0, as argmax's does
+        for row in range(classes - 1, -1, -1):
+            np.copyto(at_label, row, where=marks[row])
+        np.equal(at_label, labels, out=hit)
     return loss_sum, probs, hit
 
 

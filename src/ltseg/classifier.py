@@ -6,31 +6,17 @@ which alternates one epoch of gain-weighted gradient descent with a
 projected multiplier step, so the loss weights for epoch e always
 reflect the violations measured during epoch e-1. The learning state
 comes from the SGD pass itself: each step's softmax also marks the
-frames that the logits before the step classify correctly, read off its
-own column max, and the epoch counts those hits per (class, previous
-action) pair. Every frame sits in exactly one batch per epoch, so that
-and the pair's frame count are all the learning state needs.
+frames that the logits before the step classify correctly, and the
+epoch counts those hits per (class, previous action) cell, next to the
+cell's frame count.
 
-Training windows each sequence with ``_kernels.window_store``: a
-strided view over the sequence's own float32 frames, which are held
-once, frame-major and padded with ``p`` edge frames (``LabeledSequence``),
-so the rows are the stacked windows at no extra bytes when ``p`` covers
-the radius, as for a dataset laid out at it (``cmd_train`` lays it out
-so); a sequence padded less is re-padded into a copy. The views also
-give the class means. The SGD step allocates no batch-sized matrix:
-each batch's views are concatenated straight into one float64
-``[n_max, D*(2w+1)]`` buffer (an exact widening), its class-major logits
-and then, in place, their gradient into one float64 ``[L, n_max]``
-buffer, and the softmax's marks of each column's max into one bool
-``[L, n_max]`` buffer; these and the step's per-frame vectors are made
-once per ``train`` call, for the largest batch its epochs form
-(``n_max`` frames). So training holds the features once, and never a
-full ``[N, L]`` logits matrix, an ``[N, D*(2w+1)]`` copy or a per-frame
-array over the training set.
-
-``window_store`` is the one window builder and ``_class_major_logits``
-the one logits expression: the SGD step and eval (``predict_windows`` on
-``decode.windowed_extractor``'s per-sequence view) both use them.
+Training windows each sequence with ``_kernels.window_store``, a view of
+the dataset's one padded float32 buffer (``seqdata.Dataset``), at no
+extra bytes when the pad covers the radius, as ``cmd_train`` lays it
+out; eval windows through the same views (``decode.windowed_extractor``)
+and ``_class_major_logits``. The SGD step allocates no batch-sized
+array: ``train`` makes its buffers once, and adds one per-frame array,
+the flat cells.
 """
 
 import json
@@ -179,28 +165,19 @@ def train(dataset, config: TrainConfig):
     keeps the multipliers at zero, and plain_ce is inverse_prior at
     tau = 0, whose gain is exactly 1.
 
-    Each sequence is windowed by ``_kernels.window_store``: a view over
-    its own padded frames when they carry at least w edge frames on each
-    side (a dataset laid out at w), a re-padded copy otherwise. A step
-    concatenates its batch's views straight into one float64
-    ``[n, D*(2w+1)]`` buffer (an exact widening), reads its frame
-    weights off the gain array at its frames' (class, previous action)
-    cells, and makes one ``softmax_xent_grad`` call and one gradient
-    GEMM (``batch_gradient``) with the class-major logits and, in place,
-    their gradient in one ``[L, n]`` buffer; the softmax also gives the
-    hits, from its ``d == 0`` marks in a bool ``[L, n]`` buffer, counted
-    per cell by one ``bincount``. These buffers and the step's per-frame
-    vectors are made once, for the largest batch the epochs form, which
-    a generator seeded like the training one finds first by replaying
-    the permutations in O(S) memory. The views give
-    ``params.train_means`` too.
+    Made once, before the first epoch: the window views, which also give
+    ``params.train_means``, the flat cells, and the step buffers, sized
+    for the largest batch by replaying the epochs' permutations. A step
+    concatenates its batch's windows (widened exactly to float64),
+    labels and cells into them, takes its frame weights off the gain at
+    its cells, gets the logits and in place their gradient in one
+    ``[L, n]`` buffer (``batch_gradient``), and bins its hits by cell,
+    the missed frames past the last cell.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
     config.validate()
     seqs = dataset.sequences
-    if not seqs:
-        raise ConfigError("cannot train on an empty dataset")
     L, D, w = dataset.num_classes, dataset.feature_dim, config.context_radius
     check_radius(w, L, D, len(seqs))  # the N * D features are loaded already
     counts = compute_transition_stats(dataset)
@@ -208,51 +185,54 @@ def train(dataset, config: TrainConfig):
     params = ClassifierParams.zeros(L, D, w)
     rng = np.random.default_rng(config.rng_seed)
     windows = _kernels.window_store([(seq.frames, seq.pad) for seq in seqs], w)
-    lengths = np.array([seq.num_frames for seq in seqs])
+    # the class means read only the windows: taken before the step buffers
+    params.train_means = class_means_of(dataset, windows)
+    lengths = np.diff(dataset.offsets)
     # the step buffers hold the largest batch, the logits flat so every
     # batch's [L, n] prefix is C-contiguous
     n_max = _largest_batch(lengths, config)
     phi_buf = np.empty((n_max, params.weights.shape[1]))
     logits_buf = np.empty(L * n_max)
     scratch = _kernels.XentScratch(L, n_max)
-    labels_buf, prev_buf, cells_buf = np.empty((3, n_max), dtype=np.int64)
+    labels_buf, cells_buf = np.empty((2, n_max), dtype=np.int64)
     weights_buf = np.empty(n_max)
+    # each sequence's labels, cells and length, in lists made once
+    seq_labels = [seq.frame_labels for seq in seqs]
+    seq_cells = np.split(dataset.cells(), dataset.offsets[1:-1])
+    sizes = lengths.tolist()
     tau = 0.0 if config.loss_mode == "plain_ce" else config.tau
     gamma = config.gamma if config.loss_mode == "cost_sensitive" else 0.0
     telemetry = []
     for epoch in range(config.epochs):
         gain = costsens.compute_gain(counts, lam, tau).ravel()
-        hits = np.zeros(L * (L + 1), dtype=np.int64)
-        order = rng.permutation(len(seqs))
+        hits = np.zeros(L * (L + 1) + 1, dtype=np.int64)
+        order = rng.permutation(len(seqs)).tolist()
         epoch_loss = 0.0
         for lo in range(0, len(seqs), config.batch_size):
             ids = order[lo : lo + config.batch_size]
-            n = int(lengths[ids].sum())
+            n = sum([sizes[s] for s in ids])
             phi = np.concatenate([windows[s] for s in ids], out=phi_buf[:n])
-            labels = np.concatenate([seqs[s].frame_labels for s in ids],
-                                    out=labels_buf[:n])
-            # flat (class, previous action) cells, column L 'start'
-            cells = np.multiply(labels, L + 1, out=cells_buf[:n])
-            cells += np.concatenate([seqs[s].prev_action for s in ids],
-                                    out=prev_buf[:n])
+            labels = np.concatenate([seq_labels[s] for s in ids], out=labels_buf[:n])
+            cells = np.concatenate([seq_cells[s] for s in ids], out=cells_buf[:n])
             loss_sum, grad_w, grad_b, hit = batch_gradient(
-                params, phi, labels, gain.take(cells, out=weights_buf[:n]),
+                params, phi, labels, gain.take(cells, out=weights_buf[:n], mode="clip"),
                 logits_buf[: L * n].reshape(L, n), scratch,
-            )
+            )  # every cell is in range, so take need not check them
             scale = config.learning_rate / n
-            params.weights -= scale * grad_w
-            params.bias -= scale * grad_b
+            params.weights -= np.multiply(grad_w, scale, out=grad_w)
+            params.bias -= np.multiply(grad_b, scale, out=grad_b)
             epoch_loss += loss_sum
-            hits += np.bincount(cells[hit], minlength=hits.size)
+            # the missed frames go to the bin past the last cell
+            np.putmask(cells, np.logical_not(hit, out=hit), hits.size - 1)
+            hits += np.bincount(cells, minlength=hits.size)
         mean_loss = epoch_loss / dataset.total_frames
         if not np.isfinite(mean_loss):
             raise TrainingDivergedError(epoch, mean_loss)
         lam, record = costsens.multiplier_step(
-            lam, hits.reshape(L, L + 1), counts, gamma, config.epsilon
+            lam, hits[:-1].reshape(L, L + 1), counts, gamma, config.epsilon
         )
         record.update(epoch=epoch, loss=mean_loss)
         telemetry.append(record)
-    params.train_means = class_means_of(dataset, windows)
     return params, telemetry
 
 

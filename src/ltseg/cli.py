@@ -14,6 +14,7 @@ import dataclasses
 import hashlib
 import json
 import os
+import shutil
 import sys
 import time
 
@@ -226,22 +227,30 @@ def _resolve_dataset(config: ExperimentConfig, pad=0) -> sd.Dataset:
 
 
 def cmd_gen(config: ExperimentConfig, stream=None) -> str:
-    """Materialize the synthetic dataset and print its class frame-count
-    table as CSV. Returns the run directory."""
+    """Write the synthetic dataset one sequence at a time, as it is drawn,
+    and print its class frame-count table as CSV. Returns the run
+    directory. A config the generator refuses leaves no directory; a
+    sequence it refuses removes the run directory, and the output root
+    when gen made it."""
     if config.synthetic is None:
         raise ConfigError("gen needs a synthetic dataset source, not a manifest")
-    # draw first: a config the generator refuses leaves no run directory
-    dataset = sd.generate_synthetic(config.synthetic)
+    synth, made = config.synthetic, os.path.abspath(config.out_dir)
+    draws = sd.draw_synthetic(synth)
+    while not os.path.exists(os.path.dirname(made)):  # the outermost new directory
+        made = os.path.dirname(made)
+    made = None if os.path.exists(made) else made
     run_dir = make_run_dir(config)
     _write_json(os.path.join(run_dir, "config.json"), config_to_dict(config))
-    sd.save_dataset(
-        dataset,
-        os.path.join(run_dir, "dataset"),
-        feature_format=config.feature_format,
-    )
+    names = sd.default_class_names(synth.num_classes)
+    try:
+        counts = sd.write_dataset(os.path.join(run_dir, "dataset"), names,
+                                  synth.feature_dim, draws, config.feature_format)
+    except LtsegError:
+        shutil.rmtree(made or run_dir)
+        raise
     lines = ["class_id,name,frames"]
-    for idx, name in enumerate(dataset.class_names):
-        lines.append(f"{idx},{name},{int(dataset.class_frame_counts[idx])}")
+    for idx, name in enumerate(names):
+        lines.append(f"{idx},{name},{int(counts[idx])}")
     table = "\n".join(lines) + "\n"
     with open(os.path.join(run_dir, "class_counts.csv"), "w", encoding="utf-8") as fh:
         fh.write(table)

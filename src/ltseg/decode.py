@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError, EmptySequenceError
+from .errors import ConfigError
 from .seqdata import segmentation_from_frames
 
 DECODE_MODES = ("argmax", "ncm", "sncm")
@@ -59,22 +59,23 @@ def class_means_of(dataset, representations) -> ClassMeans:
     """Average the representation of every training frame per class.
 
     ``representations`` yields each sequence's [T, R] representation in
-    order. Each labelled run is summed once and added into its class row,
-    in order; the support is the dataset's per-class frame count. Training
+    order. Each labelled run is summed once, in float64 straight from its
+    dtype, and one ``add.at`` adds the run sums into their class rows in
+    order; the support is the dataset's per-class frame count. Training
     split only: evaluation data must never flow in here.
     """
-    if not dataset.sequences:
-        raise EmptySequenceError("cannot compute class means of an empty dataset")
+    starts, _, runs = segmentation_from_frames(dataset.labels, dataset.offsets)
+    cuts = np.searchsorted(starts, dataset.offsets).tolist()
     sums = None
-    for seq, reps in zip(dataset.sequences, representations):
-        reps = np.asarray(reps, dtype=np.float64)
+    for reps, lo, hi, first in zip(representations, cuts, cuts[1:], dataset.offsets):
         if sums is None:
-            sums = np.zeros((dataset.num_classes, reps.shape[1]))
-        starts, _, labels = segmentation_from_frames(seq.frame_labels)
-        np.add.at(sums, labels, np.add.reduceat(reps, starts, axis=0))
+            sums = np.zeros((starts.size, reps.shape[1]))
+        np.add.reduceat(reps, starts[lo:hi] - first, axis=0, dtype=np.float64,
+                        out=sums[lo:hi])
+    means = np.zeros((dataset.num_classes, sums.shape[1]))
+    np.add.at(means, runs, sums)
     support = dataset.class_frame_counts.astype(np.int64)
-    means = np.zeros_like(sums)
-    np.divide(sums, support[:, None], out=means, where=support[:, None] > 0)
+    np.divide(means, support[:, None], out=means, where=support[:, None] > 0)
     return ClassMeans(means=means, support=support)
 
 

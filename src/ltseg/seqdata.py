@@ -5,14 +5,15 @@ Each frame also records the label of the preceding segment (maximal run
 of a single class), with the synthetic 'start' class (index L) standing
 in before the first segment. ``segmentation_from_frames`` is the one
 run-length encoding of a labeling, as int64 arrays
-``(starts, ends, labels)``; the previous actions, the segment decoder
-and the segment metrics all read it.
+``(starts, ends, labels)``; the previous actions, the class means, the
+segment decoder and the segment metrics all read it. A ``Dataset``
+holds its sequences flat.
 """
 
 import io
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -34,17 +35,25 @@ START = "start"
 DRAW_LIMIT = 2**31
 
 
-def segmentation_from_frames(frame_labels):
+def segmentation_from_frames(frame_labels, offsets=None):
     """Run-length encode a frame labeling into int64 arrays
     ``(starts, ends, labels)``, one entry per segment in temporal order:
-    ends are inclusive, the segments tile [0, T), adjacent labels differ."""
+    ends are inclusive, the segments tile [0, T), adjacent labels differ.
+    Given ``offsets`` [S+1], the labeling is S sequences held flat, and
+    a segment also ends where a sequence does."""
     labels = np.asarray(frame_labels, dtype=np.int64)
     if labels.size == 0:
         raise EmptySequenceError("cannot segment an empty frame labeling")
-    change = np.flatnonzero(labels[1:] != labels[:-1])
-    starts = np.concatenate(([0], change + 1))
-    ends = np.concatenate((change, [labels.size - 1]))
-    return starts, ends, labels[starts]
+    new = np.concatenate(([True], labels[1:] != labels[:-1]))
+    if offsets is not None:
+        new[offsets[:-1]] = True
+    starts = np.flatnonzero(new)
+    return starts, np.append(starts[1:], labels.size) - 1, labels[starts]
+
+
+def default_class_names(num_classes):
+    width = max(2, len(str(num_classes - 1)))
+    return tuple(f"class_{i:0{width}d}" for i in range(num_classes))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -54,7 +63,7 @@ class LabeledSequence:
     ``frames``, float32 ``[T + 2p, D]`` with ``pad`` (p) replicated edge
     frames on each side, so ``_kernels.window_store`` windows them in
     place at any context radius up to p; ``features`` is their [D x T]
-    view."""
+    view. All three arrays are views of a ``Dataset``'s flat ones."""
 
     frames: np.ndarray
     frame_labels: np.ndarray
@@ -76,10 +85,9 @@ class LabeledSequence:
 
     @classmethod
     def from_frames(cls, features, frame_labels, num_classes, seq_id="", pad=0):
-        """Build a sequence from features [D x T] and raw labels, deriving
-        the previous actions from the run-length encoding, and checking
-        every invariant. The features are copied once, as float32, into
-        the layout padded by ``pad`` frames."""
+        """The sequence of a one-sequence ``Dataset`` of features [D x T]
+        and raw labels, every invariant checked; the features are copied
+        once, as float32, into the layout padded by ``pad`` frames."""
         feats = np.asarray(features)
         labels = np.asarray(frame_labels, dtype=np.int64)
         name = f"sequence {seq_id or '<unnamed>'}"
@@ -97,87 +105,113 @@ class LabeledSequence:
             frames[pad : pad + labels.size] = feats.T
         if not np.isfinite(frames[pad : pad + labels.size]).all():
             raise RangeError(f"{name} has non-finite features")
-        frames[:pad] = frames[pad]
-        frames[pad + labels.size :] = frames[pad + labels.size - 1]
-        if labels.min() < 0 or labels.max() >= num_classes:
-            bad = int(labels.max() if labels.max() >= num_classes else labels.min())
-            raise RangeError(f"{name}: label {bad} outside [0, {num_classes})")
-        # each segment's frames follow the previous segment's label, the
-        # first segment's follow 'start' (index num_classes)
-        starts, ends, runs = segmentation_from_frames(labels)
-        prev = np.repeat(np.concatenate(([num_classes], runs[:-1])), ends - starts + 1)
-        return cls(
-            frames=frames, frame_labels=labels, prev_action=prev, seq_id=seq_id, pad=pad
-        )
+        ds = Dataset(frames, labels, [0, labels.size], num_classes, (), [seq_id], pad)
+        return ds.sequences[0]
 
 
 @dataclass(eq=False)
 class Dataset:
-    """A bundle of sequences sharing one class inventory and feature
-    space, plus per-class frame totals."""
+    """Sequences sharing one class inventory and feature space, held
+    flat: ``frames``, float32 ``[N + 2pS, D]``, holds the S sequences'
+    frames in turn, each padded by p edge frames on each side, which
+    construction fills; ``labels`` and ``prev_action``, derived unless
+    given, are int64 [N]. Sequence s is frames ``offsets[s]:offsets[s+1]``
+    and rows ``offsets[s] + 2ps`` to ``offsets[s+1] + 2p(s+1)``;
+    ``sequences`` are views of them. Every label and each sequence's
+    first previous action, 'start' (index L), are checked at once."""
 
-    sequences: list
+    frames: np.ndarray
+    labels: np.ndarray
+    offsets: np.ndarray
     num_classes: int
-    feature_dim: int
-    class_frame_counts: np.ndarray
-    class_names: tuple = ()
+    class_names: tuple
+    seq_ids: list
+    pad: int = 0
+    prev_action: np.ndarray = None
+    sequences: list = field(init=False)
+    class_frame_counts: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        L, names = self.num_classes, self.class_names
+        labels, ids = self.labels, self.seq_ids
+        if L <= 0:
+            raise ConfigError(f"num_classes must be positive, got {L}")
+        if names and len(names) != L:
+            raise ConfigError(f"{len(names)} class names for {L} classes")
+        self.class_names = tuple(names or default_class_names(L))
+        offsets = self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        bad = np.flatnonzero((labels < 0) | (labels >= L))[:1]
+        if bad.size:
+            s = np.searchsorted(offsets, bad[0], side="right") - 1
+            raise RangeError(
+                f"sequence {ids[s] or '<unnamed>'}: label {labels[bad[0]]} "
+                f"outside [0, {L})"
+            )
+        if self.prev_action is None:  # the label of the run before, 'start' first
+            starts, ends, _ = segmentation_from_frames(labels, offsets)
+            prev = labels[starts - 1]
+            prev[np.searchsorted(starts, offsets[:-1])] = L
+            self.prev_action = np.repeat(prev, ends - starts + 1)
+        prev = self.prev_action
+        off = np.flatnonzero(prev[offsets[:-1]] != L)[:1]
+        if off.size:
+            raise ConfigError(
+                f"sequence {ids[off[0]] or '<unnamed>'} was built for "
+                f"{prev[offsets[off[0]]]} classes, the dataset has {L}"
+            )
+        # each sequence's edge frames repeat its first and last frame
+        pad, frames = self.pad, self.frames
+        rows, edge = offsets + 2 * pad * np.arange(offsets.size), np.arange(pad)
+        left, right = rows[:-1, None] + edge, rows[1:, None] - 1 - edge
+        frames[left.ravel()] = frames[np.repeat(rows[:-1] + pad, pad)]
+        frames[right.ravel()] = frames[np.repeat(rows[1:] - 1 - pad, pad)]
+        rows, cuts = rows.tolist(), offsets.tolist()
+        self.sequences = [
+            LabeledSequence(frames[a:b], labels[c:d], prev[c:d], seq_id, pad)
+            for a, b, c, d, seq_id in zip(rows, rows[1:], cuts, cuts[1:], ids)
+        ]
+        self.class_frame_counts = np.bincount(labels, minlength=L)
 
     @classmethod
     def build(cls, sequences, num_classes, class_names=()):
-        if num_classes <= 0:
-            raise ConfigError(f"num_classes must be positive, got {num_classes}")
-        if class_names and len(class_names) != num_classes:
-            raise ConfigError(
-                f"{len(class_names)} class names for {num_classes} classes"
-            )
-        if not class_names:
-            width = max(2, len(str(num_classes - 1)))
-            class_names = tuple(f"class_{i:0{width}d}" for i in range(num_classes))
+        """A dataset of copies of ``sequences``, which share a pad."""
         if not sequences:
             raise EmptySequenceError("dataset has no sequences")
-        dim = sequences[0].feature_dim
-        counts = np.zeros(num_classes, dtype=np.int64)
-        for seq in sequences:
-            if seq.feature_dim != dim:
-                raise ConfigError(
-                    f"sequence {seq.seq_id or '<unnamed>'} has feature dim "
-                    f"{seq.feature_dim}, expected {dim}"
-                )
-            if seq.prev_action[0] != num_classes:  # 'start' is index L
-                raise ConfigError(
-                    f"sequence {seq.seq_id or '<unnamed>'} was built for "
-                    f"{int(seq.prev_action[0])} classes, the dataset has {num_classes}"
-                )
-            if seq.frame_labels.max() >= num_classes:
-                raise RangeError(
-                    f"sequence {seq.seq_id or '<unnamed>'}: label "
-                    f"{int(seq.frame_labels.max())} outside [0, {num_classes})"
-                )
-            counts += np.bincount(seq.frame_labels, minlength=num_classes)
+        dim, pad = sequences[0].feature_dim, sequences[0].pad
+        odd = next((s for s in sequences if (s.feature_dim, s.pad) != (dim, pad)), None)
+        if odd:
+            raise ConfigError(
+                f"sequence {odd.seq_id or '<unnamed>'} has feature dim "
+                f"{odd.feature_dim} and pad {odd.pad}, expected {dim} and {pad}"
+            )
         return cls(
-            sequences=list(sequences),
-            num_classes=num_classes,
-            feature_dim=dim,
-            class_frame_counts=counts,
-            class_names=tuple(class_names),
+            np.concatenate([seq.frames for seq in sequences]),
+            np.concatenate([seq.frame_labels for seq in sequences]),
+            np.cumsum([0] + [seq.num_frames for seq in sequences]), num_classes,
+            class_names, [seq.seq_id for seq in sequences], pad,
+            np.concatenate([seq.prev_action for seq in sequences]),
         )
 
     @property
+    def feature_dim(self):
+        return self.frames.shape[1]
+
+    @property
     def total_frames(self):
-        return int(self.class_frame_counts.sum())
+        return self.labels.size
+
+    def cells(self):
+        """Each frame's (class, previous action) cell, int64 [N], flat."""
+        cells = self.labels * (self.num_classes + 1)
+        cells += self.prev_action
+        return cells
 
 
 def compute_transition_stats(dataset):
     """Frame counts by (truth class, previous action), int64 ``[L, L+1]``
     with column L 'start'; they depend only on the labels, not a model."""
-    if not dataset.sequences:
-        raise EmptySequenceError("cannot compute transition stats of an empty dataset")
     L = dataset.num_classes
-    counts = np.zeros((L, L + 1), dtype=np.int64)
-    for seq in dataset.sequences:
-        flat = seq.frame_labels * (L + 1) + seq.prev_action
-        counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
-    return counts
+    return np.bincount(dataset.cells(), minlength=L * (L + 1)).reshape(L, L + 1)
 
 
 def check_radius(radius, num_classes, dim, num_sequences):
@@ -315,14 +349,14 @@ def _chain_rows(config, rng):
     return np.cumsum(weights / mass, axis=1)
 
 
-def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
-    """Draw a synthetic dataset, each sequence laid out padded by ``pad``
-    frames; bit-identical for equal configs, whatever the pad."""
+def draw_synthetic(config: SynthConfig):
+    """Check the config and draw its class means and successor rows, then
+    return an iterator that draws its sequences one at a time, as
+    ``(seq_id, frame_labels, frames)``: int64 labels [T] and float32
+    features [T, D], bit-identical for equal configs."""
     config.validate()
     L, D = config.num_classes, config.feature_dim
-    check_radius(pad, L, D, config.num_sequences)
     rng = np.random.default_rng(config.rng_seed)
-
     with np.errstate(over="ignore"):
         means = rng.standard_normal((L, D)) * config.mean_scale
         if not np.isfinite(means.astype(np.float32)).all():
@@ -331,37 +365,63 @@ def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
                 "the float32 range"
             )
     cum_rows = _chain_rows(config, rng)
-
     dur_mean = float(config.duration_mean)
     dur_scale = config.duration_spread * dur_mean
     width = max(4, len(str(config.num_sequences - 1)))
-    sequences = []
-    for s in range(config.num_sequences):
-        seq_id = f"seq_{s:0{width}d}"
-        n_seg = 1 + int(rng.poisson(config.mean_segments - 1.0))
-        labels = _segment_label_chain(rng, cum_rows, n_seg, L)
-        durations = np.maximum(1.0, np.rint(rng.normal(dur_mean, dur_scale, n_seg)))
-        if not durations.max() < DRAW_LIMIT:
-            raise ConfigError(
-                f"duration_spread {config.duration_spread} around duration_mean "
-                f"{dur_mean} draws a segment of {durations.max()} frames in "
-                f"{seq_id}, not below {DRAW_LIMIT}"
-            )
-        frame_labels = np.repeat(labels, durations.astype(np.int64))
-        feats = means[frame_labels]  # [T, D]; the noise is drawn [D, T]
-        if config.noise_scale > 0:
+
+    def draws():
+        for s in range(config.num_sequences):
+            seq_id = f"seq_{s:0{width}d}"
+            n_seg = 1 + int(rng.poisson(config.mean_segments - 1.0))
+            labels = _segment_label_chain(rng, cum_rows, n_seg, L)
+            durations = np.maximum(1.0, np.rint(rng.normal(dur_mean, dur_scale, n_seg)))
+            if not durations.max() < DRAW_LIMIT:
+                raise ConfigError(
+                    f"duration_spread {config.duration_spread} around duration_mean "
+                    f"{dur_mean} draws a segment of {durations.max()} frames in "
+                    f"{seq_id}, not below {DRAW_LIMIT}"
+                )
+            frame_labels = np.repeat(labels, durations.astype(np.int64))
+            feats = means[frame_labels]  # [T, D]; the noise is drawn [D, T]
             with np.errstate(over="ignore", invalid="ignore"):
-                feats += config.noise_scale * rng.standard_normal(feats.shape[::-1]).T
-        try:
-            sequences.append(
-                LabeledSequence.from_frames(feats.T, frame_labels, L, seq_id, pad)
-            )
-        except RangeError:  # the labels are valid, so the features overflowed
-            raise ConfigError(
-                f"noise_scale {config.noise_scale} puts the features of {seq_id} "
-                "outside the float32 range"
-            ) from None
-    return Dataset.build(sequences, num_classes=L)
+                if config.noise_scale > 0:
+                    noise = rng.standard_normal(feats.shape[::-1]).T
+                    feats += config.noise_scale * noise
+                frames = feats.astype(np.float32)
+            if not np.isfinite(frames).all():
+                raise ConfigError(
+                    f"noise_scale {config.noise_scale} puts the features of "
+                    f"{seq_id} outside the float32 range"
+                )
+            yield seq_id, frame_labels, frames
+
+    return draws()
+
+
+def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
+    """The sequences of ``draw_synthetic`` in one dataset, each laid out
+    padded by ``pad`` frames; bit-identical for equal configs, whatever
+    the pad."""
+    config.validate()
+    D = config.feature_dim
+    check_radius(pad, config.num_classes, D, config.num_sequences)
+    draws = draw_synthetic(config)
+    # the one buffer starts a sixteenth past the expected frame count and
+    # grows in place, an eighth at a time, while no view of it exists
+    expected = config.mean_segments * config.duration_mean + 2 * pad
+    frames = np.empty((int(config.num_sequences * expected * 17 / 16), D), np.float32)
+    seq_ids, labels, offsets = [], [], [0]
+    for seq_id, frame_labels, drawn in draws:
+        seq_ids.append(seq_id)
+        labels.append(frame_labels)
+        offsets.append(offsets[-1] + frame_labels.size)
+        end = offsets[-1] + 2 * pad * len(seq_ids)
+        if end > frames.shape[0]:
+            frames.resize((max(end, frames.shape[0] * 9 // 8), D), refcheck=False)
+        frames[end - pad - frame_labels.size : end - pad] = drawn
+    frames.resize((end, D), refcheck=False)
+    labels = np.concatenate(labels)  # and the list goes
+    return Dataset(frames, labels, offsets, config.num_classes, (), seq_ids, pad)
 
 
 # ---------------------------------------------------------------------------
@@ -378,77 +438,94 @@ def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
 _FEATURE_HEADER = np.dtype("<u8")
 
 
-def _write_features_binary(path, features):
-    dim, num_frames = features.shape
+def _write_features_binary(path, frames):
+    num_frames, dim = frames.shape
     with open(path, "wb") as fh:
         np.array([dim, num_frames], dtype=_FEATURE_HEADER).tofile(fh)
-        np.ascontiguousarray(features.T, dtype="<f4").tofile(fh)
+        np.ascontiguousarray(frames, dtype="<f4").tofile(fh)
 
 
-def _read_features_binary(path):
+def _write_features_csv(path, frames):
+    # %.9g round-trips float32 exactly
+    np.savetxt(path, frames.astype(np.float64), fmt="%.9g", delimiter=",")
+
+
+def _read_features(path, out):
+    """The (T, D) a feature file holds, binary or, by its suffix, CSV;
+    its values go into ``out``, float32 ``[T, D]``, when that is out's
+    shape."""
+    if path.endswith(".csv"):
+        text = _open_utf8(path)
+        if not text.getvalue().strip():  # numpy warns on an input with no data
+            raise ParseError(f"{path}: no feature values")
+        try:
+            # a value past the float32 range reads as inf, without a warning
+            table = np.loadtxt(text, delimiter=",", dtype=np.float32, ndmin=2)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+        if table.shape == out.shape:
+            out[...] = table
+        return table.shape
     with open(path, "rb") as fh:
         header = np.fromfile(fh, dtype=_FEATURE_HEADER, count=2)
         if header.size != 2:
             raise ParseError(f"{path}: truncated header (offset {header.size * 8})")
         dim, num_frames = int(header[0]), int(header[1])
-        payload = np.fromfile(fh, dtype="<f4")
-    if payload.size != dim * num_frames:
-        raise ParseError(
-            f"{path}: expected {dim * num_frames} feature values "
-            f"({dim} x {num_frames}), found {payload.size}"
-        )
-    return payload.reshape(num_frames, dim)
-
-
-def _write_features_csv(path, features):
-    # %.9g round-trips float32 exactly
-    np.savetxt(path, features.T.astype(np.float64), fmt="%.9g", delimiter=",")
-
-
-def _read_features_csv(path):
-    text = _open_utf8(path)
-    if not text.getvalue().strip():  # numpy warns on an input with no data
-        raise ParseError(f"{path}: no feature values")
-    try:
-        # a value past the float32 range reads as inf, without a warning
-        table = np.loadtxt(text, delimiter=",", dtype=np.float32, ndmin=2)
-    except ValueError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
-    return table
+        found = (os.fstat(fh.fileno()).st_size - 16) // 4
+        if found != dim * num_frames:
+            raise ParseError(
+                f"{path}: expected {dim * num_frames} feature values "
+                f"({dim} x {num_frames}), found {found}"
+            )
+        if out.shape == (num_frames, dim):
+            fh.readinto(out)
+            if not np.little_endian:
+                out.byteswap(inplace=True)
+    return num_frames, dim
 
 
 def save_dataset(dataset, path, feature_format="binary"):
     """Write a dataset directory; see the format note above."""
+    sequences = ((s.seq_id, s.frame_labels, s.features.T) for s in dataset.sequences)
+    write_dataset(path, dataset.class_names, dataset.feature_dim, sequences,
+                  feature_format)
+
+
+def write_dataset(path, class_names, feature_dim, sequences, feature_format="binary"):
+    """Write a dataset directory of ``(seq_id, frame_labels, frames)``,
+    frames ``[T, D]``, each sequence as it comes; returns the per-class
+    frame counts."""
     if feature_format not in ("binary", "csv"):
         raise ConfigError(f"unknown feature format {feature_format!r}")
     os.makedirs(os.path.join(path, "groundTruth"), exist_ok=True)
     os.makedirs(os.path.join(path, "features"), exist_ok=True)
-    names = dataset.class_names
     with open(os.path.join(path, "classes.txt"), "w", encoding="utf-8") as fh:
-        for i, name in enumerate(names):
+        for i, name in enumerate(class_names):
             fh.write(f"{i} {name}\n")
     ext = "bin" if feature_format == "binary" else "csv"
-    entries = []
-    for idx, seq in enumerate(dataset.sequences):
-        seq_id = seq.seq_id or f"seq_{idx:04d}"
+    entries, counts = [], np.zeros(len(class_names), dtype=np.int64)
+    for idx, (seq_id, labels, frames) in enumerate(sequences):
+        seq_id = seq_id or f"seq_{idx:04d}"
         label_rel = os.path.join("groundTruth", f"{seq_id}.txt")
         feat_rel = os.path.join("features", f"{seq_id}.{ext}")
         with open(os.path.join(path, label_rel), "w", encoding="utf-8") as fh:
-            for y in seq.frame_labels:
-                fh.write(names[y] + "\n")
+            for y in labels:
+                fh.write(class_names[y] + "\n")
         if feature_format == "binary":
-            _write_features_binary(os.path.join(path, feat_rel), seq.features)
+            _write_features_binary(os.path.join(path, feat_rel), frames)
         else:
-            _write_features_csv(os.path.join(path, feat_rel), seq.features)
+            _write_features_csv(os.path.join(path, feat_rel), frames)
         entries.append({"id": seq_id, "labels": label_rel, "features": feat_rel})
+        counts += np.bincount(labels, minlength=counts.size)
     manifest = {
-        "num_classes": dataset.num_classes,
-        "feature_dim": dataset.feature_dim,
+        "num_classes": len(class_names),
+        "feature_dim": feature_dim,
         "sequences": entries,
     }
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
+    return counts
 
 
 def read_bytes(path, error=ParseError):
@@ -585,26 +662,33 @@ def load_dataset(path, pad=0) -> Dataset:
     names = _read_classes(classes_path, num_classes, manifest_path)
     id_of = {name: i for i, name in enumerate(names)}
     id_of[""] = -1  # a blank line
-    sequences = []
-    for index, entry in enumerate(entries):
-        label_path = os.path.join(root, entry["labels"])
-        feat_path = os.path.join(root, entry["features"])
+    labels = []
+    try:  # the label files first, so the features are allocated once
+        for index, entry in enumerate(entries):
+            path = os.path.join(root, entry["labels"])
+            labels.append(_read_labels(path, id_of, classes_path))
+        offsets = np.cumsum([0] + [ids.size for ids in labels])
+        labels = np.concatenate(labels)
+        size = (int(offsets[-1]) + 2 * pad * len(entries), feature_dim)
         try:
-            labels = _read_labels(label_path, id_of, classes_path)
-            csv = feat_path.endswith(".csv")
-            feats = (_read_features_csv if csv else _read_features_binary)(feat_path)
-        except (OSError, ParseError) as exc:  # also name the manifest entry
-            raise ParseError(f"{manifest_path}: sequence entry {index}: {exc}") from exc
-        if feats.shape != (labels.size, feature_dim):  # frame-major
-            raise ParseError(
-                f"{feat_path}: {feats.shape[1]} x {feats.shape[0]} features, but "
-                f"{manifest_path} entry {index} expects feature_dim {feature_dim} "
-                f"x the {labels.size} label lines of {label_path}"
-            )
-        try:
-            sequences.append(LabeledSequence.from_frames(
-                feats.T, labels, num_classes, entry["id"], pad
-            ))
-        except RangeError:  # the labels are valid, so the features are not finite
-            raise RangeError(f"{feat_path}: non-finite feature values") from None
-    return Dataset.build(sequences, num_classes=num_classes, class_names=names)
+            frames = np.empty(size, np.float32)
+        except (MemoryError, ValueError):  # a feature_dim far past the files'
+            raise RangeError(f"{manifest_path}: {size[0]} x {feature_dim} float32 "
+                             "features do not fit in memory") from None
+        for index, entry in enumerate(entries):
+            feat_path = os.path.join(root, entry["features"])
+            end = offsets[index + 1] + 2 * pad * index + pad
+            slot = frames[end - (offsets[index + 1] - offsets[index]) : end]
+            shape = _read_features(feat_path, slot)
+            if shape != slot.shape:  # frame-major
+                raise ParseError(
+                    f"{feat_path}: {shape[1]} x {shape[0]} features, but the entry "
+                    f"expects feature_dim {feature_dim} x the {slot.shape[0]} "
+                    f"label lines of {os.path.join(root, entry['labels'])}"
+                )
+            if not np.isfinite(slot).all():
+                raise RangeError(f"{feat_path}: non-finite feature values")
+    except (OSError, ParseError) as exc:  # also name the manifest entry
+        raise ParseError(f"{manifest_path}: sequence entry {index}: {exc}") from exc
+    ids = [entry["id"] for entry in entries]
+    return Dataset(frames, labels, offsets, num_classes, names, ids, pad)

@@ -251,8 +251,8 @@ def test_train_views_window_each_sequence_in_place(radius, monkeypatch):
     monkeypatch.undo()
     (views,) = taken
     assert len(views) == len(ds.sequences)
-    # the buffer behind each view is its sequence's float32 frames as
-    # they are, D * (T + 2w) values; each batch widens to float64
+    # the buffer behind each view is the dataset's one float32 buffer as
+    # it is, D * (N + 2wS) values; each batch widens to float64
     for view, seq in zip(views, ds.sequences):
         assert view.shape == (seq.num_frames, ds.feature_dim * (2 * radius + 1))
         assert not view.flags.writeable
@@ -264,8 +264,8 @@ def test_train_views_window_each_sequence_in_place(radius, monkeypatch):
         buffer = view
         while getattr(buffer, "base", None) is not None:
             buffer = buffer.base
-        assert buffer.dtype == np.float32
-        assert buffer.size == ds.feature_dim * (seq.num_frames + 2 * radius)
+        assert buffer is ds.frames and buffer.dtype == np.float32
+        assert buffer.size == ds.feature_dim * (ds.total_frames + 2 * radius * len(views))
     batch = [5, 0, 3]
     rows = sum(ds.sequences[s].num_frames for s in batch)
     phi = np.concatenate([views[s] for s in batch],
@@ -440,14 +440,46 @@ def test_one_batch_of_every_sequence_matches_reference(loss_mode, batch_size):
     _assert_train_matches_reference(ds, cfg)
 
 
-def test_train_memory_is_windows_plus_step_buffers():
+def _first_step_costs(monkeypatch, ds, cfg):
+    """tracemalloc's peak above the memory in use, inside the first
+    step's softmax (every column ties at the zero-initialised weights)
+    and inside the same call on that batch's logits untied (each row
+    offset by its class id)."""
+    costs = []
+    real = _kernels.softmax_xent_grad
+
+    def cost(logits, labels, weights, out, scratch):
+        current, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        result = real(logits, labels, weights, out=out, scratch=scratch)
+        return result, tracemalloc.get_traced_memory()[1] - current
+
+    def probed(logits, labels, weights, out=None, scratch=None):
+        if costs:
+            return real(logits, labels, weights, out=out, scratch=scratch)
+        untied = logits + np.arange(logits.shape[0])[:, None]
+        costs.append(cost(untied, labels, weights, untied, scratch)[1])
+        result, tied = cost(logits, labels, weights, out, scratch)
+        costs.insert(0, tied)
+        return result
+
+    monkeypatch.setattr(_kernels, "softmax_xent_grad", probed)
+    tracemalloc.start()
+    try:
+        clf.train(ds, cfg)
+    finally:
+        tracemalloc.stop()
+    return costs
+
+
+def test_train_memory_is_windows_plus_step_buffers(monkeypatch):
     # a dataset laid out at the training radius: train windows it in
-    # place, so its peak holds the step buffers and no copy of the
-    # features. At feature_dim 2 and ~200-frame sequences the padded
-    # float32 frames cost 8 bytes a frame, as much as one int64 array a
-    # frame, so a copy of them or any per-frame array over the training
-    # set breaks the bound. The windows of the name are views now; they
-    # cost only their share of the slack
+    # place, so its peak holds the step buffers, the flat cells and no
+    # copy of the features. At feature_dim 2 and ~200-frame sequences
+    # the padded float32 frames cost 8 bytes a frame, as much as one
+    # int64 array a frame, so a copy of them or any per-frame array over
+    # the training set besides the cells breaks the bound. The windows of
+    # the name are views now; they cost only their share of the slack
     cfg = clf.TrainConfig(epochs=2, batch_size=4, context_radius=1)
     ds = sd.generate_synthetic(
         sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=200,
@@ -470,17 +502,29 @@ def test_train_memory_is_windows_plus_step_buffers():
     # one float64 [n, D(2w+1)] batch, one float64 [L, n] buffer for the
     # logits and in place their gradient, and one bool [L, n] of marks
     step = 8 * n * D * (2 * w + 1) + 8 * L * n + L * n
-    # a view and list slots per sequence; the step's per-frame vectors
-    # (labels, cells, weights, hits, softmax column reductions), counted
-    # for the batch_size longest sequences; the rest
-    slack = 512 * S + 128 * n_max + 64 * 1024
+    # the flat (class, previous action) cells, one int64 a training frame
+    cells = 8 * ds.total_frames
+    # a window view, a cells view and list slots per sequence; the step's
+    # per-frame vectors (labels, cells, weights, misses, softmax column
+    # reductions and first marks) and numpy's transient buffers, at the
+    # largest batch; the rest
+    slack = 256 * S + 128 * n + 16 * 1024
     tracemalloc.start()
     try:
         clf.train(ds, cfg)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < step + slack, (peak, step, slack)
+    assert peak < step + cells + slack, (peak, step, cells, slack)
+    # the first step, where every column ties, allocates about what the
+    # same step untied does: at L = 48 and ~4,000 frames a copy of the
+    # tied marks alone would be L n = ~190 KB, above numpy's own buffers
+    many = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=48, feature_dim=2, num_sequences=8,
+                       mean_segments=5.0, duration_mean=200.0, rng_seed=0)
+    )
+    tied, untied = _first_step_costs(monkeypatch, many, cfg)
+    assert tied <= untied + 16 * 1024, (tied, untied)
 
 
 @pytest.mark.parametrize("loss_mode", clf.LOSS_MODES)

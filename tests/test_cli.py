@@ -9,6 +9,7 @@ import pathlib
 import shutil
 import subprocess
 import sys
+import tracemalloc
 import types
 import warnings
 
@@ -395,6 +396,57 @@ def test_gen_extreme_synthetic_values_exit_2(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize("root_exists", [False, True])
+def test_gen_refused_mid_draw_leaves_only_what_was_there(
+    tmp_path, capsys, monkeypatch, root_exists
+):
+    # gen writes each sequence as it is drawn; a sequence the generator
+    # refuses after others were written removes the run directory, and
+    # the output root (with its new parents) when gen made it
+    draw = sd.draw_synthetic
+
+    def refuse_second(config):
+        draws = draw(config)
+
+        def first_then_refuse():
+            yield next(draws)
+            raise ConfigError("noise_scale puts the features of seq_0001 outside")
+
+        return first_then_refuse()
+
+    monkeypatch.setattr(sd, "draw_synthetic", refuse_second)
+    root = tmp_path / "out" / "runs"
+    if root_exists:
+        root.mkdir(parents=True)
+    path = write_config(tmp_path / "cfg.json", dataset={"synthetic": small_synth()},
+                        out=str(root))
+    assert cli.main(["gen", "--config", path]) == 2
+    assert "noise_scale" in capsys.readouterr().err
+    if root_exists:
+        assert os.listdir(root) == []
+    else:
+        assert not os.path.exists(tmp_path / "out")
+
+
+def test_gen_holds_one_sequence_at_a_time(tmp_path):
+    # gen streams: its tracemalloc peak stays below the dataset's own
+    # float32 features, which the generator's one buffer would hold
+    synth = small_synth(num_sequences=60, feature_dim=32, duration_mean=40.0)
+    config = cli.load_config(write_config(tmp_path / "cfg.json",
+                                          dataset={"synthetic": synth},
+                                          out=str(tmp_path / "runs")))
+    features = 4 * 32 * sd.generate_synthetic(config.synthetic).total_frames
+    tracemalloc.start()
+    try:
+        run_dir = cli.cmd_gen(config, stream=io.StringIO())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < features / 2, (peak, features)
+    loaded = sd.load_dataset(os.path.join(run_dir, "dataset"))
+    assert 4 * 32 * loaded.total_frames == features
 
 
 # -- train -------------------------------------------------------------------

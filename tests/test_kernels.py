@@ -1,6 +1,7 @@
 """Each kernel is checked against a plain-Python oracle."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ltseg import _kernels
+from ltseg import seqdata as sd
 
 
 # -- window_store ------------------------------------------------------------
@@ -92,6 +94,32 @@ def test_window_views_share_the_padded_frames(dtype, pad):
             own = frames[pad : frames.shape[0] - pad].T  # the features, [D, T]
             assert np.array_equal(own, features)
             assert np.shares_memory(view, own) == (radius <= pad)
+
+
+@pytest.mark.parametrize("pad", [0, 1, 3])
+def test_window_views_of_a_dataset_share_its_buffer(pad):
+    # one view per sequence of a flat dataset: read-only, the oracle's
+    # windows, over the dataset's own buffer whenever the pad covers the
+    # radius, and each view a small object over those bytes
+    ds = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=200,
+                       mean_segments=2.0, duration_mean=3.0, rng_seed=pad),
+        pad=pad,
+    )
+    pairs = [(seq.frames, seq.pad) for seq in ds.sequences]
+    for radius in range(pad + 2):
+        views = _kernels.window_store(pairs, radius)
+        for view, seq in zip(views, ds.sequences, strict=True):
+            assert not view.flags.writeable
+            np.testing.assert_array_equal(view, window_oracle(seq.features, radius))
+            assert np.shares_memory(view, ds.frames) == (radius <= pad)
+    tracemalloc.start()
+    try:
+        views = _kernels.window_store(pairs, pad)
+        size, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert size / len(views) < 400, size / len(views)
 
 
 # -- softmax_xent_grad -------------------------------------------------------

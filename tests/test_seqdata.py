@@ -5,9 +5,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ltseg import _kernels
+from ltseg import decode as dec
 from ltseg import seqdata as sd
 from ltseg.errors import (
     ConfigError,
@@ -285,6 +287,158 @@ def test_transition_stats_properties():
     # adjacent segments differ, so no class follows itself
     assert not counts[np.arange(L), np.arange(L)].any()
     np.testing.assert_array_equal(counts.sum(axis=1), ds.class_frame_counts)
+
+
+# -- the flat dataset against per-sequence oracles ----------------------------
+
+
+def transition_stats_oracle(dataset):
+    """Per-sequence transition counts, summed one sequence at a time."""
+    L = dataset.num_classes
+    counts = np.zeros((L, L + 1), dtype=np.int64)
+    for seq in dataset.sequences:
+        flat = seq.frame_labels * (L + 1) + seq.prev_action
+        counts += np.bincount(flat, minlength=counts.size).reshape(counts.shape)
+    return counts
+
+
+def class_frame_counts_oracle(dataset):
+    counts = np.zeros(dataset.num_classes, dtype=np.int64)
+    for seq in dataset.sequences:
+        counts += np.bincount(seq.frame_labels, minlength=dataset.num_classes)
+    return counts
+
+
+def class_means_oracle(dataset, representations):
+    """Class means one sequence at a time: each sequence's representation
+    widened to float64, its runs summed and added into their class rows."""
+    sums = None
+    for seq, reps in zip(dataset.sequences, representations, strict=True):
+        reps = np.asarray(reps, dtype=np.float64)
+        if sums is None:
+            sums = np.zeros((dataset.num_classes, reps.shape[1]))
+        starts, _, labels = sd.segmentation_from_frames(seq.frame_labels)
+        np.add.at(sums, labels, np.add.reduceat(reps, starts, axis=0))
+    support = class_frame_counts_oracle(dataset)
+    means = np.zeros_like(sums)
+    np.divide(sums, support[:, None], out=means, where=support[:, None] > 0)
+    return means, support
+
+
+def _flat_dataset(sequences, num_classes, dim=2, pad=0, seed=0):
+    """A dataset built flat, as the loader builds it, from label lists;
+    its features are random and the previous actions derived."""
+    rng = np.random.default_rng(seed)
+    lengths = [len(labels) for labels in sequences]
+    frames = rng.standard_normal((sum(lengths) + 2 * pad * len(lengths), dim))
+    offsets = np.cumsum([0] + lengths)
+    labels = np.concatenate([np.asarray(s, dtype=np.int64) for s in sequences])
+    ids = [f"s{i}" for i in range(len(lengths))]
+    return sd.Dataset(frames.astype(np.float32), labels, offsets, num_classes, (), ids, pad)
+
+
+_LABEL_SEQUENCES = st.integers(2, 5).flatmap(
+    lambda L: st.tuples(
+        st.just(L),
+        st.lists(st.lists(st.integers(0, L - 1), min_size=1, max_size=12),
+                 min_size=1, max_size=8),
+    )
+)
+
+
+@settings(database=None, derandomize=True, deadline=None, max_examples=200)
+@given(case=_LABEL_SEQUENCES)
+# 1-frame sequences, and sequences that start with the label their
+# predecessor ends on: runs must still reset at every offset
+@example(case=(3, [[0], [0, 0, 1], [1, 1], [1], [2, 0]]))
+def test_flat_prev_action_equals_each_sequence_alone(case):
+    L, sequences = case
+    ds = _flat_dataset(sequences, L)
+    assert ds.prev_action.dtype == np.int64
+    for seq, labels in zip(ds.sequences, sequences, strict=True):
+        alone = _make_seq(labels, num_classes=L)
+        assert seq.prev_action.tobytes() == alone.prev_action.tobytes()
+        assert seq.prev_action[0] == L
+        assert np.shares_memory(seq.prev_action, ds.prev_action)
+    expect = np.concatenate([_make_seq(s, num_classes=L).prev_action for s in sequences])
+    assert ds.prev_action.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize("pad", [0, 2])
+@pytest.mark.parametrize("radius", [0, 1, 3])
+def test_flat_statistics_equal_per_sequence_oracles(pad, radius):
+    generated = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=6, feature_dim=3, num_sequences=17, rng_seed=pad),
+        pad=pad,
+    )
+    built = sd.Dataset.build(
+        [_make_seq(labels, num_classes=4, seed=i)
+         for i, labels in enumerate(([3], [0, 0, 1], [1, 1, 1, 2], [2], [0, 3, 3]))],
+        4,
+    )
+    for ds in (generated, built):
+        counts = sd.compute_transition_stats(ds)
+        assert counts.dtype == np.int64
+        assert counts.tobytes() == transition_stats_oracle(ds).tobytes()
+        assert ds.class_frame_counts.tobytes() == class_frame_counts_oracle(ds).tobytes()
+        pairs = [(seq.frames, seq.pad) for seq in ds.sequences]
+        # float32 views, as train passes them, and float64 copies, as eval's
+        for reps in (
+            _kernels.window_store(pairs, radius),
+            [dec.windowed_extractor(radius)(seq) for seq in ds.sequences],
+        ):
+            got = dec.class_means_of(ds, reps)
+            means, support = class_means_oracle(ds, reps)
+            assert got.means.tobytes() == means.tobytes()
+            assert got.support.tobytes() == support.tobytes()
+
+
+@pytest.mark.parametrize("fmt", ["binary", "csv"])
+@pytest.mark.parametrize("pad", [0, 2])
+def test_load_holds_every_sequence_in_one_buffer(tmp_path, fmt, pad):
+    ds = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=4, feature_dim=3, num_sequences=7, rng_seed=3)
+    )
+    sd.save_dataset(ds, tmp_path / "ds", feature_format=fmt)
+    loaded = sd.load_dataset(str(tmp_path / "ds"), pad=pad)
+    assert loaded.frames.dtype == np.float32 and loaded.frames.flags.owndata
+    assert loaded.frames.shape == (ds.total_frames + 2 * pad * 7, 3)
+    assert loaded.offsets.tolist() == ds.offsets.tolist()
+    for seq, original in zip(loaded.sequences, ds.sequences, strict=True):
+        for view, flat in ((seq.frames, loaded.frames), (seq.frame_labels, loaded.labels),
+                           (seq.prev_action, loaded.prev_action)):
+            assert view.base is flat and np.shares_memory(view, flat)
+        assert seq.features.tobytes() == original.features.tobytes()
+
+
+def test_generator_buffer_grows_in_place_past_its_estimate():
+    # a wide duration spread, clamped at one frame, makes the sequences
+    # far longer than the expected count the buffer starts at; the grown
+    # layout is each sequence's own, padded as from_frames pads it
+    cfg = sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=40,
+                         duration_spread=3.0, rng_seed=1)
+    ds = sd.generate_synthetic(cfg, pad=2)
+    assert ds.total_frames > 1.5 * 40 * cfg.mean_segments * cfg.duration_mean
+    assert ds.frames.shape == (ds.total_frames + 2 * 2 * 40, 2)
+    for seq in ds.sequences:
+        alone = sd.LabeledSequence.from_frames(seq.features, seq.frame_labels, 3, pad=2)
+        assert seq.frames.tobytes() == alone.frames.tobytes()
+        assert seq.prev_action.tobytes() == alone.prev_action.tobytes()
+
+
+def test_load_refuses_a_feature_dim_past_memory_typed(tmp_path):
+    # one class, so the weight bound lets feature_dim reach 2**31 - 1:
+    # two frames of it are 16 GiB of float32, which is refused as a
+    # RangeError where it cannot be reserved and, where it can (its pages
+    # are never touched), as the file's shape mismatch
+    ds = sd.Dataset.build([_make_seq([0, 0], num_classes=1)], 1)
+    sd.save_dataset(ds, tmp_path / "ds")
+    path = tmp_path / "ds" / "manifest.json"
+    manifest = json.loads(path.read_text())
+    path.write_text(json.dumps(dict(manifest, feature_dim=2**31 - 1)))
+    with pytest.raises((RangeError, ParseError)) as err:
+        sd.load_dataset(str(path))
+    assert str(path) in str(err.value) and "features" in str(err.value)
 
 
 def test_head_tail_split():
