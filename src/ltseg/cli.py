@@ -229,13 +229,11 @@ def _resolve_dataset(config: ExperimentConfig, pad=0) -> sd.Dataset:
 def cmd_gen(config: ExperimentConfig, stream=None) -> str:
     """Write the synthetic dataset one sequence at a time, as it is drawn,
     and print its class frame-count table as CSV. Returns the run
-    directory. A config the generator refuses leaves no directory; a
-    sequence it refuses removes the run directory, and the output root
-    when gen made it."""
+    directory. A config or sequence the generator refuses removes the
+    run directory, and the output root when gen made it."""
     if config.synthetic is None:
         raise ConfigError("gen needs a synthetic dataset source, not a manifest")
     synth, made = config.synthetic, os.path.abspath(config.out_dir)
-    draws = sd.draw_synthetic(synth)
     while not os.path.exists(os.path.dirname(made)):  # the outermost new directory
         made = os.path.dirname(made)
     made = None if os.path.exists(made) else made
@@ -243,8 +241,9 @@ def cmd_gen(config: ExperimentConfig, stream=None) -> str:
     _write_json(os.path.join(run_dir, "config.json"), config_to_dict(config))
     names = sd.default_class_names(synth.num_classes)
     try:
-        counts = sd.write_dataset(os.path.join(run_dir, "dataset"), names,
-                                  synth.feature_dim, draws, config.feature_format)
+        counts = sd.save_dataset(os.path.join(run_dir, "dataset"), names,
+                                 synth.feature_dim, sd.draw_synthetic(synth),
+                                 config.feature_format)
     except LtsegError:
         shutil.rmtree(made or run_dir)
         raise

@@ -114,11 +114,10 @@ class Dataset:
     """Sequences sharing one class inventory and feature space, held
     flat: ``frames``, float32 ``[N + 2pS, D]``, holds the S sequences'
     frames in turn, each padded by p edge frames on each side, which
-    construction fills; ``labels`` and ``prev_action``, derived unless
-    given, are int64 [N]. Sequence s is frames ``offsets[s]:offsets[s+1]``
+    construction fills; ``labels`` and ``prev_action``, derived from
+    them, are int64 [N]. Sequence s is frames ``offsets[s]:offsets[s+1]``
     and rows ``offsets[s] + 2ps`` to ``offsets[s+1] + 2p(s+1)``;
-    ``sequences`` are views of them. Every label and each sequence's
-    first previous action, 'start' (index L), are checked at once."""
+    ``sequences`` are views of them. Every label is checked at once."""
 
     frames: np.ndarray
     labels: np.ndarray
@@ -127,7 +126,7 @@ class Dataset:
     class_names: tuple
     seq_ids: list
     pad: int = 0
-    prev_action: np.ndarray = None
+    prev_action: np.ndarray = field(init=False)
     sequences: list = field(init=False)
     class_frame_counts: np.ndarray = field(init=False)
 
@@ -147,18 +146,11 @@ class Dataset:
                 f"sequence {ids[s] or '<unnamed>'}: label {labels[bad[0]]} "
                 f"outside [0, {L})"
             )
-        if self.prev_action is None:  # the label of the run before, 'start' first
-            starts, ends, _ = segmentation_from_frames(labels, offsets)
-            prev = labels[starts - 1]
-            prev[np.searchsorted(starts, offsets[:-1])] = L
-            self.prev_action = np.repeat(prev, ends - starts + 1)
-        prev = self.prev_action
-        off = np.flatnonzero(prev[offsets[:-1]] != L)[:1]
-        if off.size:
-            raise ConfigError(
-                f"sequence {ids[off[0]] or '<unnamed>'} was built for "
-                f"{prev[offsets[off[0]]]} classes, the dataset has {L}"
-            )
+        # the label of the run before, 'start' (index L) in each first run
+        starts, ends, _ = segmentation_from_frames(labels, offsets)
+        prev = labels[starts - 1]
+        prev[np.searchsorted(starts, offsets[:-1])] = L
+        self.prev_action = prev = np.repeat(prev, ends - starts + 1)
         # each sequence's edge frames repeat its first and last frame
         pad, frames = self.pad, self.frames
         rows, edge = offsets + 2 * pad * np.arange(offsets.size), np.arange(pad)
@@ -174,22 +166,24 @@ class Dataset:
 
     @classmethod
     def build(cls, sequences, num_classes, class_names=()):
-        """A dataset of copies of ``sequences``, which share a pad."""
+        """A dataset of copies of ``sequences``, which share a pad and
+        were built for ``num_classes``."""
         if not sequences:
             raise EmptySequenceError("dataset has no sequences")
         dim, pad = sequences[0].feature_dim, sequences[0].pad
-        odd = next((s for s in sequences if (s.feature_dim, s.pad) != (dim, pad)), None)
-        if odd:
-            raise ConfigError(
-                f"sequence {odd.seq_id or '<unnamed>'} has feature dim "
-                f"{odd.feature_dim} and pad {odd.pad}, expected {dim} and {pad}"
-            )
+        for seq in sequences:
+            name = f"sequence {seq.seq_id or '<unnamed>'}"
+            if (seq.feature_dim, seq.pad) != (dim, pad):
+                raise ConfigError(f"{name} has feature dim {seq.feature_dim} and "
+                                  f"pad {seq.pad}, expected {dim} and {pad}")
+            if seq.prev_action[0] != num_classes:  # 'start' is index L
+                raise ConfigError(f"{name} was built for {seq.prev_action[0]} "
+                                  f"classes, the dataset has {num_classes}")
         return cls(
             np.concatenate([seq.frames for seq in sequences]),
             np.concatenate([seq.frame_labels for seq in sequences]),
             np.cumsum([0] + [seq.num_frames for seq in sequences]), num_classes,
             class_names, [seq.seq_id for seq in sequences], pad,
-            np.concatenate([seq.prev_action for seq in sequences]),
         )
 
     @property
@@ -350,10 +344,10 @@ def _chain_rows(config, rng):
 
 
 def draw_synthetic(config: SynthConfig):
-    """Check the config and draw its class means and successor rows, then
-    return an iterator that draws its sequences one at a time, as
-    ``(seq_id, frame_labels, frames)``: int64 labels [T] and float32
-    features [T, D], bit-identical for equal configs."""
+    """Check the config, draw its class means and successor rows, then
+    draw its sequences one at a time, yielding ``(seq_id, frame_labels,
+    frames)``: int64 labels [T] and float32 features [T, D],
+    bit-identical for equal configs."""
     config.validate()
     L, D = config.num_classes, config.feature_dim
     rng = np.random.default_rng(config.rng_seed)
@@ -368,60 +362,42 @@ def draw_synthetic(config: SynthConfig):
     dur_mean = float(config.duration_mean)
     dur_scale = config.duration_spread * dur_mean
     width = max(4, len(str(config.num_sequences - 1)))
-
-    def draws():
-        for s in range(config.num_sequences):
-            seq_id = f"seq_{s:0{width}d}"
-            n_seg = 1 + int(rng.poisson(config.mean_segments - 1.0))
-            labels = _segment_label_chain(rng, cum_rows, n_seg, L)
-            durations = np.maximum(1.0, np.rint(rng.normal(dur_mean, dur_scale, n_seg)))
-            if not durations.max() < DRAW_LIMIT:
-                raise ConfigError(
-                    f"duration_spread {config.duration_spread} around duration_mean "
-                    f"{dur_mean} draws a segment of {durations.max()} frames in "
-                    f"{seq_id}, not below {DRAW_LIMIT}"
-                )
-            frame_labels = np.repeat(labels, durations.astype(np.int64))
-            feats = means[frame_labels]  # [T, D]; the noise is drawn [D, T]
-            with np.errstate(over="ignore", invalid="ignore"):
-                if config.noise_scale > 0:
-                    noise = rng.standard_normal(feats.shape[::-1]).T
-                    feats += config.noise_scale * noise
-                frames = feats.astype(np.float32)
-            if not np.isfinite(frames).all():
-                raise ConfigError(
-                    f"noise_scale {config.noise_scale} puts the features of "
-                    f"{seq_id} outside the float32 range"
-                )
-            yield seq_id, frame_labels, frames
-
-    return draws()
+    for s in range(config.num_sequences):
+        seq_id = f"seq_{s:0{width}d}"
+        n_seg = 1 + int(rng.poisson(config.mean_segments - 1.0))
+        labels = _segment_label_chain(rng, cum_rows, n_seg, L)
+        durations = np.maximum(1.0, np.rint(rng.normal(dur_mean, dur_scale, n_seg)))
+        if not durations.max() < DRAW_LIMIT:
+            raise ConfigError(
+                f"duration_spread {config.duration_spread} around duration_mean "
+                f"{dur_mean} draws a segment of {durations.max()} frames in "
+                f"{seq_id}, not below {DRAW_LIMIT}"
+            )
+        frame_labels = np.repeat(labels, durations.astype(np.int64))
+        feats = means[frame_labels]  # [T, D]; the noise is drawn [D, T]
+        with np.errstate(over="ignore", invalid="ignore"):
+            if config.noise_scale > 0:
+                feats += config.noise_scale * rng.standard_normal(feats.shape[::-1]).T
+            frames = feats.astype(np.float32)
+        if not np.isfinite(frames).all():
+            raise ConfigError(
+                f"noise_scale {config.noise_scale} puts the features of {seq_id} "
+                "outside the float32 range"
+            )
+        yield seq_id, frame_labels, frames
 
 
 def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
     """The sequences of ``draw_synthetic`` in one dataset, each laid out
     padded by ``pad`` frames; bit-identical for equal configs, whatever
     the pad."""
-    config.validate()
-    D = config.feature_dim
-    check_radius(pad, config.num_classes, D, config.num_sequences)
-    draws = draw_synthetic(config)
-    # the one buffer starts a sixteenth past the expected frame count and
-    # grows in place, an eighth at a time, while no view of it exists
-    expected = config.mean_segments * config.duration_mean + 2 * pad
-    frames = np.empty((int(config.num_sequences * expected * 17 / 16), D), np.float32)
-    seq_ids, labels, offsets = [], [], [0]
-    for seq_id, frame_labels, drawn in draws:
-        seq_ids.append(seq_id)
-        labels.append(frame_labels)
-        offsets.append(offsets[-1] + frame_labels.size)
-        end = offsets[-1] + 2 * pad * len(seq_ids)
-        if end > frames.shape[0]:
-            frames.resize((max(end, frames.shape[0] * 9 // 8), D), refcheck=False)
-        frames[end - pad - frame_labels.size : end - pad] = drawn
-    frames.resize((end, D), refcheck=False)
-    labels = np.concatenate(labels)  # and the list goes
-    return Dataset(frames, labels, offsets, config.num_classes, (), seq_ids, pad)
+    seq_ids, labels, drawn = zip(*draw_synthetic(config))
+    check_radius(pad, config.num_classes, config.feature_dim, config.num_sequences)
+    edge = np.empty((pad, config.feature_dim), np.float32)  # Dataset fills the edges
+    frames = np.concatenate([part for rows in drawn for part in (edge, rows, edge)])
+    offsets = np.cumsum([0] + [y.size for y in labels])
+    return Dataset(frames, np.concatenate(labels), offsets, config.num_classes, (),
+                   list(seq_ids), pad)
 
 
 # ---------------------------------------------------------------------------
@@ -484,17 +460,10 @@ def _read_features(path, out):
     return num_frames, dim
 
 
-def save_dataset(dataset, path, feature_format="binary"):
-    """Write a dataset directory; see the format note above."""
-    sequences = ((s.seq_id, s.frame_labels, s.features.T) for s in dataset.sequences)
-    write_dataset(path, dataset.class_names, dataset.feature_dim, sequences,
-                  feature_format)
-
-
-def write_dataset(path, class_names, feature_dim, sequences, feature_format="binary"):
-    """Write a dataset directory of ``(seq_id, frame_labels, frames)``,
-    frames ``[T, D]``, each sequence as it comes; returns the per-class
-    frame counts."""
+def save_dataset(path, class_names, feature_dim, sequences, feature_format="binary"):
+    """Write a dataset directory (see the format note above) of
+    ``(seq_id, frame_labels, frames)``, frames ``[T, D]``, each sequence
+    as it comes; returns the per-class frame counts."""
     if feature_format not in ("binary", "csv"):
         raise ConfigError(f"unknown feature format {feature_format!r}")
     os.makedirs(os.path.join(path, "groundTruth"), exist_ok=True)

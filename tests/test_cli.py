@@ -409,12 +409,8 @@ def test_gen_refused_mid_draw_leaves_only_what_was_there(
 
     def refuse_second(config):
         draws = draw(config)
-
-        def first_then_refuse():
-            yield next(draws)
-            raise ConfigError("noise_scale puts the features of seq_0001 outside")
-
-        return first_then_refuse()
+        yield next(draws)
+        raise ConfigError("noise_scale puts the features of seq_0001 outside")
 
     monkeypatch.setattr(sd, "draw_synthetic", refuse_second)
     root = tmp_path / "out" / "runs"
@@ -432,7 +428,7 @@ def test_gen_refused_mid_draw_leaves_only_what_was_there(
 
 def test_gen_holds_one_sequence_at_a_time(tmp_path):
     # gen streams: its tracemalloc peak stays below the dataset's own
-    # float32 features, which the generator's one buffer would hold
+    # float32 features, which generate_synthetic's dataset holds
     synth = small_synth(num_sequences=60, feature_dim=32, duration_mean=40.0)
     config = cli.load_config(write_config(tmp_path / "cfg.json",
                                           dataset={"synthetic": synth},

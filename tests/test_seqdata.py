@@ -26,6 +26,12 @@ def _make_seq(labels, num_classes, dim=3, seed=0):
     return sd.LabeledSequence.from_frames(feats, labels, num_classes=num_classes)
 
 
+def _save(ds, path, feature_format="binary"):
+    """Write a dataset held in memory through the streaming writer."""
+    sequences = ((seq.seq_id, seq.frame_labels, seq.features.T) for seq in ds.sequences)
+    sd.save_dataset(path, ds.class_names, ds.feature_dim, sequences, feature_format)
+
+
 def _expand(starts, ends, runs):
     """Frame-wise labels of a run-length encoding, one segment at a time."""
     out = []
@@ -399,7 +405,7 @@ def test_load_holds_every_sequence_in_one_buffer(tmp_path, fmt, pad):
     ds = sd.generate_synthetic(
         sd.SynthConfig(num_classes=4, feature_dim=3, num_sequences=7, rng_seed=3)
     )
-    sd.save_dataset(ds, tmp_path / "ds", feature_format=fmt)
+    _save(ds, tmp_path / "ds", feature_format=fmt)
     loaded = sd.load_dataset(str(tmp_path / "ds"), pad=pad)
     assert loaded.frames.dtype == np.float32 and loaded.frames.flags.owndata
     assert loaded.frames.shape == (ds.total_frames + 2 * pad * 7, 3)
@@ -411,14 +417,12 @@ def test_load_holds_every_sequence_in_one_buffer(tmp_path, fmt, pad):
         assert seq.features.tobytes() == original.features.tobytes()
 
 
-def test_generator_buffer_grows_in_place_past_its_estimate():
-    # a wide duration spread, clamped at one frame, makes the sequences
-    # far longer than the expected count the buffer starts at; the grown
-    # layout is each sequence's own, padded as from_frames pads it
+def test_generator_pads_each_sequence_as_from_frames():
+    # the drawn sequences go into one buffer, each laid out as a
+    # one-sequence dataset of its own lays it out
     cfg = sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=40,
                          duration_spread=3.0, rng_seed=1)
     ds = sd.generate_synthetic(cfg, pad=2)
-    assert ds.total_frames > 1.5 * 40 * cfg.mean_segments * cfg.duration_mean
     assert ds.frames.shape == (ds.total_frames + 2 * 2 * 40, 2)
     for seq in ds.sequences:
         alone = sd.LabeledSequence.from_frames(seq.features, seq.frame_labels, 3, pad=2)
@@ -426,19 +430,25 @@ def test_generator_buffer_grows_in_place_past_its_estimate():
         assert seq.prev_action.tobytes() == alone.prev_action.tobytes()
 
 
-def test_load_refuses_a_feature_dim_past_memory_typed(tmp_path):
-    # one class, so the weight bound lets feature_dim reach 2**31 - 1:
-    # two frames of it are 16 GiB of float32, which is refused as a
-    # RangeError where it cannot be reserved and, where it can (its pages
-    # are never touched), as the file's shape mismatch
+def test_load_refuses_features_past_memory_typed(tmp_path, monkeypatch):
+    # a feature_dim far past the files' sizes a buffer that cannot be
+    # allocated: a RangeError naming the manifest, before any file is read
     ds = sd.Dataset.build([_make_seq([0, 0], num_classes=1)], 1)
-    sd.save_dataset(ds, tmp_path / "ds")
+    _save(ds, tmp_path / "ds")
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
     path.write_text(json.dumps(dict(manifest, feature_dim=2**31 - 1)))
-    with pytest.raises((RangeError, ParseError)) as err:
+    empty = np.empty
+
+    def refuse(shape, *args, **kwargs):
+        if shape == (2, 2**31 - 1):
+            raise MemoryError
+        return empty(shape, *args, **kwargs)
+
+    monkeypatch.setattr(sd.np, "empty", refuse)
+    with pytest.raises(RangeError, match="do not fit in memory") as err:
         sd.load_dataset(str(path))
-    assert str(path) in str(err.value) and "features" in str(err.value)
+    assert str(path) in str(err.value)
 
 
 def test_head_tail_split():
@@ -469,7 +479,7 @@ def test_save_load_round_trip(tmp_path, fmt):
     ds = sd.generate_synthetic(
         sd.SynthConfig(num_classes=4, feature_dim=5, num_sequences=6, rng_seed=2)
     )
-    sd.save_dataset(ds, tmp_path / "ds", feature_format=fmt)
+    _save(ds, tmp_path / "ds", feature_format=fmt)
     _datasets_equal(ds, sd.load_dataset(str(tmp_path / "ds")))
 
 
@@ -482,7 +492,7 @@ def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path, fmt):
     plain = sd.generate_synthetic(cfg)
     padded = sd.generate_synthetic(cfg, pad=2)
     _datasets_equal(plain, padded)
-    sd.save_dataset(padded, tmp_path / "ds", feature_format=fmt)
+    _save(padded, tmp_path / "ds", feature_format=fmt)
     loaded = sd.load_dataset(str(tmp_path / "ds"), pad=3)
     _datasets_equal(plain, loaded)
     for ds, pad in ((plain, 0), (padded, 2), (loaded, 3)):
@@ -495,7 +505,7 @@ def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path, fmt):
 
 def test_ground_truth_line_per_frame(tmp_path):
     ds = sd.Dataset.build([_make_seq([0, 0, 1, 1, 0, 2], num_classes=3)], 3)
-    sd.save_dataset(ds, tmp_path / "ds")
+    _save(ds, tmp_path / "ds")
     gt = (tmp_path / "ds" / "groundTruth").iterdir()
     lines = next(gt).read_text().splitlines()
     assert len(lines) == 6
@@ -508,7 +518,7 @@ def test_frame_count_mismatch_names_both_counts(tmp_path):
     ds = sd.generate_synthetic(
         sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=1, rng_seed=0)
     )
-    sd.save_dataset(ds, tmp_path / "ds")
+    _save(ds, tmp_path / "ds")
     label_file = tmp_path / "ds" / "groundTruth" / f"{ds.sequences[0].seq_id}.txt"
     lines = label_file.read_text().splitlines()
     label_file.write_text("\n".join(lines[:-1]) + "\n")
@@ -520,24 +530,24 @@ def test_frame_count_mismatch_names_both_counts(tmp_path):
 
 def test_load_rejects_unknown_token_and_bad_ids(tmp_path):
     ds = sd.Dataset.build([_make_seq([0, 1], num_classes=2)], 2)
-    sd.save_dataset(ds, tmp_path / "ds")
+    _save(ds, tmp_path / "ds")
     gt = next((tmp_path / "ds" / "groundTruth").iterdir())
     gt.write_text("class_00\nmystery\n")
     with pytest.raises(ParseError, match="mystery"):
         sd.load_dataset(str(tmp_path / "ds"))
 
-    sd.save_dataset(ds, tmp_path / "ds2")
+    _save(ds, tmp_path / "ds2")
     (tmp_path / "ds2" / "classes.txt").write_text("0 class_00\n5 class_01\n")
     with pytest.raises(RangeError):
         sd.load_dataset(str(tmp_path / "ds2"))
 
-    sd.save_dataset(ds, tmp_path / "ds3")
+    _save(ds, tmp_path / "ds3")
     (tmp_path / "ds3" / "classes.txt").write_text("0 class_00\n1 start\n")
     with pytest.raises(ParseError, match="implicit"):
         sd.load_dataset(str(tmp_path / "ds3"))
 
     # two ids under one name: its frames would all read as the last id
-    sd.save_dataset(ds, tmp_path / "ds4")
+    _save(ds, tmp_path / "ds4")
     (tmp_path / "ds4" / "classes.txt").write_text("0 class_01\n1 class_01\n")
     with pytest.raises(ParseError, match="listed twice"):
         sd.load_dataset(str(tmp_path / "ds4"))
@@ -545,7 +555,7 @@ def test_load_rejects_unknown_token_and_bad_ids(tmp_path):
 
 def test_load_rejects_truncated_feature_file(tmp_path):
     ds = sd.Dataset.build([_make_seq([0, 1, 0], num_classes=2)], 2)
-    sd.save_dataset(ds, tmp_path / "ds")
+    _save(ds, tmp_path / "ds")
     feat = next((tmp_path / "ds" / "features").iterdir())
     feat.write_bytes(feat.read_bytes()[:-4])
     with pytest.raises(ParseError):
@@ -555,7 +565,7 @@ def test_load_rejects_truncated_feature_file(tmp_path):
 def test_missing_classes_flagged(tmp_path):
     ds = sd.Dataset.build([_make_seq([0, 0, 2], num_classes=4)], 4)
     assert np.flatnonzero(ds.class_frame_counts == 0).tolist() == [1, 3]
-    sd.save_dataset(ds, tmp_path / "ds")
+    _save(ds, tmp_path / "ds")
     loaded = sd.load_dataset(str(tmp_path / "ds"))
     assert np.flatnonzero(loaded.class_frame_counts == 0).tolist() == [1, 3]
 
@@ -568,7 +578,7 @@ def _rewrite_manifest(tmp_path, mutate):
     ds = sd.Dataset.build(
         [_make_seq([0, 1], num_classes=2), _make_seq([1, 0], num_classes=2, seed=1)], 2
     )
-    sd.save_dataset(ds, tmp_path / "ds")
+    _save(ds, tmp_path / "ds")
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
     path.write_text(json.dumps(mutate(manifest)))
@@ -680,7 +690,7 @@ def test_damaged_dataset_loads_or_fails_typed(tmp_path_factory, damage):
         )
         for index, labels in enumerate(([0, 0, 1], [2, 1, 1, 0]))
     ]
-    sd.save_dataset(sd.Dataset.build(seqs, 4), root, feature_format=fmt)
+    _save(sd.Dataset.build(seqs, 4), root, feature_format=fmt)
     if name.startswith("features/"):
         name += ".bin" if fmt == "binary" else ".csv"
     path = root / name
