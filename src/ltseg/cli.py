@@ -120,17 +120,12 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
     if not isinstance(source, dict):
         raise ConfigError("dataset section must be an object")
     _check_keys(source, {"synthetic", "manifest"}, "dataset")
-    if len(source) != 1:
-        raise ConfigError(
-            "config needs exactly one dataset source, "
-            "either dataset.synthetic or dataset.manifest"
-        )
-    synthetic = manifest = None
+    synthetic = manifest = None  # validate asks for exactly one of them
     if "manifest" in source:
         manifest = source["manifest"]
         if not isinstance(manifest, str):
             raise ConfigError(f"dataset.manifest must be a path, got {manifest!r}")
-    else:
+    if "synthetic" in source:
         section = source["synthetic"]
         if not isinstance(section, dict):
             raise ConfigError("dataset.synthetic section must be an object")
@@ -430,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the flags of the config fields it reads
     add_common("gen", "write a synthetic dataset to disk")
     cmd = add_common("train", "train a classifier")
-    cmd.add_argument("--loss", choices=clf.LOSS_MODES)
+    cmd.add_argument("--loss", dest="loss_mode", choices=clf.LOSS_MODES)
     cmd.add_argument("--tau", type=float, help="gain tempering exponent")
     cmd.add_argument("--epsilon", type=float, help="constraint tolerance")
     cmd.add_argument("--gamma", type=float, help="multiplier step size")
@@ -442,28 +437,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overrides_from_args(args) -> dict:
-    pairs = (
-        ("seed", "seed"),
-        ("out", "out"),
-        ("loss", "loss_mode"),
-        ("tau", "tau"),
-        ("epsilon", "epsilon"),
-        ("gamma", "gamma"),
-    )
-    return {
-        key: getattr(args, name)
-        for name, key in pairs
-        if getattr(args, name, None) is not None
-    }
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "report":
             return cmd_report(args.reports, out_dir=args.out)
-        config = load_config(args.config, _overrides_from_args(args))
+        # every override flag's dest is its config key
+        overrides = {key: value for key, value in vars(args).items()
+                     if key not in ("command", "config", "checkpoint")
+                     and value is not None}
+        config = load_config(args.config, overrides)
         if args.command == "gen":
             cmd_gen(config)
             return 0

@@ -137,6 +137,9 @@ def evaluate(
         raise ConfigError(
             f"{len(predictions)} prediction vectors vs {len(truths)} truth vectors"
         )
+    for index, (p, t) in enumerate(zip(predictions, truths)):
+        if len(p) != len(t):
+            raise ConfigError(f"pair {index}: {len(p)} predicted vs {len(t)} truth frames")
     for thr in thresholds:
         if not 0 < thr < 1:
             raise ConfigError(f"IoU threshold must be in (0, 1), got {thr}")

@@ -79,35 +79,6 @@ class LabeledSequence:
     def num_frames(self):
         return self.frame_labels.shape[0]
 
-    @property
-    def feature_dim(self):
-        return self.frames.shape[1]
-
-    @classmethod
-    def from_frames(cls, features, frame_labels, num_classes, seq_id="", pad=0):
-        """The sequence of a one-sequence ``Dataset`` of features [D x T]
-        and raw labels, every invariant checked; the features are copied
-        once, as float32, into the layout padded by ``pad`` frames."""
-        feats = np.asarray(features)
-        labels = np.asarray(frame_labels, dtype=np.int64)
-        name = f"sequence {seq_id or '<unnamed>'}"
-        if labels.ndim != 1 or labels.size == 0:
-            raise EmptySequenceError(f"{name} has no frames")
-        if feats.ndim != 2 or feats.shape[1] != labels.size:
-            raise ConfigError(
-                f"{name}: feature matrix {feats.shape} does not match "
-                f"{labels.size} frames"
-            )
-        if feats.shape[0] <= 0:
-            raise ConfigError("feature dimension must be positive")
-        frames = np.empty((labels.size + 2 * pad, feats.shape[0]), np.float32)
-        with np.errstate(over="ignore", invalid="ignore"):
-            frames[pad : pad + labels.size] = feats.T
-        if not np.isfinite(frames[pad : pad + labels.size]).all():
-            raise RangeError(f"{name} has non-finite features")
-        ds = Dataset(frames, labels, [0, labels.size], num_classes, (), [seq_id], pad)
-        return ds.sequences[0]
-
 
 @dataclass(eq=False)
 class Dataset:
@@ -165,26 +136,38 @@ class Dataset:
         self.class_frame_counts = np.bincount(labels, minlength=L)
 
     @classmethod
-    def build(cls, sequences, num_classes, class_names=()):
-        """A dataset of copies of ``sequences``, which share a pad and
-        were built for ``num_classes``."""
-        if not sequences:
+    def of(cls, records, num_classes, class_names=(), pad=0):
+        """A dataset of ``(seq_id, frame_labels, frames)`` records, as
+        ``draw_synthetic`` yields them: each record is checked, naming
+        its sequence, and its frames ``[T, D]`` are copied once, as
+        float32, into the layout padded by ``pad`` frames."""
+        kept = []
+        for seq_id, y, x in records:
+            y, x = np.asarray(y), np.asarray(x)
+            name = f"sequence {seq_id or '<unnamed>'}"
+            if y.ndim != 1 or not y.size:
+                raise EmptySequenceError(f"{name} has no frames")
+            if y.dtype.kind not in "iu":
+                raise ConfigError(f"{name}: labels of dtype {y.dtype} are not integers")
+            # the first record's frames set the feature dimension
+            dim = kept[0][2].shape[1] if kept else x.shape[-1] if x.ndim else 0
+            if x.shape != (y.size, dim) or not dim:
+                raise ConfigError(f"{name}: frames {x.shape} do not match its "
+                                  f"{y.size} labels and feature dimension {dim}")
+            kept.append((seq_id, y.astype(np.int64, copy=False), x, name))
+        if not kept:
             raise EmptySequenceError("dataset has no sequences")
-        dim, pad = sequences[0].feature_dim, sequences[0].pad
-        for seq in sequences:
-            name = f"sequence {seq.seq_id or '<unnamed>'}"
-            if (seq.feature_dim, seq.pad) != (dim, pad):
-                raise ConfigError(f"{name} has feature dim {seq.feature_dim} and "
-                                  f"pad {seq.pad}, expected {dim} and {pad}")
-            if seq.prev_action[0] != num_classes:  # 'start' is index L
-                raise ConfigError(f"{name} was built for {seq.prev_action[0]} "
-                                  f"classes, the dataset has {num_classes}")
-        return cls(
-            np.concatenate([seq.frames for seq in sequences]),
-            np.concatenate([seq.frame_labels for seq in sequences]),
-            np.cumsum([0] + [seq.num_frames for seq in sequences]), num_classes,
-            class_names, [seq.seq_id for seq in sequences], pad,
-        )
+        ids, labels, drawn, names = zip(*kept)
+        offsets = np.cumsum([0] + [y.size for y in labels])
+        rows = (offsets + 2 * pad * np.arange(offsets.size)).tolist()
+        frames = np.empty((rows[-1], dim), np.float32)  # construction fills the edges
+        for name, x, a, b in zip(names, drawn, rows, rows[1:]):
+            with np.errstate(over="ignore", invalid="ignore"):
+                frames[a + pad : b - pad] = x
+            if not np.isfinite(frames[a + pad : b - pad]).all():
+                raise RangeError(f"{name} has non-finite features")
+        return cls(frames, np.concatenate(labels), offsets, num_classes, class_names,
+                   list(ids), pad)
 
     @property
     def feature_dim(self):
@@ -390,14 +373,10 @@ def draw_synthetic(config: SynthConfig):
 def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
     """The sequences of ``draw_synthetic`` in one dataset, each laid out
     padded by ``pad`` frames; bit-identical for equal configs, whatever
-    the pad."""
-    seq_ids, labels, drawn = zip(*draw_synthetic(config))
+    the pad, which is refused before the first draw."""
+    config.validate()
     check_radius(pad, config.num_classes, config.feature_dim, config.num_sequences)
-    edge = np.empty((pad, config.feature_dim), np.float32)  # Dataset fills the edges
-    frames = np.concatenate([part for rows in drawn for part in (edge, rows, edge)])
-    offsets = np.cumsum([0] + [y.size for y in labels])
-    return Dataset(frames, np.concatenate(labels), offsets, config.num_classes, (),
-                   list(seq_ids), pad)
+    return Dataset.of(draw_synthetic(config), config.num_classes, (), pad)
 
 
 # ---------------------------------------------------------------------------
@@ -412,18 +391,6 @@ def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
 # ---------------------------------------------------------------------------
 
 _FEATURE_HEADER = np.dtype("<u8")
-
-
-def _write_features_binary(path, frames):
-    num_frames, dim = frames.shape
-    with open(path, "wb") as fh:
-        np.array([dim, num_frames], dtype=_FEATURE_HEADER).tofile(fh)
-        np.ascontiguousarray(frames, dtype="<f4").tofile(fh)
-
-
-def _write_features_csv(path, frames):
-    # %.9g round-trips float32 exactly
-    np.savetxt(path, frames.astype(np.float64), fmt="%.9g", delimiter=",")
 
 
 def _read_features(path, out):
@@ -480,10 +447,13 @@ def save_dataset(path, class_names, feature_dim, sequences, feature_format="bina
         with open(os.path.join(path, label_rel), "w", encoding="utf-8") as fh:
             for y in labels:
                 fh.write(class_names[y] + "\n")
-        if feature_format == "binary":
-            _write_features_binary(os.path.join(path, feat_rel), frames)
-        else:
-            _write_features_csv(os.path.join(path, feat_rel), frames)
+        feat_path = os.path.join(path, feat_rel)
+        if feature_format == "csv":  # %.9g round-trips float32 exactly
+            np.savetxt(feat_path, frames.astype(np.float64), fmt="%.9g", delimiter=",")
+        else:  # the header is (D, T)
+            with open(feat_path, "wb") as fh:
+                np.array(frames.shape[::-1], dtype=_FEATURE_HEADER).tofile(fh)
+                np.ascontiguousarray(frames, dtype="<f4").tofile(fh)
         entries.append({"id": seq_id, "labels": label_rel, "features": feat_rel})
         counts += np.bincount(labels, minlength=counts.size)
     manifest = {

@@ -85,7 +85,7 @@ def test_criterion_01_weighted_ce_gradient():
     # parameter grads
     rng = np.random.default_rng(202)
     features = rng.normal(size=(2, 3)).astype(np.float32)
-    seq = sd.LabeledSequence.from_frames(features, [0, 2, 1], 3, seq_id="fd")
+    seq = sd.Dataset.of([("fd", [0, 2, 1], features.T)], 3).sequences[0]
     phi = np.concatenate(
         _kernels.window_store([(seq.frames, seq.pad)], 1), out=np.empty((3, 6))
     )
@@ -143,17 +143,13 @@ def test_criterion_02_confusion_oracle(monkeypatch):
     for trial in range(50):
         num_classes = int(rng.integers(2, 6))
         feature_dim = int(rng.integers(2, 5))
-        seqs = []
+        records = []
         for s in range(int(rng.integers(1, 6))):
             frames = int(rng.integers(1, 101))
             labels = rng.integers(0, num_classes, frames)
             feats = rng.normal(size=(feature_dim, frames)).astype(np.float32)
-            seqs.append(
-                sd.LabeledSequence.from_frames(
-                    feats, labels, num_classes, seq_id=f"t{trial}s{s}"
-                )
-            )
-        dataset = sd.Dataset.build(seqs, num_classes)
+            records.append((f"t{trial}s{s}", labels, feats.T))
+        dataset = sd.Dataset.of(records, num_classes)
         params = clf.ClassifierParams(
             weights=rng.normal(size=(num_classes, feature_dim * 3)),
             bias=rng.normal(size=num_classes),
@@ -173,7 +169,7 @@ def test_criterion_02_confusion_oracle(monkeypatch):
         handed.clear()
         clf.train(
             dataset,
-            clf.TrainConfig(epochs=1, batch_size=len(seqs), context_radius=1,
+            clf.TrainConfig(epochs=1, batch_size=len(records), context_radius=1,
                             rng_seed=trial),
         )
         assert len(handed) == 1
@@ -281,14 +277,12 @@ def test_criterion_05_bayes_calibration():
     # trained-with-weighted-CE boundary lands on the analytic weighted rule
     rng = np.random.default_rng(0)
     mu = np.array([-1.0, 1.0])
-    seqs = []
+    records = []
     for s in range(20):
         labels = (rng.random(200) < 0.2).astype(np.int64)
-        feats = (mu[labels] + rng.normal(size=200)).astype(np.float32)[None, :]
-        seqs.append(
-            sd.LabeledSequence.from_frames(feats, labels, 2, seq_id=f"g{s:02d}")
-        )
-    dataset = sd.Dataset.build(seqs, 2)
+        feats = (mu[labels] + rng.normal(size=200)).astype(np.float32)[:, None]
+        records.append((f"g{s:02d}", labels, feats))
+    dataset = sd.Dataset.of(records, 2)
     config = clf.TrainConfig(
         epochs=30,
         learning_rate=0.5,
@@ -300,9 +294,9 @@ def test_criterion_05_bayes_calibration():
     )
     params, _ = clf.train(dataset, config)
     grid = np.linspace(-4.0, 4.0, 401)
-    grid_seq = sd.LabeledSequence.from_frames(
-        grid.astype(np.float32)[None, :], np.zeros(401, np.int64), 2, seq_id="grid"
-    )
+    grid_seq = sd.Dataset.of(
+        [("grid", np.zeros(401, np.int64), grid.astype(np.float32)[:, None])], 2
+    ).sequences[0]
     predicted = dec.decode_sequence(params, grid_seq, "argmax")
     # the Bayes rule on the true posteriors with inverse-prior gains: the
     # weights cancel the priors, so the boundary sits at x = 0
@@ -463,8 +457,9 @@ def longtail_deltas():
             rng_seed=seed,
         )
         full = sd.generate_synthetic(synth)
-        train_ds = sd.Dataset.build(full.sequences[:200], 12, full.class_names)
-        test_ds = sd.Dataset.build(full.sequences[200:], 12, full.class_names)
+        records = [(s.seq_id, s.frame_labels, s.frames) for s in full.sequences]
+        train_ds = sd.Dataset.of(records[:200], 12, full.class_names)
+        test_ds = sd.Dataset.of(records[200:], 12, full.class_names)
         threshold = int(train_ds.class_frame_counts.sum() / 12)
         head, _ = sd.head_tail_split(train_ds.class_frame_counts, threshold)
         reports = {}

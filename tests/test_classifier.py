@@ -19,10 +19,13 @@ from ltseg import seqdata as sd
 from ltseg.errors import ConfigError, ParseError, RangeError, TrainingDivergedError
 
 
+def _record(features, labels):
+    """A ``Dataset.of`` record of features [D, T], as float32."""
+    return "", labels, np.asarray(features, np.float32).T
+
+
 def _seq(features, labels, num_classes, pad=0):
-    return sd.LabeledSequence.from_frames(
-        np.asarray(features, np.float32), labels, num_classes=num_classes, pad=pad
-    )
+    return sd.Dataset.of([_record(features, labels)], num_classes, pad=pad).sequences[0]
 
 
 def _separable_dataset(seed=12):
@@ -128,8 +131,8 @@ def test_single_step_descends():
 
 def test_training_gradient_matches_finite_differences():
     rng = np.random.default_rng(21)
-    seq = _seq(rng.standard_normal((2, 3)), [0, 2, 1], 3)
-    ds = sd.Dataset.build([seq], 3)
+    ds = sd.Dataset.of([_record(rng.standard_normal((2, 3)), [0, 2, 1])], 3)
+    seq = ds.sequences[0]
     counts = sd.compute_transition_stats(ds)
     lam = np.where(counts > 0, rng.uniform(0, 1, (3, 4)), 0.0)
     gain = cs.compute_gain(counts, lam, tau=0.6)
@@ -221,16 +224,11 @@ def test_seeded_runs_identical():
 def _mixed_length_dataset(num_classes=4, feature_dim=3, seed=0, pad=0):
     # T = 1, sequences shorter than the largest radius, and longer ones
     rng = np.random.default_rng(seed)
-    seqs = [
-        _seq(
-            rng.standard_normal((feature_dim, t)),
-            rng.integers(0, num_classes, t),
-            num_classes,
-            pad,
-        )
+    records = [
+        _record(rng.standard_normal((feature_dim, t)), rng.integers(0, num_classes, t))
         for t in (1, 3, 12, 1, 2, 40, 7)
     ]
-    return sd.Dataset.build(seqs, num_classes)
+    return sd.Dataset.of(records, num_classes, pad=pad)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 5])
@@ -318,11 +316,11 @@ def test_train_means_equal_compute_class_means(radius):
     # the means train takes from its frame store are the reference's,
     # bit for bit: 1-frame sequences, and class 3 has no frame at all
     rng = np.random.default_rng(40 + radius)
-    seqs = [
-        _seq(rng.standard_normal((3, t)), rng.integers(0, 3, t), 4)
+    records = [
+        _record(rng.standard_normal((3, t)), rng.integers(0, 3, t))
         for t in (1, 3, 12, 1, 2, 40, 7)
     ]
-    ds = sd.Dataset.build(seqs, 4)
+    ds = sd.Dataset.of(records, 4)
     params, _ = clf.train(ds, clf.TrainConfig(epochs=1, batch_size=3,
                                               context_radius=radius))
     want = dec.compute_class_means(ds, dec.windowed_extractor(radius))
@@ -565,9 +563,7 @@ def test_first_epoch_gain_uses_initial_multipliers():
 
 def test_divergence_guard_names_epoch():
     feats = np.array([[1, -1, 1, -1, 1, -1]], np.float32) * 10.0
-    ds = sd.Dataset.build(
-        [sd.LabeledSequence.from_frames(feats, [0, 1, 0, 1, 0, 1], 2)], 2
-    )
+    ds = sd.Dataset.of([_record(feats, [0, 1, 0, 1, 0, 1])], 2)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         with pytest.raises(TrainingDivergedError) as err:

@@ -275,6 +275,23 @@ def test_config_missing_manifest_rejected(tmp_path):
         cli.load_config(path)
 
 
+def test_every_override_flag_lands_in_the_effective_config(tmp_path):
+    # each flag's argparse dest is its config key; config.json echoes it
+    path = write_config(tmp_path / "cfg.json", dataset={"synthetic": small_synth()},
+                        train={"epochs": 1})
+    out = tmp_path / "flagged"
+    argv = ["train", "--config", path, "--loss", "plain_ce", "--tau", "0.5",
+            "--epsilon", "0.8", "--gamma", "2", "--seed", "3", "--out", str(out)]
+    assert cli.main(argv) == 0
+    (run_dir,) = os.listdir(out)
+    with open(out / run_dir / "config.json", encoding="utf-8") as fh:
+        echoed = json.load(fh)
+    assert echoed["train"]["loss_mode"] == "plain_ce"
+    assert (echoed["train"]["tau"], echoed["train"]["epsilon"]) == (0.5, 0.8)
+    assert echoed["train"]["gamma"] == 2.0
+    assert (echoed["seed"], echoed["out"]) == (3, str(out))
+
+
 # -- gen ---------------------------------------------------------------------
 
 

@@ -260,12 +260,8 @@ def test_counts_match_per_frame_oracle(monkeypatch):
 def test_learning_state_four_frame_example():
     # two 2-frame sequences: [B, A] and [A, B] (A=0, B=1, start=2);
     # classifier is right exactly on the frames that follow 'start'
-    feats = np.zeros((1, 2), np.float32)
-    seqs = [
-        sd.LabeledSequence.from_frames(feats, [1, 0], 2, seq_id="p"),
-        sd.LabeledSequence.from_frames(feats, [0, 1], 2, seq_id="q"),
-    ]
-    ds = sd.Dataset.build(seqs, 2)
+    feats = np.zeros((2, 1), np.float32)
+    ds = sd.Dataset.of([("p", [1, 0], feats), ("q", [0, 1], feats)], 2)
     counts = sd.compute_transition_stats(ds)
 
     def predict(seq):
@@ -284,10 +280,7 @@ def test_learning_state_four_frame_example():
 
 def test_undefined_entries_flagged_not_nan():
     # class 2 exists in the inventory but never occurs
-    feats = np.zeros((1, 3), np.float32)
-    ds = sd.Dataset.build(
-        [sd.LabeledSequence.from_frames(feats, [0, 1, 0], 3)], 3
-    )
+    ds = sd.Dataset.of([("", [0, 1, 0], np.zeros((3, 1), np.float32))], 3)
     counts = sd.compute_transition_stats(ds)
     trans_acc, _ = cs.learning_state(_hits_of(ds, _perfect), counts)
     assert not counts[2].any()

@@ -12,15 +12,14 @@ def _identity_extractor(seq):
     return seq.features.T.astype(np.float64)
 
 
-def _seq(features, labels, num_classes):
-    return sd.LabeledSequence.from_frames(
-        np.asarray(features, np.float32), labels, num_classes=num_classes
-    )
+def _dataset(features, labels, num_classes):
+    """A one-sequence dataset of features [D, T]."""
+    return sd.Dataset.of([("", labels, np.asarray(features, np.float32).T)], num_classes)
 
 
 def test_class_means_trivial_points():
     feats = np.array([[0, 0, 1, 1, 0], [0, 0, 1, 1, 0]], np.float32)
-    ds = sd.Dataset.build([_seq(feats, [0, 0, 1, 1, 0], 2)], 2)
+    ds = _dataset(feats, [0, 0, 1, 1, 0], 2)
     cm = dc.compute_class_means(ds, _identity_extractor)
     assert np.array_equal(cm.means, [[0.0, 0.0], [1.0, 1.0]])
     assert cm.support.tolist() == [3, 2]
@@ -29,7 +28,7 @@ def test_class_means_trivial_points():
 
 def test_class_means_single_frame_class():
     feats = np.array([[2.5, 0.0], [1.5, 0.0]], np.float32)
-    ds = sd.Dataset.build([_seq(feats, [1, 0], 2)], 2)
+    ds = _dataset(feats, [1, 0], 2)
     cm = dc.compute_class_means(ds, _identity_extractor)
     assert np.array_equal(cm.means[1], [2.5, 1.5])
 
@@ -52,7 +51,7 @@ def test_class_means_match_two_pass_oracle():
 
 def test_class_means_zero_support_flagged():
     feats = np.zeros((2, 3), np.float32)
-    ds = sd.Dataset.build([_seq(feats, [0, 2, 0], 3)], 3)
+    ds = _dataset(feats, [0, 2, 0], 3)
     cm = dc.compute_class_means(ds, _identity_extractor)
     assert not cm.usable[1]
     assert np.all(cm.means[1] == 0.0)

@@ -291,6 +291,14 @@ def test_evaluate_hand_worked():
     assert other.group["tail"].per_class_f1_25 == tail.per_class_f1_25
 
 
+def test_evaluate_refuses_pairs_of_unequal_length():
+    # equal totals (4 frames each side) must not hide a short pair
+    with pytest.raises(ConfigError, match="pair 0: 3 predicted vs 2 truth"):
+        mx.evaluate([[0, 0, 1], [1]], [[0, 0], [1, 1]], 2)
+    with pytest.raises(ConfigError, match="pair 1: 1 predicted vs 2 truth"):
+        mx.evaluate([[0, 0], [1]], [[0, 0], [1, 1]], 2)
+
+
 def test_evaluate_perfect_both_groups():
     truth = [np.array([0, 0, 1, 1, 2]), np.array([2, 2, 0, 1, 1])]
     report = mx.evaluate(truth, truth, num_classes=3, head={0})

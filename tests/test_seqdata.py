@@ -20,10 +20,15 @@ from ltseg.errors import (
 )
 
 
-def _make_seq(labels, num_classes, dim=3, seed=0):
+def _record(labels, dim=3, seed=0, seq_id=""):
+    """A ``Dataset.of`` record of random float32 features drawn [D, T]."""
     rng = np.random.default_rng(seed)
     feats = rng.standard_normal((dim, len(labels))).astype(np.float32)
-    return sd.LabeledSequence.from_frames(feats, labels, num_classes=num_classes)
+    return seq_id, np.asarray(labels, dtype=np.int64), feats.T
+
+
+def _make_seq(labels, num_classes, dim=3, seed=0):
+    return sd.Dataset.of([_record(labels, dim, seed)], num_classes).sequences[0]
 
 
 def _save(ds, path, feature_format="binary"):
@@ -86,19 +91,50 @@ def test_prev_action_matches_slow_oracle():
         assert seq.prev_action[0] == L
 
 
-def test_from_frames_validations():
-    with pytest.raises(ConfigError):
-        sd.LabeledSequence.from_frames(np.zeros((2, 3)), [0, 1], num_classes=2)
-    with pytest.raises(RangeError):
-        sd.LabeledSequence.from_frames(
-            np.array([[0.0, np.inf]]), [0, 1], num_classes=2
-        )
+def test_of_validations():
+    # each refusal names the record's sequence
+    with pytest.raises(ConfigError, match="seq_x: frames \\(3, 2\\)"):
+        sd.Dataset.of([("seq_x", [0, 1], np.zeros((3, 2)))], 2)
+    with pytest.raises(ConfigError, match="seq_y: frames \\(2, 3\\)"):
+        sd.Dataset.of([_record([0, 1], dim=2), ("seq_y", [1, 0], np.zeros((2, 3)))], 2)
+    with pytest.raises(ConfigError, match="feature dimension 0"):
+        sd.Dataset.of([("seq_x", [0, 1], np.zeros((2, 0)))], 2)
+    with pytest.raises(ConfigError, match="seq_x: labels of dtype float64"):
+        sd.Dataset.of([("seq_x", [0.0, 1.0], np.zeros((2, 1)))], 2)
+    with pytest.raises(RangeError, match="seq_x has non-finite"):
+        sd.Dataset.of([("seq_x", [0, 1], np.array([[0.0], [np.inf]]))], 2)
+    with pytest.raises(RangeError, match="seq_x has non-finite"):  # past float32
+        sd.Dataset.of([_record([0]), ("seq_x", [0, 1], np.full((2, 3), 1e39))], 2)
     with pytest.raises(RangeError, match="seq_x: label 5"):
-        sd.LabeledSequence.from_frames(
-            np.zeros((1, 2)), [0, 5], num_classes=2, seq_id="seq_x"
-        )
-    with pytest.raises(EmptySequenceError):
-        sd.LabeledSequence.from_frames(np.zeros((1, 0)), [], num_classes=2)
+        sd.Dataset.of([("seq_x", [0, 5], np.zeros((2, 1)))], 2)
+    with pytest.raises(EmptySequenceError, match="seq_x has no frames"):
+        sd.Dataset.of([("seq_x", [], np.zeros((0, 1)))], 2)
+    with pytest.raises(EmptySequenceError, match="no sequences"):
+        sd.Dataset.of(iter(()), 2)
+
+
+def test_of_copies_records_into_one_c_contiguous_buffer():
+    # transposed [D, T] draws are F-ordered; the buffer windows in place
+    records = [_record([0, 1, 1], seed=1), _record([1], seed=2), _record([0, 0], seed=3)]
+    ds = sd.Dataset.of(iter(records), 2, pad=2)
+    assert ds.frames.flags.c_contiguous and ds.frames.flags.owndata
+    assert ds.frames.shape == (6 + 2 * 2 * 3, 3)
+    for seq, (_, labels, frames) in zip(ds.sequences, records, strict=True):
+        assert seq.frames.base is ds.frames
+        assert seq.features.T.tobytes() == np.ascontiguousarray(frames).tobytes()
+        assert seq.frame_labels.tobytes() == labels.tobytes()
+
+
+def test_generator_refuses_pad_before_drawing(monkeypatch):
+    # check_radius refuses the pad before the first sequence is drawn
+    draws, chain = [], sd._segment_label_chain
+    monkeypatch.setattr(sd, "_segment_label_chain",
+                        lambda *args: draws.append(args) or chain(*args))
+    with pytest.raises(ConfigError, match="context_radius"):
+        sd.generate_synthetic(sd.SynthConfig(num_sequences=50), pad=10**12)
+    assert draws == []
+    assert sd.generate_synthetic(sd.SynthConfig(num_sequences=3), pad=1).pad == 1
+    assert len(draws) == 3
 
 
 def test_zero_noise_means_recoverable_exactly():
@@ -252,20 +288,9 @@ def test_generator_refuses_by_field_or_keeps_invariants(cfg):
         assert (labels[1:] != labels[:-1]).all()  # adjacent segments differ
 
 
-def test_build_refuses_sequence_of_another_class_count():
-    # built for 3 classes, its first frames follow 'start' at index 3,
-    # which a 4-class dataset would count as class 3
-    seq = sd.LabeledSequence.from_frames(
-        np.zeros((3, 3)), [0, 0, 1], num_classes=3, seq_id="seq_x"
-    )
-    with pytest.raises(ConfigError, match="seq_x was built for 3 classes.* has 4"):
-        sd.Dataset.build([_make_seq([0, 1], num_classes=4), seq], 4)
-    assert sd.Dataset.build([seq], 3).num_classes == 3
-
-
 def test_transition_stats_hand_enumeration():
     # frames [A, A, B]: prev actions are (start, start, A)
-    ds = sd.Dataset.build([_make_seq([0, 0, 1], num_classes=2)], 2)
+    ds = sd.Dataset.of([_record([0, 0, 1])], 2)
     counts = sd.compute_transition_stats(ds)
     assert counts.dtype == np.int64
     np.testing.assert_array_equal(counts, [[0, 0, 2], [1, 0, 0]])
@@ -273,8 +298,8 @@ def test_transition_stats_hand_enumeration():
 
 def test_transition_stats_single_segment_sequences():
     # every frame of a one-segment sequence follows 'start', column L
-    seqs = [_make_seq([2] * 5, num_classes=3, seed=i) for i in range(4)]
-    counts = sd.compute_transition_stats(sd.Dataset.build(seqs, 3))
+    records = [_record([2] * 5, seed=i) for i in range(4)]
+    counts = sd.compute_transition_stats(sd.Dataset.of(records, 3))
     assert counts.shape == (3, 4)
     assert counts[2, 3] == 20
     assert counts.sum() == 20
@@ -377,8 +402,8 @@ def test_flat_statistics_equal_per_sequence_oracles(pad, radius):
         sd.SynthConfig(num_classes=6, feature_dim=3, num_sequences=17, rng_seed=pad),
         pad=pad,
     )
-    built = sd.Dataset.build(
-        [_make_seq(labels, num_classes=4, seed=i)
+    built = sd.Dataset.of(
+        [_record(labels, seed=i)
          for i, labels in enumerate(([3], [0, 0, 1], [1, 1, 1, 2], [2], [0, 3, 3]))],
         4,
     )
@@ -417,7 +442,7 @@ def test_load_holds_every_sequence_in_one_buffer(tmp_path, fmt, pad):
         assert seq.features.tobytes() == original.features.tobytes()
 
 
-def test_generator_pads_each_sequence_as_from_frames():
+def test_generator_pads_each_sequence_as_alone():
     # the drawn sequences go into one buffer, each laid out as a
     # one-sequence dataset of its own lays it out
     cfg = sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=40,
@@ -425,7 +450,8 @@ def test_generator_pads_each_sequence_as_from_frames():
     ds = sd.generate_synthetic(cfg, pad=2)
     assert ds.frames.shape == (ds.total_frames + 2 * 2 * 40, 2)
     for seq in ds.sequences:
-        alone = sd.LabeledSequence.from_frames(seq.features, seq.frame_labels, 3, pad=2)
+        record = (seq.seq_id, seq.frame_labels, seq.features.T)
+        alone = sd.Dataset.of([record], 3, pad=2).sequences[0]
         assert seq.frames.tobytes() == alone.frames.tobytes()
         assert seq.prev_action.tobytes() == alone.prev_action.tobytes()
 
@@ -433,7 +459,7 @@ def test_generator_pads_each_sequence_as_from_frames():
 def test_load_refuses_features_past_memory_typed(tmp_path, monkeypatch):
     # a feature_dim far past the files' sizes a buffer that cannot be
     # allocated: a RangeError naming the manifest, before any file is read
-    ds = sd.Dataset.build([_make_seq([0, 0], num_classes=1)], 1)
+    ds = sd.Dataset.of([_record([0, 0])], 1)
     _save(ds, tmp_path / "ds")
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -504,7 +530,7 @@ def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path, fmt):
 
 
 def test_ground_truth_line_per_frame(tmp_path):
-    ds = sd.Dataset.build([_make_seq([0, 0, 1, 1, 0, 2], num_classes=3)], 3)
+    ds = sd.Dataset.of([_record([0, 0, 1, 1, 0, 2])], 3)
     _save(ds, tmp_path / "ds")
     gt = (tmp_path / "ds" / "groundTruth").iterdir()
     lines = next(gt).read_text().splitlines()
@@ -529,7 +555,7 @@ def test_frame_count_mismatch_names_both_counts(tmp_path):
 
 
 def test_load_rejects_unknown_token_and_bad_ids(tmp_path):
-    ds = sd.Dataset.build([_make_seq([0, 1], num_classes=2)], 2)
+    ds = sd.Dataset.of([_record([0, 1])], 2)
     _save(ds, tmp_path / "ds")
     gt = next((tmp_path / "ds" / "groundTruth").iterdir())
     gt.write_text("class_00\nmystery\n")
@@ -554,7 +580,7 @@ def test_load_rejects_unknown_token_and_bad_ids(tmp_path):
 
 
 def test_load_rejects_truncated_feature_file(tmp_path):
-    ds = sd.Dataset.build([_make_seq([0, 1, 0], num_classes=2)], 2)
+    ds = sd.Dataset.of([_record([0, 1, 0])], 2)
     _save(ds, tmp_path / "ds")
     feat = next((tmp_path / "ds" / "features").iterdir())
     feat.write_bytes(feat.read_bytes()[:-4])
@@ -563,7 +589,7 @@ def test_load_rejects_truncated_feature_file(tmp_path):
 
 
 def test_missing_classes_flagged(tmp_path):
-    ds = sd.Dataset.build([_make_seq([0, 0, 2], num_classes=4)], 4)
+    ds = sd.Dataset.of([_record([0, 0, 2])], 4)
     assert np.flatnonzero(ds.class_frame_counts == 0).tolist() == [1, 3]
     _save(ds, tmp_path / "ds")
     loaded = sd.load_dataset(str(tmp_path / "ds"))
@@ -575,9 +601,7 @@ DROP = object()
 
 def _rewrite_manifest(tmp_path, mutate):
     """Save a two-sequence dataset, edit its manifest, return the path."""
-    ds = sd.Dataset.build(
-        [_make_seq([0, 1], num_classes=2), _make_seq([1, 0], num_classes=2, seed=1)], 2
-    )
+    ds = sd.Dataset.of([_record([0, 1]), _record([1, 0], seed=1)], 2)
     _save(ds, tmp_path / "ds")
     path = tmp_path / "ds" / "manifest.json"
     manifest = json.loads(path.read_text())
@@ -681,16 +705,11 @@ def test_damaged_dataset_loads_or_fails_typed(tmp_path_factory, damage):
     fmt, name, (kind, offset, *byte) = damage
     root = tmp_path_factory.mktemp("ds")
     rng = np.random.default_rng(0)
-    seqs = [
-        sd.LabeledSequence.from_frames(
-            rng.standard_normal((2, len(labels))).astype(np.float32),
-            labels,
-            num_classes=4,
-            seq_id=f"s{index}",
-        )
+    records = [
+        (f"s{index}", labels, rng.standard_normal((2, len(labels))).astype(np.float32).T)
         for index, labels in enumerate(([0, 0, 1], [2, 1, 1, 0]))
     ]
-    _save(sd.Dataset.build(seqs, 4), root, feature_format=fmt)
+    _save(sd.Dataset.of(records, 4), root, feature_format=fmt)
     if name.startswith("features/"):
         name += ".bin" if fmt == "binary" else ".csv"
     path = root / name
