@@ -15,8 +15,8 @@ the dataset's one padded float32 buffer (``seqdata.Dataset``), at no
 extra bytes when the pad covers the radius, as ``cmd_train`` lays it
 out; eval windows through the same views (``decode.windowed_extractor``)
 and ``_class_major_logits``. The SGD step allocates no batch-sized
-array: ``train`` makes its buffers once, and adds one per-frame array,
-the flat cells.
+array: ``train`` draws its batch plan and makes its buffers once, and
+adds one per-frame array, the flat cells.
 """
 
 import json
@@ -35,7 +35,8 @@ from .errors import (
     require_finite,
     require_int,
 )
-from .seqdata import check_radius, compute_transition_stats, read_bytes, read_json
+from .seqdata import DRAW_LIMIT, check_radius, compute_transition_stats
+from .seqdata import read_bytes, read_json
 
 LOSS_MODES = ("plain_ce", "inverse_prior", "cost_sensitive")
 
@@ -140,18 +141,6 @@ def batch_gradient(params, phi, labels, weights, logits=None, scratch=None):
     return loss_sum, dlogits @ phi, dlogits.sum(axis=1), hit
 
 
-def _largest_batch(lengths, config):
-    """Frames in the largest batch that ``train``'s epochs form: their
-    permutations replayed on a generator seeded like ``train``'s."""
-    rng = np.random.default_rng(config.rng_seed)
-    starts = np.arange(0, lengths.size, config.batch_size)
-    return max(
-        (int(np.add.reduceat(lengths[rng.permutation(lengths.size)], starts).max())
-         for _ in range(config.epochs)),
-        default=0,
-    )
-
-
 def train(dataset, config: TrainConfig):
     """Alternating optimization over a dataset.
 
@@ -165,55 +154,55 @@ def train(dataset, config: TrainConfig):
     keeps the multipliers at zero, and plain_ce is inverse_prior at
     tau = 0, whose gain is exactly 1.
 
-    Made once, before the first epoch: the window views, which also give
-    ``params.train_means``, the flat cells, and the step buffers, sized
-    for the largest batch by replaying the epochs' permutations. A step
-    concatenates its batch's windows (widened exactly to float64),
-    labels and cells into them, takes its frame weights off the gain at
-    its cells, gets the logits and in place their gradient in one
-    ``[L, n]`` buffer (``batch_gradient``), and bins its hits by cell,
-    the missed frames past the last cell.
+    Made once, before the first epoch: the batch plan (each epoch's
+    permutation and its batches' frame counts), the window views, which
+    also give ``params.train_means``, the flat cells, and step buffers
+    for the plan's largest batch. A step concatenates its batch's windows
+    (widened exactly to float64) and cells into them, divides its labels
+    out of the cells, weights its frames by the gain at their cells, puts
+    the logits and then their gradient in one ``[L, n]`` buffer
+    (``batch_gradient``) and bins its hits by cell, misses past the last.
 
     Returns (params, telemetry), one telemetry record per epoch.
     """
     config.validate()
-    seqs = dataset.sequences
+    E, B, S = config.epochs, config.batch_size, len(dataset.sequences)
     L, D, w = dataset.num_classes, dataset.feature_dim, config.context_radius
-    check_radius(w, L, D, len(seqs))  # the N * D features are loaded already
+    check_radius(w, L, D, S)  # the N * D features are loaded already
+    if E * S >= DRAW_LIMIT:
+        raise ConfigError(f"epochs {E} * num_sequences {S} must be below {DRAW_LIMIT}")
     counts = compute_transition_stats(dataset)
     lam = np.zeros((L, L + 1))  # one multiplier per (class, previous action)
     params = ClassifierParams.zeros(L, D, w)
+    # the batch plan: each epoch's order [E, S] and its batches' frame counts
     rng = np.random.default_rng(config.rng_seed)
-    windows = _kernels.window_store([(seq.frames, seq.pad) for seq in seqs], w)
+    orders = np.array([rng.permutation(S) for _ in range(E)], np.int64).reshape(E, S)
+    lengths = np.diff(dataset.offsets)
+    batch_frames = np.add.reduceat(lengths[orders], np.arange(0, S, B), axis=1)
+    windows = _kernels.window_store([(s.frames, s.pad) for s in dataset.sequences], w)
     # the class means read only the windows: taken before the step buffers
     params.train_means = class_means_of(dataset, windows)
-    lengths = np.diff(dataset.offsets)
-    # the step buffers hold the largest batch, the logits flat so every
-    # batch's [L, n] prefix is C-contiguous
-    n_max = _largest_batch(lengths, config)
+    # the logits buffer is flat, so every batch's [L, n] prefix is C-contiguous
+    n_max = int(batch_frames.max(initial=0))
     phi_buf = np.empty((n_max, params.weights.shape[1]))
     logits_buf = np.empty(L * n_max)
     scratch = _kernels.XentScratch(L, n_max)
     labels_buf, cells_buf = np.empty((2, n_max), dtype=np.int64)
     weights_buf = np.empty(n_max)
-    # each sequence's labels, cells and length, in lists made once
-    seq_labels = [seq.frame_labels for seq in seqs]
     seq_cells = np.split(dataset.cells(), dataset.offsets[1:-1])
-    sizes = lengths.tolist()
     tau = 0.0 if config.loss_mode == "plain_ce" else config.tau
     gamma = config.gamma if config.loss_mode == "cost_sensitive" else 0.0
     telemetry = []
-    for epoch in range(config.epochs):
+    for epoch, (order, frames) in enumerate(zip(orders, batch_frames.tolist())):
         gain = costsens.compute_gain(counts, lam, tau).ravel()
         hits = np.zeros(L * (L + 1) + 1, dtype=np.int64)
-        order = rng.permutation(len(seqs)).tolist()
         epoch_loss = 0.0
-        for lo in range(0, len(seqs), config.batch_size):
-            ids = order[lo : lo + config.batch_size]
-            n = sum([sizes[s] for s in ids])
+        for lo, n in zip(range(0, S, B), frames):
+            ids = order[lo : lo + B].tolist()
             phi = np.concatenate([windows[s] for s in ids], out=phi_buf[:n])
-            labels = np.concatenate([seq_labels[s] for s in ids], out=labels_buf[:n])
             cells = np.concatenate([seq_cells[s] for s in ids], out=cells_buf[:n])
+            # exact: a cell is label * (L + 1) + previous action, in [0, L]
+            labels = np.floor_divide(cells, L + 1, out=labels_buf[:n])
             loss_sum, grad_w, grad_b, hit = batch_gradient(
                 params, phi, labels, gain.take(cells, out=weights_buf[:n], mode="clip"),
                 logits_buf[: L * n].reshape(L, n), scratch,

@@ -130,19 +130,13 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
         if not isinstance(section, dict):
             raise ConfigError("dataset.synthetic section must be an object")
         _check_keys(section, _SYNTH_KEYS, "dataset.synthetic")
-        try:
-            synthetic = sd.SynthConfig(rng_seed=seed, **section)
-        except TypeError as exc:
-            raise ConfigError(f"bad dataset.synthetic section: {exc}") from None
+        synthetic = sd.SynthConfig(rng_seed=seed, **section)
 
     train_section = data.get("train", {})
     if not isinstance(train_section, dict):
         raise ConfigError("train section must be an object")
     _check_keys(train_section, _TRAIN_KEYS, "train")
-    try:
-        train = clf.TrainConfig(rng_seed=seed, **train_section)
-    except TypeError as exc:
-        raise ConfigError(f"bad train section: {exc}") from None
+    train = clf.TrainConfig(rng_seed=seed, **train_section)
     for key in ("loss_mode", "tau", "epsilon", "gamma"):
         if key in overrides:
             train = dataclasses.replace(train, **{key: overrides.pop(key)})

@@ -80,6 +80,29 @@ class LabeledSequence:
         return self.frame_labels.shape[0]
 
 
+def _check_record(seq_id, frame_labels, frames, num_classes, feature_dim):
+    """A ``(seq_id, frame_labels, frames)`` record as int64 labels in
+    [0, num_classes) and finite float32 frames ``[T, feature_dim]``, T > 0;
+    any other record raises an error naming its sequence."""
+    y, x = np.asarray(frame_labels), np.asarray(frames)
+    name = f"sequence {seq_id or '<unnamed>'}"
+    if y.ndim != 1 or not y.size:
+        raise EmptySequenceError(f"{name} has no frames")
+    if y.dtype.kind not in "iu":
+        raise ConfigError(f"{name}: labels of dtype {y.dtype} are not integers")
+    bad = y[(y < 0) | (y >= num_classes)]
+    if bad.size:
+        raise RangeError(f"{name}: label {bad[0]} outside [0, {num_classes})")
+    if x.shape != (y.size, feature_dim) or not feature_dim:
+        raise ConfigError(f"{name}: frames {x.shape} do not match its {y.size} "
+                          f"labels and feature dimension {feature_dim}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = x.astype(np.float32, copy=False)
+    if not np.isfinite(x).all():
+        raise RangeError(f"{name} has non-finite features")
+    return y.astype(np.int64, copy=False), x
+
+
 @dataclass(eq=False)
 class Dataset:
     """Sequences sharing one class inventory and feature space, held
@@ -110,6 +133,11 @@ class Dataset:
             raise ConfigError(f"{len(names)} class names for {L} classes")
         self.class_names = tuple(names or default_class_names(L))
         offsets = self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        pad, frames = self.pad, self.frames
+        rows = offsets + 2 * pad * np.arange(offsets.size)
+        if (len(frames), labels.size) != (rows[-1], offsets[-1]):
+            raise ConfigError(f"{len(frames)} rows and {labels.size} labels where the "
+                              f"offsets and pad take {rows[-1]} and {offsets[-1]}")
         bad = np.flatnonzero((labels < 0) | (labels >= L))[:1]
         if bad.size:
             s = np.searchsorted(offsets, bad[0], side="right") - 1
@@ -123,8 +151,7 @@ class Dataset:
         prev[np.searchsorted(starts, offsets[:-1])] = L
         self.prev_action = prev = np.repeat(prev, ends - starts + 1)
         # each sequence's edge frames repeat its first and last frame
-        pad, frames = self.pad, self.frames
-        rows, edge = offsets + 2 * pad * np.arange(offsets.size), np.arange(pad)
+        edge = np.arange(pad)
         left, right = rows[:-1, None] + edge, rows[1:, None] - 1 - edge
         frames[left.ravel()] = frames[np.repeat(rows[:-1] + pad, pad)]
         frames[right.ravel()] = frames[np.repeat(rows[1:] - 1 - pad, pad)]
@@ -138,34 +165,22 @@ class Dataset:
     @classmethod
     def of(cls, records, num_classes, class_names=(), pad=0):
         """A dataset of ``(seq_id, frame_labels, frames)`` records, as
-        ``draw_synthetic`` yields them: each record is checked, naming
-        its sequence, and its frames ``[T, D]`` are copied once, as
-        float32, into the layout padded by ``pad`` frames."""
+        ``draw_synthetic`` yields them: each record is checked, naming its
+        sequence (``_check_record``), and its frames ``[T, D]`` are copied
+        once, as float32, into the layout padded by ``pad`` frames."""
         kept = []
         for seq_id, y, x in records:
-            y, x = np.asarray(y), np.asarray(x)
-            name = f"sequence {seq_id or '<unnamed>'}"
-            if y.ndim != 1 or not y.size:
-                raise EmptySequenceError(f"{name} has no frames")
-            if y.dtype.kind not in "iu":
-                raise ConfigError(f"{name}: labels of dtype {y.dtype} are not integers")
             # the first record's frames set the feature dimension
-            dim = kept[0][2].shape[1] if kept else x.shape[-1] if x.ndim else 0
-            if x.shape != (y.size, dim) or not dim:
-                raise ConfigError(f"{name}: frames {x.shape} do not match its "
-                                  f"{y.size} labels and feature dimension {dim}")
-            kept.append((seq_id, y.astype(np.int64, copy=False), x, name))
+            dim = kept[0][2].shape[1] if kept else np.shape(x)[-1] if np.ndim(x) else 0
+            kept.append((seq_id, *_check_record(seq_id, y, x, num_classes, dim)))
         if not kept:
             raise EmptySequenceError("dataset has no sequences")
-        ids, labels, drawn, names = zip(*kept)
+        ids, labels, drawn = zip(*kept)
         offsets = np.cumsum([0] + [y.size for y in labels])
         rows = (offsets + 2 * pad * np.arange(offsets.size)).tolist()
         frames = np.empty((rows[-1], dim), np.float32)  # construction fills the edges
-        for name, x, a, b in zip(names, drawn, rows, rows[1:]):
-            with np.errstate(over="ignore", invalid="ignore"):
-                frames[a + pad : b - pad] = x
-            if not np.isfinite(frames[a + pad : b - pad]).all():
-                raise RangeError(f"{name} has non-finite features")
+        for x, a, b in zip(drawn, rows, rows[1:]):
+            frames[a + pad : b - pad] = x
         return cls(frames, np.concatenate(labels), offsets, num_classes, class_names,
                    list(ids), pad)
 
@@ -429,8 +444,8 @@ def _read_features(path, out):
 
 def save_dataset(path, class_names, feature_dim, sequences, feature_format="binary"):
     """Write a dataset directory (see the format note above) of
-    ``(seq_id, frame_labels, frames)``, frames ``[T, D]``, each sequence
-    as it comes; returns the per-class frame counts."""
+    ``(seq_id, frame_labels, frames)``, frames ``[T, D]``, each sequence as
+    it comes, checked first (``_check_record``); returns the class frame counts."""
     if feature_format not in ("binary", "csv"):
         raise ConfigError(f"unknown feature format {feature_format!r}")
     os.makedirs(os.path.join(path, "groundTruth"), exist_ok=True)
@@ -442,6 +457,7 @@ def save_dataset(path, class_names, feature_dim, sequences, feature_format="bina
     entries, counts = [], np.zeros(len(class_names), dtype=np.int64)
     for idx, (seq_id, labels, frames) in enumerate(sequences):
         seq_id = seq_id or f"seq_{idx:04d}"
+        labels, frames = _check_record(seq_id, labels, frames, counts.size, feature_dim)
         label_rel = os.path.join("groundTruth", f"{seq_id}.txt")
         feat_rel = os.path.join("features", f"{seq_id}.{ext}")
         with open(os.path.join(path, label_rel), "w", encoding="utf-8") as fh:

@@ -438,6 +438,43 @@ def test_one_batch_of_every_sequence_matches_reference(loss_mode, batch_size):
     _assert_train_matches_reference(ds, cfg)
 
 
+def test_train_draws_its_batch_plan_from_one_generator(monkeypatch):
+    # one generator, which draws each epoch's permutation once and
+    # nothing else; the trained numbers are those of an unwatched run
+    ds = _mixed_length_dataset(seed=8)
+    cfg = clf.TrainConfig(epochs=4, batch_size=3, context_radius=1, rng_seed=5)
+    want_params, want_telemetry = clf.train(ds, cfg)
+    real, made = np.random.default_rng, []
+
+    class Watched:
+        def __init__(self, seed):
+            self.rng, self.draws = real(seed), []
+            made.append(self)
+
+        def __getattr__(self, name):
+            self.draws.append(name)
+            return getattr(self.rng, name)
+
+    monkeypatch.setattr(np.random, "default_rng", Watched)
+    params, telemetry = clf.train(ds, cfg)
+    monkeypatch.undo()
+    assert [gen.draws for gen in made] == [["permutation"] * cfg.epochs]
+    assert params.weights.tobytes() == want_params.weights.tobytes()
+    assert params.bias.tobytes() == want_params.bias.tobytes()
+    assert telemetry == want_telemetry
+
+
+def test_train_refuses_a_batch_plan_past_draw_limit(monkeypatch):
+    # the plan holds epochs * num_sequences permutation entries; past the
+    # bound train refuses before it makes a generator
+    ds = _mixed_length_dataset(seed=8)
+    S = len(ds.sequences)
+    monkeypatch.setattr(np.random, "default_rng", lambda seed: pytest.fail("drew"))
+    with pytest.raises(ConfigError, match=f"epochs {-(-sd.DRAW_LIMIT // S)} "
+                                          f"\\* num_sequences {S}"):
+        clf.train(ds, clf.TrainConfig(epochs=-(-sd.DRAW_LIMIT // S)))
+
+
 def _first_step_costs(monkeypatch, ds, cfg):
     """tracemalloc's peak above the memory in use, inside the first
     step's softmax (every column ties at the zero-initialised weights)

@@ -929,6 +929,24 @@ def _perfbench_run():
     return module
 
 
+def test_perfbench_tracer_targets_resolve():
+    # every function perfbench traces still exists under its name: the
+    # unresolved targets are at most the six that name deleted code,
+    # which the traced smoke run in CI also accepts; any other would read
+    # 0 calls in every benchmark run
+    run = _perfbench_run()
+    resolve = sys.modules[run.Tracer.__module__]._resolve
+    absent = {target.name for target in run.TARGETS if resolve(target) is None}
+    assert absent <= {
+        "confusion.compute_confusion",
+        "costsens.frame_weights",
+        "costsens.update_multipliers",
+        "costsens.telemetry_record",
+        "kernels.window_stack",
+        "kernels.count_confusion_into",
+    }, sorted(absent)
+
+
 def test_benchmark_step5_equals_eval_report(tmp_path, capsys):
     # perfbench/run.py's protocol in small: gen, train and test manifests
     # over gen's files, train and eval through main with configs shaped

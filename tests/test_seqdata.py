@@ -529,6 +529,40 @@ def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path, fmt):
             assert seq.frames.tobytes() == seq.features.T[rows].tobytes()
 
 
+@pytest.mark.parametrize(
+    "labels, frames, error",
+    [
+        ([0, 1], np.zeros((2, 3)), ConfigError),  # width 3 against feature_dim 4
+        ([0, 1], np.full((2, 4), np.nan), RangeError),
+        ([0, -1], np.zeros((2, 4)), RangeError),
+        ([0, 5], np.zeros((2, 4)), RangeError),
+        ([0.0, 1.0], np.zeros((2, 4)), ConfigError),
+    ],
+    ids=["width", "nan", "label_-1", "label_5", "float_labels"],
+)
+def test_save_dataset_checks_each_record_before_writing_it(tmp_path, labels, frames,
+                                                           error):
+    # a record that load_dataset would refuse, or that the writer cannot
+    # name, is refused with an error naming it before its files are opened
+    good = ("fine", np.array([1, 0]), np.ones((2, 4), np.float32))
+    with pytest.raises(error, match="sequence bad"):
+        sd.save_dataset(str(tmp_path), ("c0", "c1"), 4, [good, ("bad", labels, frames)])
+    assert sorted(p.name for p in tmp_path.glob("*/*")) == ["fine.bin", "fine.txt"]
+
+
+def test_dataset_refuses_buffers_that_do_not_match_the_offsets():
+    # one 2-frame sequence: 3 rows would drop the third, and 3 labels
+    # would count a frame no sequence holds
+    frames, labels = np.zeros((3, 2), np.float32), np.array([0, 1])
+    with pytest.raises(ConfigError, match="3 rows and 2 labels .* take 2 and 2"):
+        sd.Dataset(frames, labels, [0, 2], 2, (), ["a"])
+    with pytest.raises(ConfigError, match="2 rows and 3 labels .* take 2 and 2"):
+        sd.Dataset(frames[:2], np.array([0, 1, 1]), [0, 2], 2, (), ["a"])
+    with pytest.raises(ConfigError, match="3 rows and 2 labels .* take 4 and 2"):
+        sd.Dataset(frames, labels, [0, 2], 2, (), ["a"], pad=1)
+    assert sd.Dataset(frames[:2], labels, [0, 2], 2, (), ["a"]).total_frames == 2
+
+
 def test_ground_truth_line_per_frame(tmp_path):
     ds = sd.Dataset.of([_record([0, 0, 1, 1, 0, 2])], 3)
     _save(ds, tmp_path / "ds")
