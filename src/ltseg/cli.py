@@ -31,7 +31,7 @@ from .errors import (
 )
 
 # the F1 keys of report_to_dict, one per threshold that eval scores
-REPORT_F1_KEYS = tuple(f"{thr:.2f}" for thr in mx.DEFAULT_IOU_THRESHOLDS)
+REPORT_F1_KEYS = tuple(map(mx.f1_key, mx.DEFAULT_IOU_THRESHOLDS))
 
 _SYNTH_KEYS = frozenset(
     f.name for f in dataclasses.fields(sd.SynthConfig)
@@ -77,10 +77,9 @@ class ExperimentConfig:
             raise ConfigError(f"manifest {self.manifest!r} does not exist")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out must be a path, got {self.out_dir!r}")
-        if self.feature_format not in ("binary", "csv"):
-            raise ConfigError(
-                f"feature_format must be 'binary' or 'csv', got {self.feature_format!r}"
-            )
+        if self.feature_format not in sd.FEATURE_FORMATS:
+            raise ConfigError(f"feature_format must be one of {sd.FEATURE_FORMATS}, "
+                              f"got {self.feature_format!r}")
         if self.head_threshold is not None:
             require_int("head_threshold", self.head_threshold)
             if self.head_threshold <= 0:
@@ -308,19 +307,12 @@ def cmd_eval(config: ExperimentConfig, checkpoint_path) -> str:
     head = None
     if config.head_threshold is not None:
         head, _ = sd.head_tail_split(means.support, config.head_threshold)
-    # each sequence is windowed once; the classifier's argmax and the
-    # NCM votes on its windows make up every decoder
+    # each sequence is windowed and decoded once, by every decoder
     extract = dec.windowed_extractor(params.context_radius)
-    decoded = {mode: [] for mode in dec.DECODE_MODES}
-    for sequence in dataset.sequences:
-        phi = extract(sequence)
-        argmax = params.predict_windows(phi)
-        votes = dec.ncm_predict(means, phi)
-        decoded["argmax"].append(argmax)
-        decoded["ncm"].append(votes)
-        decoded["sncm"].append(dec.sncm_decode(argmax, votes))
+    decoded = [dec.decode(params, means, extract(seq)) for seq in dataset.sequences]
     truths = [sequence.frame_labels for sequence in dataset.sequences]
-    for mode, predictions in decoded.items():
+    for mode in dec.DECODE_MODES:
+        predictions = [labels[mode] for labels in decoded]
         report = mx.evaluate(predictions, truths, dataset.num_classes, head=head)
         _write_report(run_dir, "report" if mode == "sncm" else f"report_{mode}", report)
     return run_dir

@@ -114,14 +114,19 @@ def sncm_decode(classifier_predictions, ncm_predictions):
     return out
 
 
-def decode_sequence(params, sequence, mode, means=None):
-    """Run one decoder on one sequence. Its stacked windows
-    ``[T, D*(2w+1)]`` serve as both the classifier input and the NCM
-    representation.
+def decode(params, means, windows):
+    """Every decoder on one sequence's stacked windows ``[T, D*(2w+1)]``,
+    the classifier input and the NCM representation alike, as
+    ``{mode: labels}`` in ``DECODE_MODES`` order: the classifier's
+    argmax, the NCM votes by distance, and segment NCM built from both."""
+    argmax = params.predict_windows(windows)
+    votes = ncm_predict(means, windows)
+    return {"argmax": argmax, "ncm": votes, "sncm": sncm_decode(argmax, votes)}
 
-    ``argmax`` uses the classifier alone; ``ncm`` ignores the classifier
-    scores and votes by distance; ``sncm`` combines both.
-    """
+
+def decode_sequence(params, sequence, mode, means=None):
+    """One decoder's labels of one sequence, from ``decode``; ``argmax``
+    uses the classifier alone and needs no class means."""
     if mode not in DECODE_MODES:
         raise ConfigError(f"decode mode {mode!r} not one of {DECODE_MODES}")
     windows = windowed_extractor(params.context_radius)(sequence)
@@ -129,7 +134,4 @@ def decode_sequence(params, sequence, mode, means=None):
         return params.predict_windows(windows)
     if means is None:
         raise ConfigError(f"decode mode {mode!r} needs class means")
-    ncm = ncm_predict(means, windows)
-    if mode == "ncm":
-        return ncm
-    return sncm_decode(params.predict_windows(windows), ncm)
+    return decode(params, means, windows)[mode]

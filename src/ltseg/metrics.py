@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ConfigError
+from .errors import ConfigError, EmptySequenceError
 from .seqdata import segmentation_from_frames
 
 DEFAULT_IOU_THRESHOLDS = (0.10, 0.25, 0.50)
@@ -137,14 +137,23 @@ def evaluate(
         raise ConfigError(
             f"{len(predictions)} prediction vectors vs {len(truths)} truth vectors"
         )
+    predictions = [np.asarray(p) for p in predictions]
+    truths = [np.asarray(t) for t in truths]
     for index, (p, t) in enumerate(zip(predictions, truths)):
         if len(p) != len(t):
             raise ConfigError(f"pair {index}: {len(p)} predicted vs {len(t)} truth frames")
+        # an empty list is float64, so emptiness is checked before dtype
+        if not t.size:
+            raise EmptySequenceError(f"pair {index} has no frames")
+        for name, labels in (("predicted", p), ("truth", t)):
+            if labels.dtype.kind not in "iu":
+                raise ConfigError(f"pair {index}: {name} labels of dtype "
+                                  f"{labels.dtype} are not integers")
     for thr in thresholds:
         if not 0 < thr < 1:
             raise ConfigError(f"IoU threshold must be in (0, 1), got {thr}")
-    flat_pred = np.concatenate([np.asarray(p) for p in predictions])
-    flat_truth = np.concatenate([np.asarray(t) for t in truths])
+    flat_pred = np.concatenate(predictions)
+    flat_truth = np.concatenate(truths)
     labels = np.concatenate((flat_pred, flat_truth))
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigError(f"labels must lie in [0, {num_classes})")
@@ -196,6 +205,11 @@ def evaluate(
     )
 
 
+def f1_key(threshold):
+    """An IoU threshold's key in ``report_to_dict``'s ``f1_at``."""
+    return f"{threshold:.2f}"
+
+
 def report_to_dict(report: MetricsReport):
     """JSON-ready structure; scores carry two decimals."""
     out = {
@@ -203,7 +217,7 @@ def report_to_dict(report: MetricsReport):
         "per_class_acc": round(report.per_class_acc, 2),
         "edit_score": round(report.edit_score, 2),
         "f1_at": {
-            f"{thr:.2f}": {
+            f1_key(thr): {
                 "global": round(pair[0], 2),
                 "per_class": round(pair[1], 2),
             }
@@ -225,24 +239,15 @@ def report_to_dict(report: MetricsReport):
 
 
 def report_to_csv_rows(report: MetricsReport):
-    """(metric, value) rows with two-decimal values, for table assembly."""
-    rows = [
-        ("global_acc", f"{report.global_acc:.2f}"),
-        ("per_class_acc", f"{report.per_class_acc:.2f}"),
-        ("edit_score", f"{report.edit_score:.2f}"),
-    ]
-    for thr, (global_f1, per_class_f1) in sorted(report.f1_at.items()):
-        rows.append((f"f1_global@{thr:.2f}", f"{global_f1:.2f}"))
-        rows.append((f"f1_per_class@{thr:.2f}", f"{per_class_f1:.2f}"))
-    if report.group is not None:
-        for name in ("head", "tail"):
-            sub = report.group[name]
-            if sub.empty:
-                rows.append((f"{name}_per_class_acc", "NA"))
-                rows.append((f"{name}_per_class_f1@0.25", "NA"))
-            else:
-                rows.append((f"{name}_per_class_acc", f"{sub.per_class_acc:.2f}"))
-                rows.append(
-                    (f"{name}_per_class_f1@0.25", f"{sub.per_class_f1_25:.2f}")
-                )
-    return rows
+    """(metric, value) rows of the values ``report_to_dict`` holds, for
+    table assembly; an empty head/tail group's rows read NA."""
+    data = report_to_dict(report)
+    rows = [(key, data[key]) for key in ("global_acc", "per_class_acc", "edit_score")]
+    for key, f1 in data["f1_at"].items():
+        rows += [(f"f1_global@{key}", f1["global"]),
+                 (f"f1_per_class@{key}", f1["per_class"])]
+    for name, sub in data.get("group", {}).items():  # head, then tail
+        for metric, key in (("per_class_acc", "per_class_acc"),
+                            ("per_class_f1@0.25", "per_class_f1_25")):
+            rows.append((f"{name}_{metric}", None if sub["empty"] else sub[key]))
+    return [(metric, "NA" if value is None else f"{value:.2f}") for metric, value in rows]

@@ -1,6 +1,7 @@
 """Labeled frame sequences, synthetic long-tailed data, and dataset I/O.
 
-A sequence is a feature matrix [D x T] plus a class label per frame.
+A sequence is its float32 frames [T, D], frame-major, plus a class
+label per frame.
 Each frame also records the label of the preceding segment (maximal run
 of a single class), with the synthetic 'start' class (index L) standing
 in before the first segment. ``segmentation_from_frames`` is the one
@@ -133,6 +134,14 @@ class Dataset:
             raise ConfigError(f"{len(names)} class names for {L} classes")
         self.class_names = tuple(names or default_class_names(L))
         offsets = self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        if offsets[0] != 0:
+            raise ConfigError(f"offsets start at {offsets[0]}, not 0, so frames before "
+                              f"sequence {ids[0] or '<unnamed>'} lie in no sequence")
+        short = np.flatnonzero(offsets[1:] <= offsets[:-1])[:1]
+        if short.size:
+            s = short[0]
+            raise EmptySequenceError(f"sequence {ids[s] or '<unnamed>'} spans offsets "
+                                     f"{offsets[s]} to {offsets[s + 1]}: no frames")
         pad, frames = self.pad, self.frames
         rows = offsets + 2 * pad * np.arange(offsets.size)
         if (len(frames), labels.size) != (rows[-1], offsets[-1]):
@@ -405,6 +414,7 @@ def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
 #                            frame-major; csv: T rows x D columns
 # ---------------------------------------------------------------------------
 
+FEATURE_FORMATS = ("binary", "csv")
 _FEATURE_HEADER = np.dtype("<u8")
 
 
@@ -446,7 +456,7 @@ def save_dataset(path, class_names, feature_dim, sequences, feature_format="bina
     """Write a dataset directory (see the format note above) of
     ``(seq_id, frame_labels, frames)``, frames ``[T, D]``, each sequence as
     it comes, checked first (``_check_record``); returns the class frame counts."""
-    if feature_format not in ("binary", "csv"):
+    if feature_format not in FEATURE_FORMATS:
         raise ConfigError(f"unknown feature format {feature_format!r}")
     os.makedirs(os.path.join(path, "groundTruth"), exist_ok=True)
     os.makedirs(os.path.join(path, "features"), exist_ok=True)

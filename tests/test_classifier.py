@@ -114,6 +114,17 @@ def test_predict_perfect_margin():
     assert np.array_equal(dec.decode_sequence(params, seq, "argmax"), seq.frame_labels)
 
 
+@pytest.mark.parametrize(
+    "shape, names",
+    [((0, 3, 1), "L=0"), ((2, 0, 1), "D=0"), ((2, 3, -1), "w=-1")],
+    ids=["classes", "feature_dim", "context_radius"],
+)
+def test_zeros_refuses_a_bad_shape_naming_it(shape, names):
+    with pytest.raises(ConfigError) as info:
+        clf.ClassifierParams.zeros(*shape)
+    assert names in str(info.value)
+
+
 def test_single_step_descends():
     seq = _seq([[0.9], [-0.4]], [1], 2)
     params = clf.ClassifierParams.zeros(2, 2, context_radius=0)

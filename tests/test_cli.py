@@ -213,6 +213,12 @@ def test_config_requires_single_source(tmp_path):
         ("dataset.synthetic.class_skew", float("nan")),
         ("dataset.synthetic.duration_mean", [5, 6]),
         ("seed", -1),
+        ("head_threshold", 0),
+        ("feature_format", "hdf5"),
+        pytest.param("dataset", ["manifest.json"], id="dataset-list"),
+        ("dataset.manifest", 3),
+        pytest.param("dataset.synthetic", [], id="dataset.synthetic-list"),
+        ("train", 30),
     ],
 )
 def test_config_field_of_wrong_type_named(tmp_path, capsys, field, value):
@@ -228,6 +234,22 @@ def test_config_field_of_wrong_type_named(tmp_path, capsys, field, value):
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not os.path.exists(tmp_path / "runs")
+
+
+def test_config_top_level_not_an_object_named(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[]")
+    with pytest.raises(ConfigError, match="config top level"):
+        cli.load_config(str(path))
+
+
+def test_feature_formats_are_the_writers():
+    # the config accepts exactly the formats save_dataset writes
+    for name in sd.FEATURE_FORMATS:
+        assert cli.config_from_dict({"feature_format": name}).feature_format == name
+    with pytest.raises(ConfigError) as info:
+        cli.config_from_dict({"feature_format": "bin"})
+    assert str(sd.FEATURE_FORMATS) in str(info.value)
 
 
 @pytest.mark.parametrize(

@@ -203,3 +203,27 @@ def test_decode_sequence_modes():
         dc.decode_sequence(params, seq, "viterbi")
     with pytest.raises(ConfigError):
         dc.decode_sequence(params, seq, "sncm")  # means required
+
+
+def test_decode_runs_every_decoder_on_the_same_windows():
+    from ltseg import classifier as clf
+
+    ds = sd.generate_synthetic(
+        sd.SynthConfig(num_classes=4, feature_dim=3, num_sequences=6,
+                       noise_scale=1.0, rng_seed=8)
+    )
+    params, _ = clf.train(
+        ds, clf.TrainConfig(epochs=2, batch_size=3, context_radius=2,
+                            loss_mode="plain_ce"),
+    )
+    means = params.train_means
+    for seq in ds.sequences:
+        phi = dc.windowed_extractor(2)(seq)
+        got = dc.decode(params, means, phi)
+        assert tuple(got) == dc.DECODE_MODES
+        assert np.array_equal(got["argmax"], params.predict_windows(phi))
+        assert np.array_equal(got["ncm"], dc.ncm_predict(means, phi))
+        assert np.array_equal(got["sncm"], dc.sncm_decode(got["argmax"], got["ncm"]))
+        for mode in dc.DECODE_MODES:
+            once = dc.decode_sequence(params, seq, mode, means=means)
+            assert np.array_equal(once, got[mode])

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ltseg import metrics as mx
 from ltseg import seqdata as sd
-from ltseg.errors import ConfigError
+from ltseg.errors import ConfigError, EmptySequenceError
 
 
 def runs(labels):
@@ -299,6 +299,32 @@ def test_evaluate_refuses_pairs_of_unequal_length():
         mx.evaluate([[0, 0], [1]], [[0, 0], [1, 1]], 2)
 
 
+@pytest.mark.parametrize(
+    "refused, error, names",
+    [
+        (lambda: mx.frame_accuracy([], []), ConfigError, "no frames"),
+        (lambda: mx.evaluate([[0]], [], 2), ConfigError, "1 prediction vectors vs 0"),
+        (lambda: mx.evaluate([[0, 2]], [[0, 1]], 2), ConfigError, "labels must lie"),
+        (lambda: mx.evaluate([[0], []], [[0], []], 2), EmptySequenceError,
+         "pair 1 has no frames"),
+        (lambda: mx.evaluate([[]], [[]], 2), EmptySequenceError, "pair 0 has no frames"),
+        # 0.5 would otherwise be cast to class 0 and score as a hit
+        (lambda: mx.evaluate([np.array([0.5, 1.0])], [np.array([0, 1])], 2),
+         ConfigError, "pair 0: predicted labels of dtype float64"),
+        (lambda: mx.evaluate([[0, 1]], [np.array([0.0, 1.0])], 2),
+         ConfigError, "pair 0: truth labels of dtype float64"),
+        (lambda: mx.evaluate([[True, False]], [[1, 0]], 2),
+         ConfigError, "pair 0: predicted labels of dtype bool"),
+    ],
+    ids=["no_frames", "vector_count", "label_range", "empty_pair", "all_empty",
+         "float_prediction", "float_truth", "bool_prediction"],
+)
+def test_typed_refusals_name_their_field(refused, error, names):
+    with pytest.raises(error) as info:
+        refused()
+    assert names in str(info.value)
+
+
 def test_evaluate_perfect_both_groups():
     truth = [np.array([0, 0, 1, 1, 2]), np.array([2, 2, 0, 1, 1])]
     report = mx.evaluate(truth, truth, num_classes=3, head={0})
@@ -351,6 +377,42 @@ def test_report_exports():
     empty_tail = mx.evaluate(truth, truth, num_classes=4, head={0, 1, 2, 3})
     rows = dict(mx.report_to_csv_rows(empty_tail))
     assert rows["tail_per_class_acc"] == "NA"
+
+
+def _csv_rows_from_report_fields(report):
+    """The CSV rows formatted straight from the report's fields, as the
+    export once did it, before report_to_dict rounds them."""
+    rows = [(name, f"{getattr(report, name):.2f}")
+            for name in ("global_acc", "per_class_acc", "edit_score")]
+    for thr, (global_f1, per_class_f1) in sorted(report.f1_at.items()):
+        rows += [(f"f1_global@{thr:.2f}", f"{global_f1:.2f}"),
+                 (f"f1_per_class@{thr:.2f}", f"{per_class_f1:.2f}")]
+    for name in ("head", "tail"):
+        sub = report.group[name]
+        for metric, value in (("per_class_acc", sub.per_class_acc),
+                              ("per_class_f1@0.25", sub.per_class_f1_25)):
+            rows.append((f"{name}_{metric}", "NA" if sub.empty else f"{value:.2f}"))
+    return rows
+
+
+def test_csv_rows_are_the_rounded_report_values():
+    # Python's round is correctly rounded, so the CSV text of a value
+    # report_to_dict rounded to two decimals equals the raw value's; that
+    # needs the report's scores to be Python floats (numpy's round is not)
+    rng = np.random.default_rng(43)
+    for _ in range(200):
+        L = int(rng.integers(2, 7))
+        truth = [rng.integers(0, L, rng.integers(1, 40)) for _ in range(3)]
+        pred = [np.where(rng.random(t.size) < 0.6, t, rng.integers(0, L, t.size))
+                for t in truth]
+        head = set(rng.choice(L, int(rng.integers(0, L + 1)), replace=False).tolist())
+        report = mx.evaluate(pred, truth, num_classes=L, head=head)
+        scores = [report.global_acc, report.per_class_acc, report.edit_score]
+        scores += [v for pair in report.f1_at.values() for v in pair]
+        scores += [v for sub in report.group.values()
+                   for v in (sub.per_class_acc, sub.per_class_f1_25)]
+        assert all(type(v) is float for v in scores)
+        assert mx.report_to_csv_rows(report) == _csv_rows_from_report_fields(report)
 
 
 @st.composite

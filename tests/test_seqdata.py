@@ -563,6 +563,59 @@ def test_dataset_refuses_buffers_that_do_not_match_the_offsets():
     assert sd.Dataset(frames[:2], labels, [0, 2], 2, (), ["a"]).total_frames == 2
 
 
+@pytest.mark.parametrize(
+    "offsets, error, message",
+    [
+        ([0, 2, 2], EmptySequenceError, "sequence b spans offsets 2 to 2"),
+        ([0, 0, 3], EmptySequenceError, "sequence a spans offsets 0 to 0"),
+        ([1, 3], ConfigError, "start at 1, not 0, .* before sequence a"),
+        ([0, 3, 2, 4], EmptySequenceError, "sequence b spans offsets 3 to 2"),
+    ],
+    ids=["empty_last", "empty_first", "late_start", "negative_length"],
+)
+def test_dataset_refuses_offsets_that_do_not_tile_the_frames(offsets, error, message):
+    # Dataset.of and load_dataset build offsets as a cumulative sum of
+    # positive lengths from 0; a directly built dataset is checked too
+    n = offsets[-1]
+    frames, labels = np.zeros((n, 2), np.float32), np.zeros(n, np.int64)
+    with pytest.raises(error, match=message):
+        sd.Dataset(frames, labels, offsets, 2, (), ["a", "b", "c"])
+
+
+def _manifest_with_no_classes(tmp_path):
+    manifest = {"num_classes": 0, "feature_dim": 3,
+                "sequences": [{"id": "a", "labels": "a.txt", "features": "a.bin"}]}
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    sd.load_dataset(str(tmp_path))
+
+
+@pytest.mark.parametrize(
+    "refused, error, names",
+    [
+        (lambda tmp: sd.Dataset(np.zeros((2, 2), np.float32), np.zeros(2, np.int64),
+                                [0, 2], 0, (), ["a"]),
+         ConfigError, "num_classes"),
+        (lambda tmp: sd.Dataset(np.zeros((2, 2), np.float32), np.zeros(2, np.int64),
+                                [0, 2], 2, ("x",), ["a"]),
+         ConfigError, "class names"),
+        (lambda tmp: sd.Dataset(np.zeros((3, 2), np.float32), np.array([0, 1, 5]),
+                                [0, 1, 3], 2, (), ["a", "b"]),
+         RangeError, "sequence b: label 5"),
+        (lambda tmp: sd.SynthConfig(duration_spread=-0.5).validate(),
+         ConfigError, "duration_spread"),
+        (lambda tmp: sd.save_dataset(str(tmp), ("c0", "c1"), 2, [], "hdf5"),
+         ConfigError, "feature format 'hdf5'"),
+        (_manifest_with_no_classes, RangeError, "{tmp}/manifest.json"),
+    ],
+    ids=["no_classes", "class_names", "dataset_label", "duration_spread",
+         "feature_format", "manifest_dims"],
+)
+def test_typed_refusals_name_their_field_or_file(tmp_path, refused, error, names):
+    with pytest.raises(error) as info:
+        refused(tmp_path)
+    assert names.format(tmp=tmp_path) in str(info.value)
+
+
 def test_ground_truth_line_per_frame(tmp_path):
     ds = sd.Dataset.of([_record([0, 0, 1, 1, 0, 2])], 3)
     _save(ds, tmp_path / "ds")
