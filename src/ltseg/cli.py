@@ -63,7 +63,6 @@ class ExperimentConfig:
     manifest: str = None
     train: clf.TrainConfig = dataclasses.field(default_factory=clf.TrainConfig)
     head_threshold: int = None
-    feature_format: str = "binary"
     out_dir: str = "runs"
     seed: int = 0
 
@@ -77,9 +76,6 @@ class ExperimentConfig:
             raise ConfigError(f"manifest {self.manifest!r} does not exist")
         if not isinstance(self.out_dir, str):
             raise ConfigError(f"out must be a path, got {self.out_dir!r}")
-        if self.feature_format not in sd.FEATURE_FORMATS:
-            raise ConfigError(f"feature_format must be one of {sd.FEATURE_FORMATS}, "
-                              f"got {self.feature_format!r}")
         if self.head_threshold is not None:
             require_int("head_threshold", self.head_threshold)
             if self.head_threshold <= 0:
@@ -109,6 +105,9 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
             f"decode {data['decode']!r} is not a choice: report.json is sncm's, "
             "and eval writes report_argmax.json and report_ncm.json beside it"
         )
+    if data.get("feature_format", "binary") not in ("binary", "csv"):  # older formats
+        raise ConfigError(f"feature_format {data['feature_format']!r} is not a choice: "
+                          "gen writes .npy features, whatever a config names")
 
     seed = overrides.pop("seed", data.get("seed", 0))
     require_int("seed", seed)
@@ -145,7 +144,6 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
         manifest=manifest,
         train=train,
         head_threshold=data.get("head_threshold"),
-        feature_format=data.get("feature_format", "binary"),
         out_dir=overrides.pop("out", data.get("out", "runs")),
         seed=seed,
     )
@@ -155,9 +153,13 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Read a config file, or start from all defaults when path is None."""
+    """Read a config file, or start from all defaults when path is None;
+    an error in the file's contents names the file."""
     data = {} if path is None else sd.read_json(path, ConfigError)
-    return config_from_dict(data, overrides)
+    try:
+        return config_from_dict(data, overrides)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") if path else exc from None
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:
@@ -175,7 +177,6 @@ def config_to_dict(config: ExperimentConfig) -> dict:
         "dataset": source,
         "train": {name: getattr(config.train, name) for name in sorted(_TRAIN_KEYS)},
         "head_threshold": config.head_threshold,
-        "feature_format": config.feature_format,
         "out": config.out_dir,
         "seed": config.seed,
     }
@@ -230,8 +231,7 @@ def cmd_gen(config: ExperimentConfig, stream=None) -> str:
     names = sd.default_class_names(synth.num_classes)
     try:
         counts = sd.save_dataset(os.path.join(run_dir, "dataset"), names,
-                                 synth.feature_dim, sd.draw_synthetic(synth),
-                                 config.feature_format)
+                                 synth.feature_dim, sd.draw_synthetic(synth))
     except LtsegError:
         shutil.rmtree(made or run_dir)
         raise

@@ -14,6 +14,7 @@ holds its sequences flat.
 import io
 import json
 import os
+import tokenize
 from dataclasses import dataclass, field
 from itertools import repeat
 
@@ -134,6 +135,9 @@ class Dataset:
             raise ConfigError(f"{len(names)} class names for {L} classes")
         self.class_names = tuple(names or default_class_names(L))
         offsets = self.offsets = np.asarray(self.offsets, dtype=np.int64)
+        if offsets.ndim != 1 or offsets.size != len(ids) + 1:
+            raise ConfigError(f"{len(ids)} sequence ids and {offsets.size} offsets: "
+                              "the offsets must bound one sequence per id")
         if offsets[0] != 0:
             raise ConfigError(f"offsets start at {offsets[0]}, not 0, so frames before "
                               f"sequence {ids[0] or '<unnamed>'} lie in no sequence")
@@ -410,76 +414,63 @@ def generate_synthetic(config: SynthConfig, pad=0) -> Dataset:
 #   manifest.json            sequence ids + relative label/feature paths, L, D
 #   classes.txt              "id name" per line; 'start' is implicit
 #   groundTruth/<id>.txt     one class-name token per line per frame
-#   features/<id>.bin|.csv   binary: u64-LE header (D, T) then D*T f32-LE,
-#                            frame-major; csv: T rows x D columns
+#   features/<id>.npy        numpy .npy 1.0 of float32 (D, T), the MS-TCN
+#                            orientation, whose data bytes are the
+#                            frame-major [T, D] rows (Fortran order)
 # ---------------------------------------------------------------------------
 
-FEATURE_FORMATS = ("binary", "csv")
-_FEATURE_HEADER = np.dtype("<u8")
 
-
-def _read_features(path, out):
-    """The (T, D) a feature file holds, binary or, by its suffix, CSV;
-    its values go into ``out``, float32 ``[T, D]``, when that is out's
-    shape."""
-    if path.endswith(".csv"):
-        text = _open_utf8(path)
-        if not text.getvalue().strip():  # numpy warns on an input with no data
-            raise ParseError(f"{path}: no feature values")
-        try:
-            # a value past the float32 range reads as inf, without a warning
-            table = np.loadtxt(text, delimiter=",", dtype=np.float32, ndmin=2)
-        except ValueError as exc:
-            raise ParseError(f"{path}: {exc}") from exc
-        if table.shape == out.shape:
-            out[...] = table
-        return table.shape
+def _read_features(path, out, labels_path):
+    """Read a .npy feature file into ``out``, float32 ``[T, D]``, T the frame
+    count of ``labels_path``; any other file is a ParseError naming it."""
     with open(path, "rb") as fh:
-        header = np.fromfile(fh, dtype=_FEATURE_HEADER, count=2)
-        if header.size != 2:
-            raise ParseError(f"{path}: truncated header (offset {header.size * 8})")
-        dim, num_frames = int(header[0]), int(header[1])
-        found = (os.fstat(fh.fileno()).st_size - 16) // 4
-        if found != dim * num_frames:
-            raise ParseError(
-                f"{path}: expected {dim * num_frames} feature values "
-                f"({dim} x {num_frames}), found {found}"
-            )
-        if out.shape == (num_frames, dim):
-            fh.readinto(out)
-            if not np.little_endian:
-                out.byteswap(inplace=True)
-    return num_frames, dim
+        try:
+            version = np.lib.format.read_magic(fh)
+            if version != (1, 0):
+                raise ValueError(f"format version {version[0]}.{version[1]}")
+            shape, fortran_order, dtype = np.lib.format.read_array_header_1_0(fh)
+        # numpy's parser also raises TypeError and the errors of Python's
+        # tokenizer and parser, whose stack a deeply nested header overflows
+        except (ValueError, TypeError, SyntaxError, tokenize.TokenError,
+                RecursionError, MemoryError) as exc:
+            raise ParseError(f"{path}: not a .npy 1.0 header ({exc})") from None
+        size = os.fstat(fh.fileno()).st_size - fh.tell()
+        # frame-major [T, D] data: np.save writes a transposed C array in
+        # Fortran order, or in C order, the same bytes, when D or T is 1
+        if (dtype != "<f4" or len(shape) != 2 or size != 4 * shape[0] * shape[1]
+                or not fortran_order and min(shape) > 1):
+            raise ParseError(f"{path}: {dtype.str} {shape}, fortran_order "
+                             f"{fortran_order}, {size} data bytes; not float32 (D, T) "
+                             "in Fortran order of 4 * D * T bytes")
+        if shape != out.shape[::-1]:
+            raise ParseError(f"{path}: {shape[0]} x {shape[1]} features, but the entry "
+                             f"expects feature_dim {out.shape[1]} x the {out.shape[0]} "
+                             f"label lines of {labels_path}")
+        fh.readinto(out)
+        if not np.little_endian:
+            out.byteswap(inplace=True)
 
 
-def save_dataset(path, class_names, feature_dim, sequences, feature_format="binary"):
+def save_dataset(path, class_names, feature_dim, sequences):
     """Write a dataset directory (see the format note above) of
     ``(seq_id, frame_labels, frames)``, frames ``[T, D]``, each sequence as
     it comes, checked first (``_check_record``); returns the class frame counts."""
-    if feature_format not in FEATURE_FORMATS:
-        raise ConfigError(f"unknown feature format {feature_format!r}")
     os.makedirs(os.path.join(path, "groundTruth"), exist_ok=True)
     os.makedirs(os.path.join(path, "features"), exist_ok=True)
     with open(os.path.join(path, "classes.txt"), "w", encoding="utf-8") as fh:
         for i, name in enumerate(class_names):
             fh.write(f"{i} {name}\n")
-    ext = "bin" if feature_format == "binary" else "csv"
     entries, counts = [], np.zeros(len(class_names), dtype=np.int64)
     for idx, (seq_id, labels, frames) in enumerate(sequences):
         seq_id = seq_id or f"seq_{idx:04d}"
         labels, frames = _check_record(seq_id, labels, frames, counts.size, feature_dim)
         label_rel = os.path.join("groundTruth", f"{seq_id}.txt")
-        feat_rel = os.path.join("features", f"{seq_id}.{ext}")
+        feat_rel = os.path.join("features", f"{seq_id}.npy")
         with open(os.path.join(path, label_rel), "w", encoding="utf-8") as fh:
             for y in labels:
                 fh.write(class_names[y] + "\n")
-        feat_path = os.path.join(path, feat_rel)
-        if feature_format == "csv":  # %.9g round-trips float32 exactly
-            np.savetxt(feat_path, frames.astype(np.float64), fmt="%.9g", delimiter=",")
-        else:  # the header is (D, T)
-            with open(feat_path, "wb") as fh:
-                np.array(frames.shape[::-1], dtype=_FEATURE_HEADER).tofile(fh)
-                np.ascontiguousarray(frames, dtype="<f4").tofile(fh)
+        # a C-contiguous copy, so that its transpose is saved in Fortran order
+        np.save(os.path.join(path, feat_rel), np.ascontiguousarray(frames, "<f4").T)
         entries.append({"id": seq_id, "labels": label_rel, "features": feat_rel})
         counts += np.bincount(labels, minlength=counts.size)
     manifest = {
@@ -644,13 +635,7 @@ def load_dataset(path, pad=0) -> Dataset:
             feat_path = os.path.join(root, entry["features"])
             end = offsets[index + 1] + 2 * pad * index + pad
             slot = frames[end - (offsets[index + 1] - offsets[index]) : end]
-            shape = _read_features(feat_path, slot)
-            if shape != slot.shape:  # frame-major
-                raise ParseError(
-                    f"{feat_path}: {shape[1]} x {shape[0]} features, but the entry "
-                    f"expects feature_dim {feature_dim} x the {slot.shape[0]} "
-                    f"label lines of {os.path.join(root, entry['labels'])}"
-                )
+            _read_features(feat_path, slot, os.path.join(root, entry["labels"]))
             if not np.isfinite(slot).all():
                 raise RangeError(f"{feat_path}: non-finite feature values")
     except (OSError, ParseError) as exc:  # also name the manifest entry

@@ -232,24 +232,30 @@ def test_config_field_of_wrong_type_named(tmp_path, capsys, field, value):
         cli.load_config(path)
     assert cli.main(["train", "--config", path]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and field in err
+    assert err.startswith(f"error: {path}:") and field in err
     assert not os.path.exists(tmp_path / "runs")
 
 
-def test_config_top_level_not_an_object_named(tmp_path):
+def test_config_top_level_not_an_object_named(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text("[]")
     with pytest.raises(ConfigError, match="config top level"):
         cli.load_config(str(path))
+    assert cli.main(["train", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: config top level must be a JSON object\n"
+    )
 
 
-def test_feature_formats_are_the_writers():
-    # the config accepts exactly the formats save_dataset writes
-    for name in sd.FEATURE_FORMATS:
-        assert cli.config_from_dict({"feature_format": name}).feature_format == name
-    with pytest.raises(ConfigError) as info:
-        cli.config_from_dict({"feature_format": "bin"})
-    assert str(sd.FEATURE_FORMATS) in str(info.value)
+def test_feature_format_key_takes_only_the_old_formats():
+    # features are .npy files; a config may still name either format
+    # older gens wrote, which is not echoed, and any other is refused
+    for name in ("binary", "csv"):
+        config = cli.config_from_dict({"feature_format": name})
+        assert config == cli.load_config(None)
+        assert "feature_format" not in cli.config_to_dict(config)
+    with pytest.raises(ConfigError, match="feature_format 'npy' is not a choice"):
+        cli.config_from_dict({"feature_format": "npy"})
 
 
 @pytest.mark.parametrize(
@@ -1123,7 +1129,7 @@ def _nul_in_labels_path(root):
 
 
 def _nul_in_features_path(root):
-    _edit_entries(root / "manifest.json", lambda e: e[0].update(features="f\0.bin"))
+    _edit_entries(root / "manifest.json", lambda e: e[0].update(features="f\0.npy"))
     return [str(root / "manifest.json"), "entry 0"]
 
 
@@ -1136,21 +1142,53 @@ def _nan_in_binary_features(root):
     entry = json.loads((root / "manifest.json").read_text())["sequences"][0]
     path = root / entry["features"]
     with open(path, "r+b") as fh:
-        fh.seek(16 + 4 * 5)  # past the (D, T) header, into frame 1
+        fh.seek(-4 * 5, os.SEEK_END)  # into the last frame's data bytes
         fh.write(np.array([np.nan], dtype="<f4").tobytes())
     return [str(path), "non-finite"]
 
 
-def _inf_in_csv_features(root):
-    features = sd.load_dataset(str(root)).sequences[0].features.copy()
-    features[2, 3] = np.inf
-    path = root / "features" / "seq_0000.csv"
-    np.savetxt(path, features.T, delimiter=",")
-    _edit_entries(
-        root / "manifest.json",
-        lambda e: e[0].update(features=os.path.join("features", "seq_0000.csv")),
-    )
-    return [str(path), "non-finite"]
+def _npy_features(root, write):
+    """Rewrite sequence 0's features, read as numpy's (D, T) array, with
+    ``write(path, features)``."""
+    path = root / "features" / "seq_0000.npy"
+    write(path, np.load(path))
+    return [str(path)]
+
+
+def _inf_in_npy_features(root):
+    def write(path, features):
+        features[2, 3] = np.inf
+        np.save(path, features)  # in the Fortran order it was read in
+
+    return [*_npy_features(root, write), "non-finite"]
+
+
+def _float64_npy_features(root):
+    return [*_npy_features(root, lambda p, f: np.save(p, f.astype(np.float64))), "<f8"]
+
+
+def _c_order_npy_features(root):
+    saved = _npy_features(root, lambda p, f: np.save(p, np.ascontiguousarray(f)))
+    return [*saved, "fortran_order False"]
+
+
+def _one_dim_npy_features(root):
+    return [*_npy_features(root, lambda p, f: np.save(p, f.ravel("F"))), ",)"]
+
+
+def _version_2_npy_features(root):
+    def write(path, features):
+        with open(path, "wb") as fh:
+            np.lib.format.write_array(fh, features, version=(2, 0))
+
+    return [*_npy_features(root, write), "version 2.0"]
+
+
+def _trailing_byte_npy_features(root):
+    path = root / "features" / "seq_0000.npy"
+    size = np.load(path).nbytes
+    path.write_bytes(path.read_bytes() + b"\0")
+    return [str(path), f", {size + 1} data bytes;"]
 
 
 def _deep_manifest(root):
@@ -1175,7 +1213,12 @@ def _no_sequences(root):
             (_nul_in_features_path, ParseError),
             (_duplicate_id, ParseError),
             (_nan_in_binary_features, RangeError),
-            (_inf_in_csv_features, RangeError),
+            (_inf_in_npy_features, RangeError),
+            (_float64_npy_features, ParseError),
+            (_c_order_npy_features, ParseError),
+            (_one_dim_npy_features, ParseError),
+            (_version_2_npy_features, ParseError),
+            (_trailing_byte_npy_features, ParseError),
             (_no_sequences, ParseError),
             (_deep_manifest, ParseError),
         )

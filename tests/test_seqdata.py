@@ -31,10 +31,10 @@ def _make_seq(labels, num_classes, dim=3, seed=0):
     return sd.Dataset.of([_record(labels, dim, seed)], num_classes).sequences[0]
 
 
-def _save(ds, path, feature_format="binary"):
+def _save(ds, path):
     """Write a dataset held in memory through the streaming writer."""
     sequences = ((seq.seq_id, seq.frame_labels, seq.features.T) for seq in ds.sequences)
-    sd.save_dataset(path, ds.class_names, ds.feature_dim, sequences, feature_format)
+    sd.save_dataset(path, ds.class_names, ds.feature_dim, sequences)
 
 
 def _expand(starts, ends, runs):
@@ -424,13 +424,12 @@ def test_flat_statistics_equal_per_sequence_oracles(pad, radius):
             assert got.support.tobytes() == support.tobytes()
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
 @pytest.mark.parametrize("pad", [0, 2])
-def test_load_holds_every_sequence_in_one_buffer(tmp_path, fmt, pad):
+def test_load_holds_every_sequence_in_one_buffer(tmp_path, pad):
     ds = sd.generate_synthetic(
         sd.SynthConfig(num_classes=4, feature_dim=3, num_sequences=7, rng_seed=3)
     )
-    _save(ds, tmp_path / "ds", feature_format=fmt)
+    _save(ds, tmp_path / "ds")
     loaded = sd.load_dataset(str(tmp_path / "ds"), pad=pad)
     assert loaded.frames.dtype == np.float32 and loaded.frames.flags.owndata
     assert loaded.frames.shape == (ds.total_frames + 2 * pad * 7, 3)
@@ -500,17 +499,29 @@ def _datasets_equal(a, b):
         assert np.array_equal(sa.prev_action, sb.prev_action)
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_save_load_round_trip(tmp_path, fmt):
-    ds = sd.generate_synthetic(
-        sd.SynthConfig(num_classes=4, feature_dim=5, num_sequences=6, rng_seed=2)
-    )
-    _save(ds, tmp_path / "ds", feature_format=fmt)
+def test_save_load_round_trip(tmp_path):
+    cfg = sd.SynthConfig(num_classes=4, feature_dim=5, num_sequences=6, rng_seed=2)
+    ds = sd.generate_synthetic(cfg)
+    _save(ds, tmp_path / "ds")
+    _datasets_equal(ds, sd.load_dataset(str(tmp_path / "ds")))
+    # numpy reads each feature file as the drawn frames transposed, (D, T)
+    for seq_id, _, frames in sd.draw_synthetic(cfg):
+        features = np.load(tmp_path / "ds" / "features" / f"{seq_id}.npy")
+        assert features.dtype == np.float32 and features.shape == frames.T.shape
+        assert np.array_equal(features, frames.T)
+
+
+@pytest.mark.parametrize("dim, lengths", [(1, [1, 3]), (3, [1, 2])])
+def test_unit_dimension_features_round_trip(tmp_path, dim, lengths):
+    # np.save writes a (D, T) array with D or T of 1 in C order, the same
+    # bytes as Fortran order, and load_dataset reads them all the same
+    records = [_record([0] * n, dim, seed=n, seq_id=f"s{n}") for n in lengths]
+    ds = sd.Dataset.of(records, 1)
+    _save(ds, tmp_path / "ds")
     _datasets_equal(ds, sd.load_dataset(str(tmp_path / "ds")))
 
 
-@pytest.mark.parametrize("fmt", ["binary", "csv"])
-def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path, fmt):
+def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path):
     # the generator and the loader lay each sequence out frame-major with
     # `pad` copies of its edge frames on each side; its features, and so
     # the draw and the written files, are those of pad 0
@@ -518,7 +529,7 @@ def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path, fmt):
     plain = sd.generate_synthetic(cfg)
     padded = sd.generate_synthetic(cfg, pad=2)
     _datasets_equal(plain, padded)
-    _save(padded, tmp_path / "ds", feature_format=fmt)
+    _save(padded, tmp_path / "ds")
     loaded = sd.load_dataset(str(tmp_path / "ds"), pad=3)
     _datasets_equal(plain, loaded)
     for ds, pad in ((plain, 0), (padded, 2), (loaded, 3)):
@@ -547,7 +558,7 @@ def test_save_dataset_checks_each_record_before_writing_it(tmp_path, labels, fra
     good = ("fine", np.array([1, 0]), np.ones((2, 4), np.float32))
     with pytest.raises(error, match="sequence bad"):
         sd.save_dataset(str(tmp_path), ("c0", "c1"), 4, [good, ("bad", labels, frames)])
-    assert sorted(p.name for p in tmp_path.glob("*/*")) == ["fine.bin", "fine.txt"]
+    assert sorted(p.name for p in tmp_path.glob("*/*")) == ["fine.npy", "fine.txt"]
 
 
 def test_dataset_refuses_buffers_that_do_not_match_the_offsets():
@@ -579,12 +590,29 @@ def test_dataset_refuses_offsets_that_do_not_tile_the_frames(offsets, error, mes
     n = offsets[-1]
     frames, labels = np.zeros((n, 2), np.float32), np.zeros(n, np.int64)
     with pytest.raises(error, match=message):
-        sd.Dataset(frames, labels, offsets, 2, (), ["a", "b", "c"])
+        sd.Dataset(frames, labels, offsets, 2, (), ["a", "b", "c"][: len(offsets) - 1])
+
+
+def _load_features(tmp_path, edit):
+    """Load a one-sequence dataset after ``edit`` rewrites the bytes of
+    its feature file, features/seq_0000.npy."""
+    _save(sd.Dataset.of([_record([0, 1, 1])], 2), tmp_path)
+    path = tmp_path / "features" / "seq_0000.npy"
+    path.write_bytes(edit(path.read_bytes()))
+    sd.load_dataset(str(tmp_path))
+
+
+def _npy_header(text):
+    """A .npy 1.0 file that holds the header ``text`` and no data."""
+    return b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text
+
+
+_FEATURES = "{tmp}/features/seq_0000.npy"
 
 
 def _manifest_with_no_classes(tmp_path):
     manifest = {"num_classes": 0, "feature_dim": 3,
-                "sequences": [{"id": "a", "labels": "a.txt", "features": "a.bin"}]}
+                "sequences": [{"id": "a", "labels": "a.txt", "features": "a.npy"}]}
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     sd.load_dataset(str(tmp_path))
 
@@ -601,14 +629,35 @@ def _manifest_with_no_classes(tmp_path):
         (lambda tmp: sd.Dataset(np.zeros((3, 2), np.float32), np.array([0, 1, 5]),
                                 [0, 1, 3], 2, (), ["a", "b"]),
          RangeError, "sequence b: label 5"),
+        (lambda tmp: sd.Dataset(np.zeros((4, 2), np.float32), np.array([0, 0, 1, 1]),
+                                [0, 2, 4], 2, (), ["a"]),
+         ConfigError, "1 sequence ids and 3 offsets"),
+        (lambda tmp: sd.Dataset(np.zeros((2, 2), np.float32), np.zeros(2, np.int64),
+                                [1, 3], 2, (), []),
+         ConfigError, "0 sequence ids and 2 offsets"),
         (lambda tmp: sd.SynthConfig(duration_spread=-0.5).validate(),
          ConfigError, "duration_spread"),
-        (lambda tmp: sd.save_dataset(str(tmp), ("c0", "c1"), 2, [], "hdf5"),
-         ConfigError, "feature format 'hdf5'"),
+        # the (D, T) u64 header and frame-major float32 an older gen wrote
+        (lambda tmp: _load_features(tmp, lambda raw: np.array([3, 3], "<u8").tobytes()
+                                    + np.zeros(9, "<f4").tobytes()),
+         ParseError, _FEATURES),
+        # numpy's header parser raises a TokenError, a SyntaxError, a
+        # TypeError, a MemoryError and a RecursionError on these
+        (lambda tmp: _load_features(tmp, lambda raw: raw[:10] + b'"' + raw[11:]),
+         ParseError, _FEATURES),
+        (lambda tmp: _load_features(tmp, lambda raw: raw[:22] + b"0" + raw[23:]),
+         ParseError, _FEATURES),
+        (lambda tmp: _load_features(tmp, lambda raw: raw.replace(b" 's", b"b's")),
+         ParseError, _FEATURES),
+        (lambda tmp: _load_features(tmp, lambda raw: _npy_header(b"-" * 9000 + b"1")),
+         ParseError, _FEATURES),
+        (lambda tmp: _load_features(tmp, lambda raw: _npy_header(b"~" * 5000 + b"1")),
+         ParseError, _FEATURES),
         (_manifest_with_no_classes, RangeError, "{tmp}/manifest.json"),
     ],
-    ids=["no_classes", "class_names", "dataset_label", "duration_spread",
-         "feature_format", "manifest_dims"],
+    ids=["no_classes", "class_names", "dataset_label", "short_ids", "no_ids",
+         "duration_spread", "feature_format", "npy_token_error", "npy_syntax_error",
+         "npy_key_types", "npy_parser_stack", "npy_parser_recursion", "manifest_dims"],
 )
 def test_typed_refusals_name_their_field_or_file(tmp_path, refused, error, names):
     with pytest.raises(error) as info:
@@ -768,10 +817,10 @@ _DATASET_FILES = (
     "features/s0",
     "features/s1",
 )
-# uniform bytes, and the ones that keep a text file parseable but wrong
-_BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b'0129-.e \n",'))
+# uniform bytes, and the ones that keep a text file or a .npy header's
+# dict parseable but wrong
+_BYTE = st.one_of(st.integers(0, 255), st.sampled_from(b'0129-.e \n",\'(){}:'))
 _DATASET_DAMAGE = st.tuples(
-    st.sampled_from(["binary", "csv"]),
     st.sampled_from(_DATASET_FILES),
     st.one_of(
         st.tuples(st.just("truncate"), st.integers(0, 10**6)),
@@ -789,16 +838,16 @@ def test_damaged_dataset_loads_or_fails_typed(tmp_path_factory, damage):
     # still loads as a valid dataset or raises a typed error that names
     # the damaged file; class 3 has no frame, so a class name can turn
     # into a duplicate no label file contradicts
-    fmt, name, (kind, offset, *byte) = damage
+    name, (kind, offset, *byte) = damage
     root = tmp_path_factory.mktemp("ds")
     rng = np.random.default_rng(0)
     records = [
         (f"s{index}", labels, rng.standard_normal((2, len(labels))).astype(np.float32).T)
         for index, labels in enumerate(([0, 0, 1], [2, 1, 1, 0]))
     ]
-    _save(sd.Dataset.of(records, 4), root, feature_format=fmt)
+    _save(sd.Dataset.of(records, 4), root)
     if name.startswith("features/"):
-        name += ".bin" if fmt == "binary" else ".csv"
+        name += ".npy"
     path = root / name
     raw = bytearray(path.read_bytes())
     if kind == "truncate":
