@@ -153,13 +153,24 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
 
 
 def load_config(path=None, overrides=None) -> ExperimentConfig:
-    """Read a config file, or start from all defaults when path is None;
-    an error in the file's contents names the file."""
+    """Read a config file, or start from all defaults when path is None.
+    The file is checked first, without the values the flags replace, and
+    an error in it names the file; an error in a flag's value does not."""
+    overrides = overrides or {}
     data = {} if path is None else sd.read_json(path, ConfigError)
+    own = data  # the file's values that no flag replaces
+    if isinstance(data, dict):
+        flagged = overrides.keys() & {"seed", "out"}
+        own = {key: value for key, value in data.items() if key not in flagged}
+        if isinstance(data.get("train"), dict):
+            flagged = overrides.keys() & _TRAIN_KEYS
+            own["train"] = {key: value for key, value in data["train"].items()
+                            if key not in flagged}
     try:
-        return config_from_dict(data, overrides)
+        config_from_dict(own)
     except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") if path else exc from None
+        raise ConfigError(f"{path}: {exc}") from None
+    return config_from_dict(data, overrides)
 
 
 def config_to_dict(config: ExperimentConfig) -> dict:

@@ -39,21 +39,25 @@ def _shares(counts):
 
 
 def learning_state(hits, counts):
-    """``(trans_acc, mean)``: the accuracy of each (class, previous
-    action) from ``hits``, its int64 ``[L, L+1]`` count of correct
-    frames, and the unweighted mean over the observed transitions.
-    ``trans_acc`` is 0.0 on the unobserved ones (``counts == 0``).
+    """``(acc, mean)``: ``acc = hits / counts`` cell by cell, 0.0 on the
+    cells never seen (``counts == 0``), and the unweighted mean of
+    ``acc`` over the seen cells only, 0.0 if there are none. ``hits``
+    and ``counts`` are any pair of integer arrays of one shape: each
+    cell's correct frames and its support.
 
-    ``counts``, from ``seqdata.compute_transition_stats``, is each
-    transition's support: ``train`` counts ``hits`` over one epoch's SGD
-    pass, which predicts every frame of the dataset exactly once, with
-    the parameters in force just before the step of the frame's batch.
+    ``train`` passes the int64 ``[L, L+1]`` table of (class, previous
+    action) cells: ``counts`` from ``seqdata.compute_transition_stats``,
+    and ``hits`` counted over one epoch's SGD pass, which predicts every
+    frame of the dataset exactly once, with the parameters in force just
+    before the step of the frame's batch. ``metrics.evaluate`` passes
+    the ``[L]`` table of classes on the split it scores, so its per-class
+    accuracy is ``100 * mean``.
     """
     observed = counts > 0
-    trans_acc = np.zeros(hits.shape)
-    np.divide(hits, counts, out=trans_acc, where=observed)
-    mean = float(trans_acc[observed].mean()) if observed.any() else 0.0
-    return trans_acc, mean
+    acc = np.zeros(hits.shape)
+    np.divide(hits, counts, out=acc, where=observed)
+    mean = float(acc[observed].mean()) if observed.any() else 0.0
+    return acc, mean
 
 
 def compute_gain(counts, lam, tau):

@@ -2,7 +2,8 @@
 head/tail group summaries.
 
 All scores are percentages. Per-class aggregates average only over
-classes that actually occur in the ground truth of the evaluation set.
+classes that occur in the ground truth of the evaluation set, the rule
+of ``costsens.learning_state``, which scores per-class frame accuracy.
 Segmental F1 matches segments from ``segmentation_from_frames`` and
 counts tp, fp and fn per class into one int64 [3, L] array.
 """
@@ -12,33 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
+from .costsens import learning_state
 from .errors import ConfigError, EmptySequenceError
 from .seqdata import segmentation_from_frames
 
 DEFAULT_IOU_THRESHOLDS = (0.10, 0.25, 0.50)
-
-
-def frame_accuracy(pred, truth, num_classes=None):
-    """Global accuracy and mean per-class recall, both in percent.
-
-    Inputs are flat frame-label vectors covering the evaluation set.
-    """
-    pred = np.asarray(pred, dtype=np.int64)
-    truth = np.asarray(truth, dtype=np.int64)
-    if pred.shape != truth.shape:
-        raise ConfigError(
-            f"{pred.shape[0]} predicted frames vs {truth.shape[0]} truth frames"
-        )
-    if pred.size == 0:
-        raise ConfigError("no frames to score")
-    if num_classes is None:
-        num_classes = int(max(pred.max(), truth.max())) + 1
-    global_acc = 100.0 * float((pred == truth).mean())
-    support = np.bincount(truth, minlength=num_classes)
-    hits = np.bincount(truth[pred == truth], minlength=num_classes)
-    present = support > 0
-    recalls = hits[present] / support[present]
-    return global_acc, 100.0 * float(recalls.mean())
 
 
 def edit_score(pred_segments, truth_segments):
@@ -157,47 +136,46 @@ def evaluate(
     labels = np.concatenate((flat_pred, flat_truth))
     if labels.min() < 0 or labels.max() >= num_classes:
         raise ConfigError(f"labels must lie in [0, {num_classes})")
-    global_acc, per_class_acc = frame_accuracy(flat_pred, flat_truth, num_classes)
+    support = np.bincount(flat_truth, minlength=num_classes)
+    hits = np.bincount(flat_truth[flat_pred == flat_truth], minlength=num_classes)
+    acc, per_class_acc = learning_state(hits, support)
+    present = support > 0
     pred_segs = [segmentation_from_frames(p) for p in predictions]
     truth_segs = [segmentation_from_frames(t) for t in truths]
     edit = float(
         np.mean([edit_score(p[2], t[2]) for p, t in zip(pred_segs, truth_segs)])
     )
-    support = np.bincount(flat_truth, minlength=num_classes)
-    present = support > 0
     # the head/tail groups read F1@0.25 whatever the reported thresholds
     counts_at = {}
     for thr in dict.fromkeys((*thresholds, 0.25)):
         counts = counts_at[thr] = np.zeros((3, num_classes), dtype=np.int64)
         for p, t in zip(pred_segs, truth_segs):
             _match_counts(p, t, thr, counts)
+    f1 = {thr: _f1(*counts) for thr, counts in counts_at.items()}  # per class
     f1_at = {
         thr: (
             float(_f1(*counts_at[thr].sum(axis=1))),
-            float(np.mean(_f1(*counts_at[thr])[present])),
+            float(np.mean(f1[thr][present])),
         )
         for thr in thresholds
     }
     group = None
     if head is not None:
         group = {}
-        hits = np.bincount(flat_truth[flat_pred == flat_truth], minlength=num_classes)
-        f1_25 = _f1(*counts_at[0.25])
         for name, members in (
             ("head", set(head)),
             ("tail", set(range(num_classes)) - set(head)),
         ):
             scored = sorted(members & set(np.flatnonzero(present).tolist()))
-            acc = hits[scored] / support[scored]
             group[name] = GroupReport(
                 classes=tuple(sorted(members)),
-                per_class_acc=100.0 * float(np.mean(acc)) if scored else 0.0,
-                per_class_f1_25=float(np.mean(f1_25[scored])) if scored else 0.0,
+                per_class_acc=100.0 * float(np.mean(acc[scored])) if scored else 0.0,
+                per_class_f1_25=float(np.mean(f1[0.25][scored])) if scored else 0.0,
                 empty=not scored,
             )
     return MetricsReport(
-        global_acc=global_acc,
-        per_class_acc=per_class_acc,
+        global_acc=100.0 * float(hits.sum() / support.sum()),
+        per_class_acc=100.0 * per_class_acc,
         edit_score=edit,
         f1_at=f1_at,
         group=group,

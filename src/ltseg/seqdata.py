@@ -134,6 +134,7 @@ class Dataset:
         if names and len(names) != L:
             raise ConfigError(f"{len(names)} class names for {L} classes")
         self.class_names = tuple(names or default_class_names(L))
+        check_radius(self.pad, L, self.frames.shape[-1], len(ids))
         offsets = self.offsets = np.asarray(self.offsets, dtype=np.int64)
         if offsets.ndim != 1 or offsets.size != len(ids) + 1:
             raise ConfigError(f"{len(ids)} sequence ids and {offsets.size} offsets: "
@@ -188,6 +189,7 @@ class Dataset:
             kept.append((seq_id, *_check_record(seq_id, y, x, num_classes, dim)))
         if not kept:
             raise EmptySequenceError("dataset has no sequences")
+        check_radius(pad, num_classes, dim, len(kept))
         ids, labels, drawn = zip(*kept)
         offsets = np.cumsum([0] + [y.size for y in labels])
         rows = (offsets + 2 * pad * np.arange(offsets.size)).tolist()
@@ -220,9 +222,13 @@ def compute_transition_stats(dataset):
 
 
 def check_radius(radius, num_classes, dim, num_sequences):
-    """Refuse a context radius that sizes the classifier weights,
-    ``L * D(2w+1)`` entries, or the window padding, ``2wS * D``, at
-    ``DRAW_LIMIT`` or more, before either is allocated."""
+    """Refuse a context radius, the pad of a dataset's layout, that is not
+    an integer >= 0 (a bool is not one), or that sizes the classifier
+    weights, ``L * D(2w+1)`` entries, or the window padding, ``2wS * D``,
+    at ``DRAW_LIMIT`` or more, before either is allocated."""
+    require_int("pad", radius)
+    if radius < 0:
+        raise ConfigError(f"pad must be >= 0, got {radius}")
     sizes = (num_classes * dim * (2 * radius + 1), 2 * radius * num_sequences * dim)
     if max(sizes) >= DRAW_LIMIT:
         raise ConfigError(

@@ -378,7 +378,7 @@ def test_criterion_06_metric_oracles():
         n = int(rng.integers(1, 60))
         truth = rng.integers(0, 4, n)
         pred = rng.integers(0, 4, n)
-        _, per_class = mx.frame_accuracy(pred, truth, 4)
+        per_class = mx.evaluate([pred], [truth], 4).per_class_acc
         recalls = []
         for c in range(4):
             support = int((truth == c).sum())

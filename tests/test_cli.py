@@ -6,6 +6,7 @@ import io
 import json
 import os
 import pathlib
+import re
 import shutil
 import subprocess
 import sys
@@ -278,6 +279,34 @@ def test_config_out_and_flag_values_named(
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not os.path.exists(tmp_path / "runs")
+
+
+@pytest.mark.parametrize(
+    "flags, field",
+    [(["--tau", "nan"], "tau"), (["--seed", "-1"], "seed"), (["--gamma", "0"], "gamma")],
+    ids=["tau", "seed", "gamma"],
+)
+def test_flag_value_errors_do_not_name_the_config_file(tmp_path, capsys, flags, field):
+    # the file is valid, so the flag's value alone is at fault
+    path = write_config(tmp_path / "cfg.json", out=str(tmp_path / "runs"),
+                        train={"epochs": 1})
+    assert cli.main(["train", "--config", path, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+    assert not err.startswith(f"error: {path}:")
+    assert not os.path.exists(tmp_path / "runs")
+
+
+def test_config_file_values_beside_flags(tmp_path):
+    # a file value that a flag replaces is not checked; any other bad
+    # file value is named with the file, also beside a bad flag
+    path = write_config(tmp_path / "cfg.json", seed=-1, train={"tau": "x"})
+    config = cli.load_config(path, {"seed": 3, "tau": 0.5})
+    assert (config.seed, config.train.tau) == (3, 0.5)
+    with pytest.raises(ConfigError, match=f"^{re.escape(path)}: tau must be"):
+        cli.load_config(path, {"seed": 3, "gamma": 0.0})
+    with pytest.raises(ConfigError, match="^seed must be >= 0, got -2$"):
+        cli.load_config(path, {"seed": -2, "tau": 0.5})
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Frame accuracy, edit score, segmental F1, group reports."""
+"""Frame accuracy, edit score, segmental F1, group reports, all through
+``evaluate``."""
 
 import numpy as np
 import pytest
@@ -23,48 +24,53 @@ def f1(pred, truth, num_classes, thr):
 # -- frame accuracy ----------------------------------------------------------
 
 
+def accuracies(pred, truth, num_classes):
+    """(global, per-class) frame accuracy of one video pair."""
+    report = mx.evaluate([pred], [truth], num_classes)
+    return report.global_acc, report.per_class_acc
+
+
 def test_frame_accuracy_perfect():
     truth = np.array([0, 1, 2, 1, 0])
-    assert mx.frame_accuracy(truth, truth) == (100.0, 100.0)
+    assert accuracies(truth, truth, 3) == (100.0, 100.0)
+    # classes 3 and 4 never occur in the truth, so they add no 0 to the mean
+    assert accuracies(truth, truth, 5) == (100.0, 100.0)
 
 
 def test_frame_accuracy_majority_predictor():
     truth = np.array([0] * 90 + [1] * 10)
     pred = np.zeros(100, np.int64)
-    global_acc, per_class = mx.frame_accuracy(pred, truth)
+    global_acc, per_class = accuracies(pred, truth, 2)
     assert global_acc == pytest.approx(90.0)
     assert per_class == pytest.approx(50.0)
 
 
 def test_frame_accuracy_matches_tally_oracle():
+    # the frames are pooled over up to three videos
     rng = np.random.default_rng(3)
     for _ in range(50):
         n = int(rng.integers(1, 200))
         L = int(rng.integers(2, 6))
         truth = rng.integers(0, L, n)
         pred = rng.integers(0, L, n)
-        global_acc, per_class = mx.frame_accuracy(pred, truth, L)
+        videos = int(rng.integers(1, min(n, 3) + 1))
+        report = mx.evaluate(np.array_split(pred, videos), np.array_split(truth, videos), L)
         correct = sum(1 for p, t in zip(pred, truth) if p == t)
-        assert global_acc == pytest.approx(100.0 * correct / n)
+        assert report.global_acc == pytest.approx(100.0 * correct / n)
         recalls = []
         for c in range(L):
             total = sum(1 for t in truth if t == c)
             if total:
                 good = sum(1 for p, t in zip(pred, truth) if t == c and p == c)
                 recalls.append(good / total)
-        assert per_class == pytest.approx(100.0 * np.mean(recalls))
+        assert report.per_class_acc == pytest.approx(100.0 * np.mean(recalls))
 
 
 def test_frame_accuracy_balanced_symmetric():
     truth = np.array([0, 0, 1, 1])
     pred = np.array([0, 1, 1, 0])
-    global_acc, per_class = mx.frame_accuracy(pred, truth)
+    global_acc, per_class = accuracies(pred, truth, 2)
     assert global_acc == per_class == 50.0
-
-
-def test_frame_accuracy_length_mismatch():
-    with pytest.raises(ConfigError):
-        mx.frame_accuracy([0, 1], [0, 1, 1])
 
 
 # -- edit score --------------------------------------------------------------
@@ -302,7 +308,6 @@ def test_evaluate_refuses_pairs_of_unequal_length():
 @pytest.mark.parametrize(
     "refused, error, names",
     [
-        (lambda: mx.frame_accuracy([], []), ConfigError, "no frames"),
         (lambda: mx.evaluate([[0]], [], 2), ConfigError, "1 prediction vectors vs 0"),
         (lambda: mx.evaluate([[0, 2]], [[0, 1]], 2), ConfigError, "labels must lie"),
         (lambda: mx.evaluate([[0], []], [[0], []], 2), EmptySequenceError,
@@ -316,7 +321,7 @@ def test_evaluate_refuses_pairs_of_unequal_length():
         (lambda: mx.evaluate([[True, False]], [[1, 0]], 2),
          ConfigError, "pair 0: predicted labels of dtype bool"),
     ],
-    ids=["no_frames", "vector_count", "label_range", "empty_pair", "all_empty",
+    ids=["vector_count", "label_range", "empty_pair", "all_empty",
          "float_prediction", "float_truth", "bool_prediction"],
 )
 def test_typed_refusals_name_their_field(refused, error, names):
@@ -332,6 +337,37 @@ def test_evaluate_perfect_both_groups():
     assert report.group["tail"].per_class_acc == 100.0
     assert report.group["head"].per_class_f1_25 == 100.0
     assert report.group["tail"].per_class_f1_25 == 100.0
+
+
+def test_evaluate_groups_match_tally_oracle():
+    # each group's accuracy and F1@0.25 are the means over its classes
+    # that occur in the truth, tallied frame by frame and segment by segment
+    rng = np.random.default_rng(47)
+    for _ in range(200):
+        L = int(rng.integers(2, 8))
+        truths = [np.repeat(rng.integers(0, L, rng.integers(1, 12)), rng.integers(1, 5))
+                  for _ in range(int(rng.integers(1, 4)))]
+        preds = [np.where(rng.random(t.size) < 0.5, t, rng.integers(0, L, t.size))
+                 for t in truths]
+        head = set(rng.choice(L, int(rng.integers(0, L + 1)), replace=False).tolist())
+        report = mx.evaluate(preds, truths, L, head=head)
+        frames = [(p, t) for pred, truth in zip(preds, truths) for p, t in zip(pred, truth)]
+        counts = sum(_counts_oracle(p, t, L, 0.25) for p, t in zip(preds, truths))
+        for name, members in (("head", head), ("tail", set(range(L)) - head)):
+            recalls, f1s = [], []
+            for c in sorted(members):
+                total = sum(1 for _, t in frames if t == c)
+                if total:
+                    recalls.append(sum(1 for p, t in frames if t == c and p == c) / total)
+                    tp, fp, fn = counts[:, c]
+                    f1s.append(100.0 * 2 * tp / (2 * tp + fp + fn))
+            group = report.group[name]
+            assert group.classes == tuple(sorted(members))
+            assert group.empty == (not recalls)
+            want_acc = 100.0 * np.mean(recalls) if recalls else 0.0
+            want_f1 = np.mean(f1s) if f1s else 0.0
+            assert group.per_class_acc == pytest.approx(want_acc, abs=1e-12)
+            assert group.per_class_f1_25 == pytest.approx(want_f1, abs=1e-12)
 
 
 def test_evaluate_all_head_flags_tail_empty():

@@ -13,6 +13,12 @@ def test_readme_library_example_scores_held_out_sequences(capsys):
     train, test = scope["train"], scope["test"]
     assert train.seq_ids and test.seq_ids
     assert not set(train.seq_ids) & set(test.seq_ids)
-    scores = [float(word) for word in capsys.readouterr().out.split()]
-    assert len(scores) == 4
-    assert all(0.0 <= score <= 100.0 for score in scores)
+    lines = [line.split() for line in capsys.readouterr().out.splitlines()]
+    assert [line[0] for line in lines] == ["argmax", "sncm"]
+    scores = {line[0]: [float(word) for word in line[1:]] for line in lines}
+    assert all(len(row) == 4 for row in scores.values())
+    assert all(0.0 <= score <= 100.0 for row in scores.values() for score in row)
+    # an example on which every score is perfect, or both decoders tie,
+    # shows nothing of either
+    assert not all(score == 100.0 for row in scores.values() for score in row)
+    assert scores["argmax"] != scores["sncm"]

@@ -654,10 +654,30 @@ def _manifest_with_no_classes(tmp_path):
         (lambda tmp: _load_features(tmp, lambda raw: _npy_header(b"~" * 5000 + b"1")),
          ParseError, _FEATURES),
         (_manifest_with_no_classes, RangeError, "{tmp}/manifest.json"),
+        # every pad is checked before the layout is allocated or sliced
+        (lambda tmp: sd.generate_synthetic(
+            sd.SynthConfig(num_classes=3, feature_dim=4, num_sequences=4), -1),
+         ConfigError, "pad must be >= 0, got -1"),
+        (lambda tmp: sd.Dataset.of([_record([0, 1])], 2, pad=-1),
+         ConfigError, "pad must be >= 0, got -1"),
+        (lambda tmp: sd.Dataset.of([_record([0, 1])], 2, pad=1.5),
+         ConfigError, "pad must be an integer, got 1.5"),
+        (lambda tmp: sd.Dataset.of([_record([0, 1])], 2, pad=True),
+         ConfigError, "pad must be an integer, got True"),
+        (lambda tmp: sd.Dataset.of([_record([0, 1])], 2, pad=10**12),
+         ConfigError, "context_radius 1000000000000 gives"),
+        (lambda tmp: sd.Dataset(np.zeros((0, 3), np.float32), np.array([0, 1]),
+                                [0, 2], 2, (), ["a"], pad=-1),
+         ConfigError, "pad must be >= 0, got -1"),
+        (lambda tmp: _save(sd.Dataset.of([_record([0, 1])], 2), tmp)
+         or sd.load_dataset(str(tmp), -1),
+         ConfigError, "pad must be >= 0, got -1"),
     ],
     ids=["no_classes", "class_names", "dataset_label", "short_ids", "no_ids",
          "duration_spread", "feature_format", "npy_token_error", "npy_syntax_error",
-         "npy_key_types", "npy_parser_stack", "npy_parser_recursion", "manifest_dims"],
+         "npy_key_types", "npy_parser_stack", "npy_parser_recursion", "manifest_dims",
+         "generator_negative_pad", "negative_pad", "float_pad", "bool_pad", "huge_pad",
+         "direct_negative_pad", "loader_negative_pad"],
 )
 def test_typed_refusals_name_their_field_or_file(tmp_path, refused, error, names):
     with pytest.raises(error) as info:
