@@ -32,7 +32,7 @@ from .errors import (
     ParseError,
     RangeError,
     TrainingDivergedError,
-    require_finite,
+    check_fields,
     require_int,
 )
 from .seqdata import DRAW_LIMIT, check_radius, compute_transition_stats
@@ -93,29 +93,21 @@ class TrainConfig:
     rng_seed: int = 0
     loss_mode: str = "cost_sensitive"
 
+    BOUNDS = (
+        ("epochs", ">=", 0),  # 0 is a legal no-op run (checkpoint equals init)
+        ("learning_rate", ">", 0),
+        ("batch_size", ">=", 1),
+        ("context_radius", ">=", 0),
+        ("tau", ">=", 0),
+        ("epsilon", ">", 0), ("epsilon", "<=", 1),
+        ("gamma", ">", 0),
+        ("rng_seed", ">=", 0),
+    )
+
     def validate(self):
-        for name in ("epochs", "batch_size", "context_radius"):
-            require_int(name, getattr(self, name))
-        for name in ("learning_rate", "tau", "epsilon", "gamma"):
-            require_finite(name, getattr(self, name))
-        # epochs = 0 is a legal no-op run (checkpoint equals init)
-        if self.epochs < 0 or self.batch_size <= 0 or self.context_radius < 0:
-            raise ConfigError(
-                f"epochs/batch_size/context_radius out of range: "
-                f"{self.epochs}/{self.batch_size}/{self.context_radius}"
-            )
-        if self.learning_rate <= 0 or self.tau < 0 or self.gamma <= 0:
-            raise ConfigError(
-                f"rates out of range: lr={self.learning_rate}, tau={self.tau}, "
-                f"gamma={self.gamma}"
-            )
-        if not 0 < self.epsilon <= 1:
-            raise ConfigError(f"tolerance must be in (0, 1], got {self.epsilon}")
         if self.loss_mode not in LOSS_MODES:
-            raise ConfigError(
-                f"loss_mode {self.loss_mode!r} not one of {LOSS_MODES}"
-            )
-        return self
+            raise ConfigError(f"loss_mode {self.loss_mode!r} not one of {LOSS_MODES}")
+        return check_fields(self, self.BOUNDS)
 
 
 def _class_major_logits(params, phi, out=None):
@@ -259,11 +251,7 @@ def load_checkpoint(path):
         missing = [k for k in _CHECKPOINT_KEYS if k not in header]
         raise ParseError(f"{path}:1: header missing {missing}")
     for key in _CHECKPOINT_KEYS:
-        value = header[key]
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(
-                f"{path}:1: header field {key!r} must be an integer, got {value!r}"
-            )
+        require_int(f"{path}:1: header field {key!r}", header[key], ParseError)
     L, D, w, epoch = (header[key] for key in _CHECKPOINT_KEYS)
     if L <= 0 or D <= 0 or w < 0 or epoch < 0:
         raise RangeError(

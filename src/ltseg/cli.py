@@ -26,6 +26,7 @@ from .errors import (
     ConfigError,
     LtsegError,
     TrainingDivergedError,
+    require_bound,
     require_finite,
     require_int,
 )
@@ -33,12 +34,10 @@ from .errors import (
 # the F1 keys of report_to_dict, one per threshold that eval scores
 REPORT_F1_KEYS = tuple(map(mx.f1_key, mx.DEFAULT_IOU_THRESHOLDS))
 
-_SYNTH_KEYS = frozenset(
-    f.name for f in dataclasses.fields(sd.SynthConfig)
-) - {"rng_seed"}
-_TRAIN_KEYS = frozenset(
-    f.name for f in dataclasses.fields(clf.TrainConfig)
-) - {"rng_seed"}
+_SYNTH_KEYS, _TRAIN_KEYS = (
+    frozenset(f.name for f in dataclasses.fields(kind)) - {"rng_seed"}
+    for kind in (sd.SynthConfig, clf.TrainConfig)
+)
 _TOP_KEYS = frozenset(
     {
         "dataset",
@@ -78,10 +77,7 @@ class ExperimentConfig:
             raise ConfigError(f"out must be a path, got {self.out_dir!r}")
         if self.head_threshold is not None:
             require_int("head_threshold", self.head_threshold)
-            if self.head_threshold <= 0:
-                raise ConfigError(
-                    f"head_threshold must be positive, got {self.head_threshold}"
-                )
+            require_bound("head_threshold", self.head_threshold, ">", 0)
         if self.synthetic is not None:
             self.synthetic.validate()
         self.train.validate()
@@ -111,8 +107,7 @@ def config_from_dict(data, overrides=None) -> ExperimentConfig:
 
     seed = overrides.pop("seed", data.get("seed", 0))
     require_int("seed", seed)
-    if seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {seed}")
+    require_bound("seed", seed, ">=", 0)
 
     source = data.get("dataset", {"synthetic": {}})
     if not isinstance(source, dict):

@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the integer and
-number checks that config validation raises them from."""
+"""Exception types shared across the package, and the integer, number
+and bound checks that config validation raises them from."""
 
+import dataclasses
 import math
+import operator
 
 
 class LtsegError(Exception):
@@ -40,11 +42,11 @@ class TrainingDivergedError(LtsegError, RuntimeError):
         )
 
 
-def require_int(name, value):
-    """Raise ConfigError naming ``name`` unless ``value`` is an int; a
+def require_int(name, value, error=ConfigError):
+    """Raise ``error`` naming ``name`` unless ``value`` is an int; a
     bool is not one, although Python counts it as such."""
     if not isinstance(value, int) or isinstance(value, bool):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise error(f"{name} must be an integer, got {value!r}")
 
 
 def require_finite(name, value):
@@ -56,3 +58,27 @@ def require_finite(name, value):
         finite = False
     if not finite:
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
+_BOUND_OPS = {"<": operator.lt, "<=": operator.le, ">": operator.gt, ">=": operator.ge}
+_TYPE_CHECKS = {int: require_int, float: require_finite}
+
+
+def require_bound(name, value, op, limit):
+    """Raise ConfigError naming ``name`` unless ``value op limit`` holds."""
+    if not _BOUND_OPS[op](value, limit):
+        raise ConfigError(f"{name} must be {op} {limit}, got {value}")
+
+
+def check_fields(config, bounds):
+    """Return a config dataclass whose ``int`` and ``float`` fields, as
+    annotated, are integers and finite numbers, and satisfy each ``(name,
+    op, limit)`` row of ``bounds``; else raise ConfigError naming the first
+    field at fault, as in ``epsilon must be <= 1, got 1.5``."""
+    for field in dataclasses.fields(config):
+        check = _TYPE_CHECKS.get(field.type)
+        if check:
+            check(field.name, getattr(config, field.name))
+    for name, op, limit in bounds:
+        require_bound(name, getattr(config, name), op, limit)
+    return config

@@ -25,7 +25,8 @@ from .errors import (
     EmptySequenceError,
     ParseError,
     RangeError,
-    require_finite,
+    check_fields,
+    require_bound,
     require_int,
 )
 
@@ -127,14 +128,20 @@ class Dataset:
     class_frame_counts: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        L, names = self.num_classes, self.class_names
-        labels, ids = self.labels, self.seq_ids
-        if L <= 0:
-            raise ConfigError(f"num_classes must be positive, got {L}")
+        L, names, ids = self.num_classes, self.class_names, self.seq_ids
+        frames, labels = self.frames, np.asarray(self.labels)
+        if not isinstance(frames, np.ndarray) or frames.ndim != 2:
+            got = getattr(frames, "shape", type(frames).__name__)
+            raise ConfigError(f"frames must be a 2-D ndarray, got {got}")
+        if labels.ndim != 1 or labels.dtype.kind not in "iu":
+            raise ConfigError(f"labels must be a 1-D integer array, got "
+                              f"{labels.dtype} {labels.shape}")
+        self.labels = labels = labels.astype(np.int64, copy=False)
+        require_bound("num_classes", L, ">", 0)
         if names and len(names) != L:
             raise ConfigError(f"{len(names)} class names for {L} classes")
         self.class_names = tuple(names or default_class_names(L))
-        check_radius(self.pad, L, self.frames.shape[-1], len(ids))
+        check_radius(self.pad, L, frames.shape[1], len(ids))
         offsets = self.offsets = np.asarray(self.offsets, dtype=np.int64)
         if offsets.ndim != 1 or offsets.size != len(ids) + 1:
             raise ConfigError(f"{len(ids)} sequence ids and {offsets.size} offsets: "
@@ -147,7 +154,7 @@ class Dataset:
             s = short[0]
             raise EmptySequenceError(f"sequence {ids[s] or '<unnamed>'} spans offsets "
                                      f"{offsets[s]} to {offsets[s + 1]}: no frames")
-        pad, frames = self.pad, self.frames
+        pad = self.pad
         rows = offsets + 2 * pad * np.arange(offsets.size)
         if (len(frames), labels.size) != (rows[-1], offsets[-1]):
             raise ConfigError(f"{len(frames)} rows and {labels.size} labels where the "
@@ -227,8 +234,7 @@ def check_radius(radius, num_classes, dim, num_sequences):
     weights, ``L * D(2w+1)`` entries, or the window padding, ``2wS * D``,
     at ``DRAW_LIMIT`` or more, before either is allocated."""
     require_int("pad", radius)
-    if radius < 0:
-        raise ConfigError(f"pad must be >= 0, got {radius}")
+    require_bound("pad", radius, ">=", 0)
     sizes = (num_classes * dim * (2 * radius + 1), 2 * radius * num_sequences * dim)
     if max(sizes) >= DRAW_LIMIT:
         raise ConfigError(
@@ -239,8 +245,7 @@ def check_radius(radius, num_classes, dim, num_sequences):
 
 def head_tail_split(class_frame_counts, threshold):
     """Split class ids into head (frame count >= threshold) and tail."""
-    if threshold <= 0:
-        raise ConfigError(f"threshold must be positive, got {threshold}")
+    require_bound("threshold", threshold, ">", 0)
     counts = np.asarray(class_frame_counts)
     head = {int(i) for i in np.flatnonzero(counts >= threshold)}
     tail = {int(i) for i in range(counts.shape[0])} - head
@@ -271,35 +276,28 @@ class SynthConfig:
     transition_skew: float = 1.0
     rng_seed: int = 0
 
+    BOUNDS = (
+        ("num_classes", ">=", 2),  # segments alternate between classes
+        ("feature_dim", ">=", 1),
+        ("num_sequences", ">=", 1),
+        ("mean_segments", ">=", 1), ("mean_segments", "<", DRAW_LIMIT),
+        ("class_skew", ">=", 0),
+        ("duration_mean", ">=", 1), ("duration_mean", "<", DRAW_LIMIT),
+        ("duration_spread", ">=", 0),
+        ("mean_scale", ">", 0),
+        ("noise_scale", ">=", 0),  # 0: exact class means, for calibration tests
+        ("transition_skew", ">=", 0),
+        ("rng_seed", ">=", 0),
+    )
+
     def validate(self):
-        for name in ("num_classes", "feature_dim", "num_sequences"):
-            require_int(name, getattr(self, name))
-        for name in (
-            "mean_segments", "class_skew", "duration_mean", "duration_spread",
-            "mean_scale", "noise_scale", "transition_skew",
-        ):
-            require_finite(name, getattr(self, name))
-        if self.num_classes < 2:
-            raise ConfigError(
-                f"need at least 2 classes to alternate segments, got {self.num_classes}"
-            )
-        if self.feature_dim <= 0 or self.num_sequences <= 0:
-            raise ConfigError(
-                f"feature_dim and num_sequences must be positive, got "
-                f"{self.feature_dim} and {self.num_sequences}"
-            )
+        check_fields(self, self.BOUNDS)
         L, D = self.num_classes, self.feature_dim
         if max(L * D, (L + 1) * L) >= DRAW_LIMIT:
             raise ConfigError(
                 f"num_classes {L} and feature_dim {D} size the class means, L * D, "
                 f"and the successor table, (L + 1) * L; each must be below {DRAW_LIMIT}"
             )
-        for name in ("mean_segments", "duration_mean"):
-            value = getattr(self, name)
-            if not 1 <= value < DRAW_LIMIT:
-                raise ConfigError(
-                    f"{name} must be in [1, {DRAW_LIMIT}), got {value}"
-                )
         # the expected frame count; mean_segments and duration_mean are
         # >= 1 here, so the clamp only keeps a huge int out of the floats
         frames = min(self.num_sequences, DRAW_LIMIT) * self.mean_segments
@@ -309,16 +307,6 @@ class SynthConfig:
                 f"frame count, must be below {DRAW_LIMIT}, got {self.num_sequences}"
                 f" * {self.mean_segments} * {self.duration_mean}"
             )
-        if self.class_skew < 0 or self.transition_skew < 0:
-            raise ConfigError("skew parameters must be >= 0")
-        if self.duration_spread < 0:
-            raise ConfigError(
-                f"duration_spread must be >= 0, got {self.duration_spread}"
-            )
-        # noise_scale 0 is allowed: noiseless emitters make class means
-        # exactly recoverable, which calibration tests rely on.
-        if self.noise_scale < 0 or self.mean_scale <= 0:
-            raise ConfigError("emitter scales out of range")
         return self
 
 
@@ -460,15 +448,21 @@ def _read_features(path, out, labels_path):
 def save_dataset(path, class_names, feature_dim, sequences):
     """Write a dataset directory (see the format note above) of
     ``(seq_id, frame_labels, frames)``, frames ``[T, D]``, each sequence as
-    it comes, checked first (``_check_record``); returns the class frame counts."""
+    it comes, checked first (``_check_record``, and an id that is one path
+    component and new); returns the class frame counts."""
     os.makedirs(os.path.join(path, "groundTruth"), exist_ok=True)
     os.makedirs(os.path.join(path, "features"), exist_ok=True)
     with open(os.path.join(path, "classes.txt"), "w", encoding="utf-8") as fh:
         for i, name in enumerate(class_names):
             fh.write(f"{i} {name}\n")
-    entries, counts = [], np.zeros(len(class_names), dtype=np.int64)
+    entries, counts = {}, np.zeros(len(class_names), dtype=np.int64)
     for idx, (seq_id, labels, frames) in enumerate(sequences):
-        seq_id = seq_id or f"seq_{idx:04d}"
+        seq_id = str(seq_id or f"seq_{idx:04d}")
+        if any(sep and sep in seq_id for sep in (os.sep, os.altsep, "\0")):
+            raise ConfigError(f"record {idx}: id {seq_id!r} is not one path component")
+        if seq_id in entries:
+            first = list(entries).index(seq_id)
+            raise ConfigError(f"records {first} and {idx} share the id {seq_id!r}")
         labels, frames = _check_record(seq_id, labels, frames, counts.size, feature_dim)
         label_rel = os.path.join("groundTruth", f"{seq_id}.txt")
         feat_rel = os.path.join("features", f"{seq_id}.npy")
@@ -477,12 +471,12 @@ def save_dataset(path, class_names, feature_dim, sequences):
                 fh.write(class_names[y] + "\n")
         # a C-contiguous copy, so that its transpose is saved in Fortran order
         np.save(os.path.join(path, feat_rel), np.ascontiguousarray(frames, "<f4").T)
-        entries.append({"id": seq_id, "labels": label_rel, "features": feat_rel})
+        entries[seq_id] = {"id": seq_id, "labels": label_rel, "features": feat_rel}
         counts += np.bincount(labels, minlength=counts.size)
     manifest = {
         "num_classes": len(class_names),
         "feature_dim": feature_dim,
-        "sequences": entries,
+        "sequences": list(entries.values()),
     }
     with open(os.path.join(path, "manifest.json"), "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
@@ -584,11 +578,7 @@ def load_dataset(path, pad=0) -> Dataset:
     if not isinstance(manifest, dict):
         raise ParseError(f"{manifest_path}: manifest is not a JSON object")
     for key in ("num_classes", "feature_dim"):
-        value = manifest.get(key)
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(
-                f"{manifest_path}: field {key!r} must be an integer, got {value!r}"
-            )
+        require_int(f"{manifest_path}: field {key!r}", manifest.get(key), ParseError)
     num_classes = manifest["num_classes"]
     feature_dim = manifest["feature_dim"]
     entries = manifest.get("sequences")

@@ -1,9 +1,11 @@
 """End-to-end CLI behavior: config handling, gen/train/eval/report."""
 
+import dataclasses
 import glob
 import importlib.util
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -168,6 +170,76 @@ def test_flag_overrides_reach_subconfigs(tmp_path):
     assert config.train.loss_mode == "plain_ce"
     assert config.train.tau == 0.7
     assert config.out_dir == "elsewhere"
+
+
+_CONFIG_TYPES = (sd.SynthConfig, clf.TrainConfig)
+# bases at which no other field, nor a check over several fields, is at
+# fault for any value at a row's limit: one frame per expected sequence
+_BOUND_BASES = {
+    sd.SynthConfig: sd.SynthConfig(num_sequences=1, mean_segments=1, duration_mean=1),
+    clf.TrainConfig: clf.TrainConfig(),
+}
+
+
+def _next_value(value, toward, kind):
+    """The nearest ``kind`` (int or float) to ``value`` in the direction
+    of ``toward``."""
+    if kind is int:
+        return value + (1 if toward > value else -1)
+    return math.nextafter(value, toward)
+
+
+@pytest.mark.parametrize(
+    "config_type, row",
+    [(kind, row) for kind in _CONFIG_TYPES for row in kind.BOUNDS],
+    ids=lambda arg: "".join(map(str, arg)) if isinstance(arg, tuple) else arg.__name__,
+)
+def test_each_bound_row_accepts_its_limit_and_refuses_past_it(config_type, row):
+    # the limit itself, or the nearest value inside it, is accepted, and
+    # the nearest value outside it is refused naming the field first
+    name, op, limit = row
+    kind = {f.name: f.type for f in dataclasses.fields(config_type)}[name]
+    inside = math.inf if op[0] == ">" else -math.inf
+    edge = kind(limit)
+    if op.endswith("="):
+        allowed, refused = edge, _next_value(edge, -inside, kind)
+    else:
+        allowed, refused = _next_value(edge, inside, kind), edge
+    base = _BOUND_BASES[config_type]
+    accepted = dataclasses.replace(base, **{name: allowed})
+    assert accepted.validate() is accepted
+    with pytest.raises(ConfigError) as info:
+        dataclasses.replace(base, **{name: refused}).validate()
+    assert str(info.value) == f"{name} must be {op} {limit}, got {refused}"
+
+
+@pytest.mark.parametrize("config_type", _CONFIG_TYPES, ids=lambda kind: kind.__name__)
+def test_every_numeric_config_field_has_a_bound_row(config_type):
+    # a knob added to either config lands type-checked and bounded, or
+    # is named here as one that is neither an int nor a float
+    fields = dataclasses.fields(config_type)
+    numeric = {f.name for f in fields if f.type in (int, float)}
+    assert {f.name for f in fields} - numeric <= {"loss_mode"}
+    assert {name for name, _, _ in config_type.BOUNDS} == numeric
+
+
+@pytest.mark.parametrize(
+    "seed, message",
+    [
+        (-1, "rng_seed must be >= 0, got -1"),
+        (1.5, "rng_seed must be an integer, got 1.5"),
+        (True, "rng_seed must be an integer, got True"),
+    ],
+    ids=["negative", "float", "bool"],
+)
+def test_library_rng_seed_refused_naming_it(seed, message):
+    # numpy would raise a bare ValueError or TypeError, or seed 1 for True
+    synth = sd.SynthConfig(num_classes=3, feature_dim=2, num_sequences=2)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        sd.generate_synthetic(dataclasses.replace(synth, rng_seed=seed))
+    dataset = sd.generate_synthetic(synth)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+        clf.train(dataset, clf.TrainConfig(epochs=1, rng_seed=seed))
 
 
 def test_config_rejects_unknown_keys(tmp_path):

@@ -1,7 +1,11 @@
-"""The README's library example runs as written."""
+"""The README's library example runs as written, and its config block is
+a config the CLI accepts and echoes."""
 
+import json
 import pathlib
 import re
+
+from ltseg import cli
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
 
@@ -22,3 +26,17 @@ def test_readme_library_example_scores_held_out_sequences(capsys):
     # shows nothing of either
     assert not all(score == 100.0 for row in scores.values() for score in row)
     assert scores["argmax"] != scores["sncm"]
+
+
+def test_readme_config_block_parses_and_round_trips():
+    (block,) = re.findall(r"^```json\n(.*?)^```", README.read_text(), re.M | re.S)
+    data = json.loads(block)
+    config = cli.config_from_dict(data)
+    echoed = cli.config_to_dict(config)
+    assert cli.config_from_dict(echoed) == config
+    # every value the block states is the effective one; the synthetic
+    # and train sections share no key
+    stated = {**data["dataset"]["synthetic"], **data["train"]}
+    stated.update((key, data[key]) for key in ("head_threshold", "out", "seed"))
+    effective = {**echoed["dataset"]["synthetic"], **echoed["train"], **echoed}
+    assert {key: effective[key] for key in stated} == stated

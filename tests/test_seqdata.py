@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -541,24 +542,46 @@ def test_layout_pads_each_sequence_and_keeps_its_features(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "labels, frames, error",
+    "seq_id, labels, frames, error, message",
     [
-        ([0, 1], np.zeros((2, 3)), ConfigError),  # width 3 against feature_dim 4
-        ([0, 1], np.full((2, 4), np.nan), RangeError),
-        ([0, -1], np.zeros((2, 4)), RangeError),
-        ([0, 5], np.zeros((2, 4)), RangeError),
-        ([0.0, 1.0], np.zeros((2, 4)), ConfigError),
+        ("bad", [0, 1], np.zeros((2, 3)), ConfigError, "sequence bad"),  # width 3
+        ("bad", [0, 1], np.full((2, 4), np.nan), RangeError, "sequence bad"),
+        ("bad", [0, -1], np.zeros((2, 4)), RangeError, "sequence bad"),
+        ("bad", [0, 5], np.zeros((2, 4)), RangeError, "sequence bad"),
+        ("bad", [0.0, 1.0], np.zeros((2, 4)), ConfigError, "sequence bad"),
+        # the second record would overwrite the first's files
+        ("fine", [0, 1], np.zeros((2, 4)), ConfigError,
+         "records 0 and 1 share the id 'fine'"),
+        # one dies opening a missing directory, the other writes outside
+        ("x/y", [0, 1], np.zeros((2, 4)), ConfigError,
+         "record 1: id 'x/y' is not one path component"),
+        ("../../x", [0, 1], np.zeros((2, 4)), ConfigError,
+         "record 1: id '../../x' is not one path component"),
+        ("x\0y", [0, 1], np.zeros((2, 4)), ConfigError,
+         "record 1: id 'x\\x00y' is not one path component"),
     ],
-    ids=["width", "nan", "label_-1", "label_5", "float_labels"],
+    ids=["width", "nan", "label_-1", "label_5", "float_labels", "repeated_id",
+         "id_with_separator", "id_outside_directory", "id_with_nul"],
 )
-def test_save_dataset_checks_each_record_before_writing_it(tmp_path, labels, frames,
-                                                           error):
+def test_save_dataset_checks_each_record_before_writing_it(tmp_path, seq_id, labels,
+                                                           frames, error, message):
     # a record that load_dataset would refuse, or that the writer cannot
     # name, is refused with an error naming it before its files are opened
     good = ("fine", np.array([1, 0]), np.ones((2, 4), np.float32))
-    with pytest.raises(error, match="sequence bad"):
-        sd.save_dataset(str(tmp_path), ("c0", "c1"), 4, [good, ("bad", labels, frames)])
-    assert sorted(p.name for p in tmp_path.glob("*/*")) == ["fine.npy", "fine.txt"]
+    with pytest.raises(error, match=re.escape(message)):
+        sd.save_dataset(str(tmp_path / "ds"), ("c0", "c1"), 4,
+                        [good, (seq_id, labels, frames)])
+    written = sorted(p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*.*"))
+    assert written == ["ds/classes.txt", "ds/features/fine.npy",
+                       "ds/groundTruth/fine.txt"]
+
+
+def test_dataset_takes_integer_labels_of_any_kind_as_int64():
+    frames = np.arange(6, dtype=np.float32).reshape(3, 2)
+    for labels in ([0, 1, 1], (0, 1, 1), np.array([0, 1, 1], np.uint8)):
+        ds = sd.Dataset(frames.copy(), labels, [0, 3], 2, (), ["a"])
+        assert ds.labels.dtype == np.int64 and ds.labels.tolist() == [0, 1, 1]
+        assert ds.prev_action.tolist() == [2, 0, 0]
 
 
 def test_dataset_refuses_buffers_that_do_not_match_the_offsets():
@@ -672,12 +695,26 @@ def _manifest_with_no_classes(tmp_path):
         (lambda tmp: _save(sd.Dataset.of([_record([0, 1])], 2), tmp)
          or sd.load_dataset(str(tmp), -1),
          ConfigError, "pad must be >= 0, got -1"),
+        # a direct call may pass any array-like labels, but only integers
+        (lambda tmp: sd.Dataset(np.zeros((2, 3), np.float32), np.array([0.0, 1.0]),
+                                [0, 2], 2, (), ["a"]),
+         ConfigError, "labels must be a 1-D integer array, got float64 (2,)"),
+        (lambda tmp: sd.Dataset(np.zeros((2, 3), np.float32), [[0, 1]],
+                                [0, 2], 2, (), ["a"]),
+         ConfigError, "labels must be a 1-D integer array, got int64 (1, 2)"),
+        (lambda tmp: sd.Dataset([[0.0] * 3] * 2, np.array([0, 1]), [0, 2], 2, (),
+                                ["a"]),
+         ConfigError, "frames must be a 2-D ndarray, got list"),
+        (lambda tmp: sd.Dataset(np.zeros(6, np.float32), np.array([0, 1]),
+                                [0, 2], 2, (), ["a"]),
+         ConfigError, "frames must be a 2-D ndarray, got (6,)"),
     ],
     ids=["no_classes", "class_names", "dataset_label", "short_ids", "no_ids",
          "duration_spread", "feature_format", "npy_token_error", "npy_syntax_error",
          "npy_key_types", "npy_parser_stack", "npy_parser_recursion", "manifest_dims",
          "generator_negative_pad", "negative_pad", "float_pad", "bool_pad", "huge_pad",
-         "direct_negative_pad", "loader_negative_pad"],
+         "direct_negative_pad", "loader_negative_pad", "float_labels", "nested_labels",
+         "list_frames", "flat_frames"],
 )
 def test_typed_refusals_name_their_field_or_file(tmp_path, refused, error, names):
     with pytest.raises(error) as info:
